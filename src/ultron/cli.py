@@ -11,7 +11,6 @@ import csv
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,7 @@ from .codec import (
     container_frames,
     decode_container,
     encode_container,
-    encode_segment,
-    segment_flags,
 )
-from .codec.container import pack_header
 from .errors import (
     ContainerError,
     InvalidMeshError,
@@ -98,13 +94,7 @@ def cmd_encode(args) -> int:
         max_residual=args.max_residual,
         store_normals=args.store_normals,
     )
-    flags = segment_flags(segments[0])
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            blobs = list(pool.map(lambda s: encode_segment(s, qparams), segments))
-        data = pack_header(flags, len(segments)) + b"".join(blobs)
-    else:
-        data = encode_container(segments, qparams, flags)
+    data = encode_container(segments, qparams)
 
     out = Path(args.output)
     out.write_bytes(data)
@@ -288,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enc.add_argument("--normal-angle-limit", type=float, default=60.0)
     enc.add_argument("--max-residual", type=float, default=None)
-    enc.add_argument("--threads", type=int, default=1)
     enc.add_argument("--store-normals", action="store_true",
                      help="store per-frame normals instead of recomputing")
     enc.set_defaults(func=cmd_encode)

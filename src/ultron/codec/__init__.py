@@ -38,7 +38,6 @@ from .container import (
     container_frames,
     decode_container,
     encode_container,
-    pack_header,
 )
 
 __all__ = [
@@ -51,5 +50,5 @@ __all__ = [
     "FLAG_COLORS", "FLAG_NORMALS", "FLAG_STORED_NORMALS", "FLAG_UV",
     "decode_segment", "encode_segment", "segment_flags",
     "MAGIC", "VERSION", "container_frames", "decode_container",
-    "encode_container", "pack_header",
+    "encode_container",
 ]

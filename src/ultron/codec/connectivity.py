@@ -437,7 +437,7 @@ def _decode_raw(data: bytes) -> np.ndarray:
     offset = 5
     planes = []
     for _ in range(nplanes):
-        plane, offset = decode_block(data, offset)
+        plane, offset = decode_block(data, offset, max_count=3 * count)
         if len(plane) != 3 * count:
             raise CorruptStreamError("plane length mismatch")
         planes.append(plane)

@@ -22,10 +22,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHI")
 
 
-def pack_header(flags: int, segment_count: int) -> bytes:
-    return _HEADER.pack(MAGIC, VERSION, flags, segment_count)
-
-
 def encode_container(
     segments: list[Segment],
     qparams: QuantizationParams = QuantizationParams(),

@@ -85,7 +85,7 @@ def _encode_planes(values: np.ndarray, nplanes: int) -> bytes:
 def _decode_planes_at(data: bytes, offset: int, count: int, nplanes: int):
     planes = []
     for _ in range(nplanes):
-        plane, offset = decode_block(data, offset)
+        plane, offset = decode_block(data, offset, max_count=count)
         if len(plane) != count:
             raise CorruptStreamError("plane symbol count mismatch")
         planes.append(plane)

@@ -3,9 +3,17 @@
 The cost is a weighted sum of a closest-point data term, a transform
 smoothness term over the source mesh's edges, and a correspondence term
 seeded by tracking. Given fixed closest points all terms are quadratic in
-the transform entries, so each outer iteration refreshes the closest
-points, solves the sparse normal equations by preconditioned conjugate
-gradient, and decays the correspondence weight.
+the transform entries, so each outer iteration solves the sparse normal
+equations by preconditioned conjugate gradient and decays the
+correspondence weight. One closest-point query per iterate both scores it
+(E_d) and gives the next system its targets.
+
+The normal matrix, over the transforms flattened vertex by vertex, has two
+parts. The data and correspondence terms give vertex i the block
+c_i I3 ⊗ u_i u_i^T, with u_i its homogeneous position and
+c_i = keep_i + beta [i matched]. The smoothness term is
+alpha L ⊗ diag(1,1,1,gamma^2) (tiled for the three rows), with L the edge
+Laplacian of the source mesh.
 
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,45 +152,19 @@ class Quadratic:
         return 2.0 * (self.H @ x - self.b)
 
 
-_ROW_OFFSETS = np.arange(12).reshape(3, 4)  # var l of residual row k at 4k + l
+@lru_cache(maxsize=1)
+def _smoothness(edge_bytes: bytes, n: int, gamma: float):
+    """kron(L, diag(1,1,1,gamma^2) tiled x3) for the edge Laplacian L.
 
-
-def _point_system(vertex_ids, u4, q, n):
-    """Σ ||A_i u_i - q_i||^2 over the given vertices, as (H, b, const).
-
-    u4 rows are homogeneous source vertices (4,), q rows the 3D targets.
+    Keyed by the edge array's bytes, so the outer iterations of one
+    registration build it once.
     """
-    k = len(vertex_ids)
-    b = np.zeros(12 * n)
-    if k == 0:
-        return sp.csr_matrix((12 * n, 12 * n)), b, 0.0
-    P = np.einsum("ni,nj->nij", u4, u4)  # (k, 4, 4)
-    base = 12 * vertex_ids  # (k,)
-    idx = base[:, None, None] + _ROW_OFFSETS[None, :, :]  # (k, 3, 4)
-    rows = np.broadcast_to(idx[:, :, :, None], (k, 3, 4, 4)).reshape(-1)
-    cols = np.broadcast_to(idx[:, :, None, :], (k, 3, 4, 4)).reshape(-1)
-    vals = np.broadcast_to(P[:, None, :, :], (k, 3, 4, 4)).reshape(-1)
-    H = sp.coo_matrix((vals, (rows, cols)), shape=(12 * n, 12 * n)).tocsr()
-    np.add.at(b, idx.reshape(-1), (q[:, :, None] * u4[:, None, :]).reshape(-1))
-    const = float(np.sum(q * q))
-    return H, b, const
-
-
-def _smooth_system(edges, gamma, n):
-    """Σ_(i,j) ||(A_i - A_j) diag(1,1,1,gamma)||_F^2 as a sparse H."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(e) == 0:
-        return sp.csr_matrix((12 * n, 12 * n))
-    w = np.ones(12)
-    w[3::4] = gamma * gamma  # translation entries of each residual row
-    offs = np.arange(12)
-    vi = (12 * e[:, 0])[:, None] + offs[None, :]
-    vj = (12 * e[:, 1])[:, None] + offs[None, :]
-    wv = np.broadcast_to(w, vi.shape)
-    rows = np.concatenate([vi, vj, vi, vj]).reshape(-1)
-    cols = np.concatenate([vi, vj, vj, vi]).reshape(-1)
-    vals = np.concatenate([wv, wv, -wv, -wv]).reshape(-1)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(12 * n, 12 * n)).tocsr()
+    e = np.frombuffer(edge_bytes, dtype=np.int64).reshape(-1, 2)
+    A = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    A = (A + A.T).tocsr()
+    L = sp.diags(np.asarray(A.sum(axis=1)).ravel()) - A
+    w = np.tile([1.0, 1.0, 1.0, gamma * gamma], 3)
+    return sp.kron(L, sp.diags(w), format="csr")
 
 
 def fixed_correspondence_quadratic(
@@ -199,27 +182,32 @@ def fixed_correspondence_quadratic(
     """Assemble the quadratic objective for fixed closest points.
 
     data_targets holds one closest point per source vertex and data_weights
-    a 0/1 keep mask; matches may be None or empty.
+    a 0/1 keep mask; matches may be None or empty. Vertex i contributes
+    c_i I3 ⊗ u_i u_i^T with c_i = keep_i + beta [i matched] and right-hand
+    side (keep_i q_i + beta t_i) ⊗ u_i, u_i being its homogeneous position.
     """
     kv = np.asarray(key_vertices, dtype=np.float64)
     n = len(kv)
     u4 = np.concatenate([kv, np.ones((n, 1))], axis=1)
 
-    keep = np.flatnonzero(np.asarray(data_weights, dtype=bool))
-    H, b, const = _point_system(
-        keep, u4[keep], np.asarray(data_targets, dtype=np.float64)[keep], n
-    )
+    keep = np.asarray(data_weights, dtype=bool)
+    c = keep.astype(np.float64)
+    q = np.where(keep[:, None], np.asarray(data_targets, dtype=np.float64), 0.0)
+    const = float(np.sum(q * q))
     if matches is not None and len(matches):
-        tv = np.asarray(target_vertices, dtype=np.float64)
-        Hm, bm, cm = _point_system(
-            matches.source_indices, u4[matches.source_indices],
-            tv[matches.target_indices], n,
-        )
-        H = H + beta * Hm
-        b = b + beta * bm
-        const = const + beta * cm
+        t = np.asarray(target_vertices, dtype=np.float64)[matches.target_indices]
+        c[matches.source_indices] += beta
+        q[matches.source_indices] += beta * t
+        const += beta * float(np.sum(t * t))
+    # one 4x4 block c_i u_i u_i^T per (vertex, coordinate row) on the diagonal
+    blocks = np.repeat(c[:, None, None] * np.einsum("ni,nj->nij", u4, u4), 3, axis=0)
+    H = sp.bsr_matrix(
+        (blocks, np.arange(3 * n), np.arange(3 * n + 1)), shape=(12 * n, 12 * n)
+    ).tocsr()
+    b = (q[:, :, None] * u4[:, None, :]).reshape(-1)
     if alpha > 0:
-        H = H + alpha * _smooth_system(edges, gamma, n)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        H = H + alpha * _smoothness(e.tobytes(), n, float(gamma))
     if regularization > 0:
         H = H + regularization * sp.identity(12 * n, format="csr")
         # keep value/gradient consistent with the solved system
@@ -291,20 +279,20 @@ def register(
     target_n = Mesh(
         vertices=(target.vertices - center) * scale, triangles=target.triangles
     )
-    u4 = np.concatenate([kv, np.ones((n, 1))], axis=1)
     edges = key.edges()
     tv_n = target_n.vertices
+    has_matches = matches is not None and len(matches) > 0
 
-    Hs = _smooth_system(edges, cfg.gamma, n) if cfg.alpha > 0 else None
-    if matches is not None and len(matches):
-        Hm, bm, cm = _point_system(
-            matches.source_indices, u4[matches.source_indices],
-            tv_n[matches.target_indices], n,
-        )
-    else:
-        Hm = None
+    def closest(x):
+        field_now = x.reshape(n, 3, 4)
+        p = np.einsum("nij,nj->ni", field_now[:, :, :3], kv) + field_now[:, :, 3]
+        cpts, dists, _ = closest_points(target_n, p)
+        return cpts, dists
 
     x = AffineField.identity(n).transforms.reshape(-1)
+    # one query per iterate: it scores the iterate (E_d) and gives the next
+    # system its targets
+    cpts, dists = closest(x)
     beta = cfg.beta
     best = None  # (total, x, energies, beta, iteration)
     prev_total = None
@@ -317,42 +305,35 @@ def register(
         iterations = it
         if it > 1:
             beta *= cfg.beta_decay
-        field_now = x.reshape(n, 3, 4)
-        p = np.einsum("nij,nj->ni", field_now[:, :, :3], kv) + field_now[:, :, 3]
-        cpts, dists, _ = closest_points(target_n, p)
         # gross-outlier rejection; a mean-based cut keeps the far-but-valid
         # correspondences that carry the alignment signal on clean data
         mu = float(dists.mean())
         weights = dists <= 3.0 * mu if mu > 0 else np.ones(n, dtype=bool)
 
-        keep = np.flatnonzero(weights)
-        H, b, const = _point_system(keep, u4[keep], cpts[keep], n)
-        if Hm is not None:
-            H = H + beta * Hm
-            b = b + beta * bm
-            const = const + beta * cm
-        if Hs is not None:
-            H = H + cfg.alpha * Hs
-        dmax = H.diagonal().max()
+        quad = fixed_correspondence_quadratic(
+            kv, edges, cpts, weights, matches, tv_n, cfg.alpha, beta, cfg.gamma
+        )
+        diag = quad.H.diagonal()
+        dmax = diag.max()
         if dmax <= 0:
             raise SolverError("registration system has an empty diagonal")
         lam = 1e-10 * dmax
-        zero_diag = int(np.count_nonzero(H.diagonal() == 0.0))
+        zero_diag = int(np.count_nonzero(diag == 0.0))
         if zero_diag:
             logger.warning(
                 "degenerate registration system: %d unconstrained parameters; "
                 "regularized", zero_diag,
             )
-        quad = Quadratic(H + lam * sp.identity(12 * n, format="csr"), b, const)
+        quad = Quadratic(
+            quad.H + lam * sp.identity(12 * n, format="csr"), quad.b, quad.constant
+        )
         x = _solve(quad, x, cfg)
 
         field_now = x.reshape(n, 3, 4)
-        p = np.einsum("nij,nj->ni", field_now[:, :, :3], kv) + field_now[:, :, 3]
-        E_d = energy_data(p, target_n)
+        cpts, dists = closest(x)
+        E_d = float(np.dot(dists, dists))
         E_s = energy_smooth(field_now, edges, cfg.gamma)
-        E_m = energy_match(
-            AffineField(field_now), matches, kv, tv_n
-        ) if matches is not None and len(matches) else 0.0
+        E_m = energy_match(field_now, matches, kv, tv_n) if has_matches else 0.0
         total = E_d + cfg.alpha * E_s + beta * E_m
         if not np.isfinite(total):
             raise SolverError("non-finite registration energy")

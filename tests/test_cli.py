@@ -189,16 +189,6 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_threads_flag_is_bit_identical(static_sequence, tmp_path):
-    seq_dir, _ = static_sequence
-    a = tmp_path / "a.ultn"
-    b = tmp_path / "b.ultn"
-    assert run_cli("encode", seq_dir / "frame_%04d.obj", "--output", a) == 0
-    assert run_cli("encode", seq_dir / "frame_%04d.obj", "--output", b,
-                   "--threads", 4) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_cli_runs_as_subprocess(static_sequence, tmp_path):
     seq_dir, _ = static_sequence
     out = tmp_path / "sub.ultn"

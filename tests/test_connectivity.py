@@ -186,11 +186,11 @@ def _tet_blob_parts():
     return blob[:12], blob[12:clers_end], blob[clers_end:]
 
 
-def _refused_without_large_allocation(blob):
+def _refused_without_large_allocation(blob, mode="edgebreaker"):
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError):
-            decode_connectivity(blob, "edgebreaker")
+            decode_connectivity(blob, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -222,3 +222,14 @@ def test_huge_split_offset_count_refused():
     head, clers, _ = _tet_blob_parts()
     offsets = write_uvarint(1 << 40) + bytes(16)
     _refused_without_large_allocation(head + clers + offsets)
+
+
+def test_huge_raw_plane_count_refused():
+    # four triangles, one byte plane: the plane must hold 12 symbols
+    head = struct.pack("<IB", 4, 1)
+    # one-symbol alphabet: no payload, so any count fits in four bytes
+    block = (
+        write_uvarint(1 << 40) + write_uvarint(1)
+        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
+    )
+    _refused_without_large_allocation(head + block, mode="raw")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ultron.registration
 from ultron.mesh import Mesh
 from ultron.registration import (
     AffineField,
@@ -258,3 +259,27 @@ class TestRegister:
             rel=1e-9,
         )
         assert report.E_d >= 0 and report.E_s >= 0 and report.E_m >= 0
+
+    def test_one_closest_point_query_per_iterate(self, sphere_162, rng,
+                                                 monkeypatch):
+        calls = []
+        real = ultron.registration.closest_points
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ultron.registration, "closest_points", counting)
+        target = Mesh(
+            vertices=sphere_162.vertices + rng.normal(scale=0.005, size=(162, 3)),
+            triangles=sphere_162.triangles,
+        )
+        cfg = RegistrationConfig(outer_iterations=4)
+        _d, _f, report = register(sphere_162, target, None, cfg)
+        # the query that scores an iterate also targets the next system
+        assert report.iterations_used > 1
+        assert len(calls) == report.iterations_used + 1
+        calls.clear()
+        matches = CorrespondenceSet.identity(sphere_162.vertex_count)
+        _d, _f, report = register(sphere_162, sphere_162, matches)
+        assert report.iterations_used == 0 and calls == []

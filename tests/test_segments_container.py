@@ -1,10 +1,12 @@
 import random
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import canonical_triangles
-from ultron.errors import ContainerError
+from ultron.errors import ContainerError, CorruptStreamError
 from ultron.mesh import Aabb, Mesh, vertex_normals
 from ultron.pipeline import Segment
 from ultron.codec import (
@@ -18,6 +20,8 @@ from ultron.codec import (
     segment_flags,
     widen_to_f32,
 )
+from ultron.codec.rans import PROB_TOTAL, write_uvarint
+from ultron.codec.segments import _HEADER
 from ultron.synth import make_icosphere
 
 
@@ -259,3 +263,25 @@ def test_inconsistent_segment_attributes_rejected(rng):
     plain = moving_segment(rng, 2, with_attrs=False)
     with pytest.raises(ContainerError):
         encode_container([with_colors, plain], QuantizationParams())
+
+
+def test_huge_plane_count_refused(rng):
+    seg = moving_segment(rng, n_frames=1, subdiv=1, with_attrs=False)
+    blob = encode_segment(seg, QuantizationParams())
+    conn_len = _HEADER.unpack_from(blob)[-1]
+    positions = _HEADER.size + conn_len
+    # frame 0's first position plane declares 2**40 symbols with a
+    # one-symbol alphabet, which needs no payload
+    block = (
+        write_uvarint(1 << 40) + write_uvarint(1)
+        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
+    )
+    crafted = blob[:positions] + struct.pack("<Q", len(block)) + block
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            decode_segment(crafted, segment_flags(seg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
