@@ -56,6 +56,28 @@ def join_planes(planes: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def encode_planes(values: np.ndarray, nplanes: int) -> bytes:
+    """One 256-symbol entropy block per byte plane, low plane first."""
+    return b"".join(encode_block(p, 256) for p in split_planes(values, nplanes))
+
+
+def decode_planes(data: bytes, offset: int, count: int,
+                  nplanes: int) -> np.ndarray:
+    """Inverse of encode_planes for the blocks from offset to the end of data;
+    every plane must hold exactly count symbols."""
+    if not 1 <= nplanes <= 8:
+        raise CorruptStreamError(f"plane count {nplanes} out of range")
+    planes = []
+    for _ in range(nplanes):
+        plane, offset = decode_block(data, offset, max_count=count)
+        if len(plane) != count:
+            raise CorruptStreamError("plane symbol count mismatch")
+        planes.append(plane)
+    if offset != len(data):
+        raise CorruptStreamError("trailing bytes after byte planes")
+    return join_planes(planes)
+
+
 def pack_bits(values: np.ndarray, width: int) -> bytes:
     """Fixed-width little-endian bit packing."""
     v = np.asarray(values, dtype=np.uint64)
@@ -424,26 +446,14 @@ def _encode_raw(triangles: np.ndarray) -> bytes:
     zz = zigzag(deltas)
     top = int(zz.max()) if len(zz) else 0
     nplanes = max((top.bit_length() + 7) // 8, 1)
-    parts = [struct.pack("<IB", len(tris), nplanes)]
-    for plane in split_planes(zz, nplanes):
-        parts.append(encode_block(plane, 256))
-    return b"".join(parts)
+    return struct.pack("<IB", len(tris), nplanes) + encode_planes(zz, nplanes)
 
 
 def _decode_raw(data: bytes) -> np.ndarray:
     if len(data) < 5:
         raise CorruptStreamError("raw connectivity blob too short")
     count, nplanes = struct.unpack_from("<IB", data, 0)
-    offset = 5
-    planes = []
-    for _ in range(nplanes):
-        plane, offset = decode_block(data, offset, max_count=3 * count)
-        if len(plane) != 3 * count:
-            raise CorruptStreamError("plane length mismatch")
-        planes.append(plane)
-    if offset != len(data):
-        raise CorruptStreamError("trailing bytes in connectivity blob")
-    flat = np.cumsum(unzigzag(join_planes(planes))) if count else np.zeros(0)
+    flat = np.cumsum(unzigzag(decode_planes(data, 5, 3 * count, nplanes)))
     tris = flat.reshape(-1, 3)
     if len(tris) and tris.min() < 0:
         raise CorruptStreamError("negative vertex index after delta decode")

@@ -17,7 +17,7 @@ from .quantization import QuantizationParams
 from .segments import KNOWN_FLAGS, decode_segment, encode_segment, segment_flags
 
 MAGIC = b"ULTR"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<4sHHI")
 

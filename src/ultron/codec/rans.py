@@ -226,7 +226,10 @@ def decode_block(
         raise CorruptStreamError(f"invalid alphabet size {alphabet}")
     freqs = np.zeros(alphabet, dtype=np.int64)
     for i in range(alphabet):
-        freqs[i], offset = read_uvarint(data, offset)
+        freq, offset = read_uvarint(data, offset)
+        if freq > PROB_TOTAL:
+            raise CorruptStreamError(f"symbol frequency {freq} over {PROB_TOTAL}")
+        freqs[i] = freq
     length, offset = read_uvarint(data, offset)
     if offset + length > len(data):
         raise CorruptStreamError("entropy block overruns its container")

@@ -5,16 +5,17 @@ Layout per segment (little-endian):
           grid 6 x f32 (min xyz, max xyz), connectivity-mode u8,
           connectivity-length u64
   connectivity blob
-  per frame: u64 length + position blob
-  [flag has-uv]      u64 length + uv blob (stored once, from the key)
-  [flag has-colors]  u64 length + color blob (frame 0 absolute + one
-                     delta sub-block per later frame)
-  [flag stored-normals] u64 length + normal blob (same per-frame layout)
+  positions            per frame: u64 length + blob (qp bits)
+  [flag has-uv]        one frame: u64 length + blob (qt bits, from the key)
+  [flag has-colors]    one frame: u64 length + blob (8 bits, from the key)
+  [flag stored-normals] per frame: u64 length + blob (qn bits)
 
-Positions are quantized on a per-segment f32 grid covering every frame.
-Frame 0 is coded absolutely; later frames as zigzagged deltas of lattice
-indices against the previous frame. Each blob is a sequence of per-byte-
-plane entropy blocks (plane count is determined by the bit depth).
+Every attribute is one stream of lattice indices with the same coding:
+frame 0 absolute, each later frame as zigzagged deltas against the frame
+before it. A frame's blob is one entropy block per byte plane (the plane
+count follows from the bit depth). Positions are quantized on a
+per-segment f32 grid covering every frame; UVs on [0, 1], colors on
+[0, 1] and normals on [-1, 1].
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .connectivity import (
     MODE_EDGEBREAKER,
     MODE_RAW,
     decode_connectivity,
+    decode_planes,
     encode_connectivity,
-    join_planes,
-    split_planes,
+    encode_planes,
     unzigzag,
     zigzag,
 )
@@ -43,7 +44,9 @@ from .quantization import (
     quantize_array,
     widen_to_f32,
 )
-from .rans import decode_block, encode_block
+# not called here: the streams reach rANS through encode_planes/decode_planes,
+# but perfbench/tracing.py wraps these names as this layer's entry points
+from .rans import decode_block, encode_block  # noqa: F401
 
 FLAG_UV = 1
 FLAG_NORMALS = 2
@@ -77,73 +80,31 @@ def _delta_planes(bits: int) -> int:
     return (bits + 8) // 8
 
 
-def _encode_planes(values: np.ndarray, nplanes: int) -> bytes:
-    flat = values.reshape(-1)
-    return b"".join(encode_block(p, 256) for p in split_planes(flat, nplanes))
+def _encode_stream(q: np.ndarray, bits: int) -> bytes:
+    """Code an (F, n, w) lattice-index array: frame 0 as absolute byte
+    planes, frame k > 0 as zigzag deltas against frame k - 1, each frame
+    written as u64 length + blob."""
+    q = np.asarray(q, dtype=np.int64).reshape(len(q), -1)
+    blobs = [encode_planes(q[0], _abs_planes(bits))]
+    blobs += [encode_planes(d, _delta_planes(bits))
+              for d in zigzag(np.diff(q, axis=0))]
+    return b"".join(_prefixed(blob) for blob in blobs)
 
 
-def _decode_planes_at(data: bytes, offset: int, count: int, nplanes: int):
-    planes = []
-    for _ in range(nplanes):
-        plane, offset = decode_block(data, offset, max_count=count)
-        if len(plane) != count:
-            raise CorruptStreamError("plane symbol count mismatch")
-        planes.append(plane)
-    return join_planes(planes), offset
-
-
-def _decode_planes(data: bytes, count: int, nplanes: int) -> np.ndarray:
-    joined, offset = _decode_planes_at(data, 0, count, nplanes)
-    if offset != len(data):
-        raise CorruptStreamError("trailing bytes in plane blob")
-    return joined
-
-
-def _decode_stream_frames(data: bytes, frame_count: int, count: int,
-                          width: int, bits: int):
-    """Decode a concatenated absolute+delta frame sequence from one blob."""
-    offset = 0
-    top = (1 << bits) - 1
+def _decode_stream(reader: _Reader, frame_count: int, count: int,
+                   width: int, bits: int, what: str) -> np.ndarray:
+    """Read what _encode_stream wrote; returns (frame_count, count, width)."""
     frames = []
-    prev = None
     for k in range(frame_count):
-        if k == 0:
-            vals, offset = _decode_planes_at(data, offset, count * width,
-                                             _abs_planes(bits))
-        else:
-            zz, offset = _decode_planes_at(data, offset, count * width,
-                                           _delta_planes(bits))
-            vals = prev.reshape(-1).astype(np.int64) + unzigzag(zz)
-        if vals.min() < 0 or vals.max() > top:
-            raise CorruptStreamError("quantized value out of range")
-        prev = vals.reshape(count, width).astype(np.int32)
-        frames.append(prev)
-    if offset != len(data):
-        raise CorruptStreamError("trailing bytes in stream blob")
-    return frames, offset
-
-
-def _encode_stream_frames(quantized: np.ndarray, bits: int) -> list[bytes]:
-    """Frame 0 absolute, frames k>0 as zigzag deltas, one blob per frame."""
-    blobs = [_encode_planes(quantized[0].astype(np.int64), _abs_planes(bits))]
-    for k in range(1, len(quantized)):
-        delta = quantized[k].astype(np.int64) - quantized[k - 1].astype(np.int64)
-        blobs.append(_encode_planes(zigzag(delta), _delta_planes(bits)))
-    return blobs
-
-
-def _decode_stream_frame(
-    data: bytes, prev: np.ndarray | None, count: int, width: int, bits: int
-) -> np.ndarray:
-    if prev is None:
-        vals = _decode_planes(data, count * width, _abs_planes(bits))
-    else:
-        deltas = unzigzag(_decode_planes(data, count * width, _delta_planes(bits)))
-        vals = prev.reshape(-1).astype(np.int64) + deltas
-    top = (1 << bits) - 1
-    if vals.min() < 0 or vals.max() > top:
-        raise CorruptStreamError("quantized value out of range")
-    return vals.reshape(count, width).astype(np.int32)
+        blob = reader.take_prefixed(what)
+        nplanes = _delta_planes(bits) if k else _abs_planes(bits)
+        vals = decode_planes(blob, 0, count * width, nplanes)
+        frames.append(unzigzag(vals) if k else vals)
+    vals = np.stack(frames)
+    np.cumsum(vals, axis=0, out=vals)
+    if vals.min() < 0 or vals.max() > (1 << bits) - 1:
+        raise CorruptStreamError(f"{what}: quantized value out of range")
+    return vals.reshape(frame_count, count, width)
 
 
 def _pick_connectivity(key: Mesh) -> tuple[int, bytes]:
@@ -196,37 +157,23 @@ def encode_segment(seg: Segment, qparams: QuantizationParams) -> bytes:
     )
     parts = [header, conn]
 
-    quantized = np.stack([
-        quantize_array(f, grid.min, grid.max, qparams.qp) for f in seg.frames
-    ])
-    for blob in _encode_stream_frames(quantized, qparams.qp):
-        parts.append(_prefixed(blob))
+    q_pos = quantize_array(seg.frames, grid.min, grid.max, qparams.qp)
+    parts.append(_encode_stream(q_pos, qparams.qp))
 
     if seg.key.uvs is not None:
         q_uv = quantize_array(seg.key.uvs, (0.0, 0.0), (1.0, 1.0), qparams.qt)
-        parts.append(_prefixed(_encode_planes(
-            q_uv.astype(np.int64), _abs_planes(qparams.qt)
-        )))
+        parts.append(_encode_stream(q_uv[None], qparams.qt))
 
     if seg.key.colors is not None:
         q_col = quantize_array(
             seg.key.colors, (0.0,) * 3, (1.0,) * 3, COLOR_BITS
         )
-        frames_col = np.broadcast_to(
-            q_col, (seg.frame_count, *q_col.shape)
-        )
-        parts.append(_prefixed(
-            b"".join(_encode_stream_frames(frames_col, COLOR_BITS))
-        ))
+        parts.append(_encode_stream(q_col[None], COLOR_BITS))
 
     if seg.normal_frames is not None:
-        q_n = np.stack([
-            quantize_array(nf, (-1.0,) * 3, (1.0,) * 3, qparams.qn)
-            for nf in seg.normal_frames
-        ])
-        parts.append(_prefixed(
-            b"".join(_encode_stream_frames(q_n, qparams.qn))
-        ))
+        q_n = quantize_array(seg.normal_frames, (-1.0,) * 3, (1.0,) * 3,
+                             qparams.qn)
+        parts.append(_encode_stream(q_n, qparams.qn))
 
     return b"".join(parts)
 
@@ -241,6 +188,8 @@ def decode_segment(
      g0, g1, g2, g3, g4, g5, mode, conn_len) = _HEADER.unpack(head)
     if frame_count == 0:
         raise ContainerError("segment declares zero frames")
+    if vertex_count == 0:
+        raise ContainerError("segment declares zero vertices")
     if not (1 <= qp <= 30 and 1 <= qt <= 30 and 1 <= qn <= 30):
         raise ContainerError("quantization bits out of range")
     if mode not in (MODE_EDGEBREAKER, MODE_RAW):
@@ -256,45 +205,26 @@ def decode_segment(
     if len(triangles) and triangles.max() >= vertex_count:
         raise CorruptStreamError("triangle index exceeds vertex count")
 
-    frames_q = []
-    prev = None
-    for _ in range(frame_count):
-        blob = reader.take_prefixed("position blob")
-        prev = _decode_stream_frame(blob, prev, vertex_count, 3, qp)
-        frames_q.append(prev)
-    frames = np.stack([
-        dequantize_array(q, gmin, gmax, qp) for q in frames_q
-    ])
+    frames_q = _decode_stream(reader, frame_count, vertex_count, 3, qp,
+                              "position blob")
+    frames = dequantize_array(frames_q, gmin, gmax, qp)
 
     uvs = None
     if flags & FLAG_UV:
-        blob = reader.take_prefixed("uv blob")
-        q_uv = _decode_planes(blob, vertex_count * 2, _abs_planes(qt))
-        top = (1 << qt) - 1
-        if q_uv.min() < 0 or q_uv.max() > top:
-            raise CorruptStreamError("uv index out of range")
-        uvs = dequantize_array(
-            q_uv.reshape(vertex_count, 2), (0.0, 0.0), (1.0, 1.0), qt
-        )
+        q_uv = _decode_stream(reader, 1, vertex_count, 2, qt, "uv blob")
+        uvs = dequantize_array(q_uv[0], (0.0, 0.0), (1.0, 1.0), qt)
 
     colors = None
     if flags & FLAG_COLORS:
-        blob = reader.take_prefixed("color blob")
-        frames_c, _ = _decode_stream_frames(
-            blob, frame_count, vertex_count, 3, COLOR_BITS
-        )
-        # colors are per-segment constant; the last frame's copy is canonical
-        colors = dequantize_array(
-            frames_c[-1], (0.0,) * 3, (1.0,) * 3, COLOR_BITS
-        )
+        q_col = _decode_stream(reader, 1, vertex_count, 3, COLOR_BITS,
+                               "color blob")
+        colors = dequantize_array(q_col[0], (0.0,) * 3, (1.0,) * 3, COLOR_BITS)
 
     normal_frames = None
     if flags & FLAG_STORED_NORMALS:
-        blob = reader.take_prefixed("normal blob")
-        frames_n, _ = _decode_stream_frames(blob, frame_count, vertex_count, 3, qn)
-        normal_frames = np.stack([
-            dequantize_array(q, (-1.0,) * 3, (1.0,) * 3, qn) for q in frames_n
-        ])
+        q_n = _decode_stream(reader, frame_count, vertex_count, 3, qn,
+                             "normal blob")
+        normal_frames = dequantize_array(q_n, (-1.0,) * 3, (1.0,) * 3, qn)
 
     try:
         key = Mesh(

@@ -233,3 +233,11 @@ def test_huge_raw_plane_count_refused():
         + write_uvarint(PROB_TOTAL) + write_uvarint(0)
     )
     _refused_without_large_allocation(head + block, mode="raw")
+
+
+def test_raw_plane_count_out_of_range_refused():
+    # a raw header that declares triangles but no byte planes, or more
+    # planes than a 64-bit index needs
+    for nplanes in (0, 9):
+        with pytest.raises(CorruptStreamError, match="plane count"):
+            decode_connectivity(struct.pack("<IB", 4, nplanes), "raw")

@@ -131,6 +131,15 @@ def test_block_count_bound(rng):
     assert peak < 1 << 20
 
 
+def test_block_frequency_over_total_refused():
+    # count 4, alphabet 2, then a first frequency past the int64 range
+    for freq in (PROB_TOTAL + 1, 1 << 63):
+        blob = (write_uvarint(4) + write_uvarint(2) + write_uvarint(freq)
+                + write_uvarint(1) + write_uvarint(0))
+        with pytest.raises(CorruptStreamError, match="frequency"):
+            decode_block(blob)
+
+
 def test_block_degenerate_is_tiny():
     blob = encode_block(np.zeros(100_000, dtype=int))
     assert len(blob) < 16

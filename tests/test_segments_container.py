@@ -10,6 +10,7 @@ from ultron.errors import ContainerError, CorruptStreamError
 from ultron.mesh import Aabb, Mesh, vertex_normals
 from ultron.pipeline import Segment
 from ultron.codec import (
+    VERSION,
     QuantizationParams,
     decode_container,
     decode_segment,
@@ -20,7 +21,8 @@ from ultron.codec import (
     segment_flags,
     widen_to_f32,
 )
-from ultron.codec.rans import PROB_TOTAL, write_uvarint
+from ultron.codec.connectivity import encode_connectivity
+from ultron.codec.rans import PROB_TOTAL, encode_block, write_uvarint
 from ultron.codec.segments import _HEADER
 from ultron.synth import make_icosphere
 
@@ -213,9 +215,10 @@ def test_bad_magic_and_version(rng):
     bad_magic = bytes(b"XLTR" + data[4:])
     with pytest.raises(ContainerError, match="magic"):
         decode_container(bad_magic)
-    bad_version = bytes(data[:4] + b"\x02\x00" + data[6:])
-    with pytest.raises(ContainerError, match="version"):
-        decode_container(bad_version)
+    for version in (1, VERSION + 1):
+        bad_version = bytes(data[:4] + struct.pack("<H", version) + data[6:])
+        with pytest.raises(ContainerError, match="version"):
+            decode_container(bad_version)
 
 
 def test_every_header_byte_corruption_detected(rng):
@@ -246,8 +249,24 @@ def test_header_bit_flips_never_crash_or_corrupt_geometry(rng):
             )
 
 
-def test_body_fuzz_never_crashes(rng):
-    data = encode_container([moving_segment(rng, 3)], QuantizationParams())
+def normals_segment(rng, n_frames=3, subdiv=1):
+    """Colors, UVs and per-frame stored normals together."""
+    base = make_icosphere(subdiv)
+    n = base.vertex_count
+    frames = np.stack([base.vertices * (1.0 + 0.01 * k) for k in range(n_frames)])
+    normals = np.stack([
+        vertex_normals(Mesh(vertices=f, triangles=base.triangles)) for f in frames
+    ])
+    key = Mesh(vertices=frames[0], triangles=base.triangles, normals=normals[0],
+               colors=rng.random((n, 3)), uvs=rng.random((n, 2)))
+    return Segment(key=key, frames=frames, frame_ids=tuple(range(n_frames)),
+                   normal_frames=normals)
+
+
+@pytest.mark.parametrize("make", [moving_segment, normals_segment],
+                         ids=["colors_uvs", "stored_normals"])
+def test_body_fuzz_never_crashes(rng, make):
+    data = encode_container([make(rng, 3)], QuantizationParams())
     random.seed(99)
     for _ in range(400):
         corrupted = bytearray(data)
@@ -256,6 +275,39 @@ def test_body_fuzz_never_crashes(rng):
             decode_container(bytes(corrupted))
         except ContainerError:
             pass
+    for end in range(len(data)):
+        with pytest.raises(ContainerError):
+            decode_container(data[:end])
+
+
+def test_color_cost_independent_of_frame_count(rng):
+    base = make_icosphere(2)
+    colors = rng.random((base.vertex_count, 3))
+    qp = QuantizationParams()
+
+    def size(n_frames, colored):
+        key = Mesh(vertices=base.vertices, triangles=base.triangles,
+                   colors=colors if colored else None)
+        frames = np.stack([base.vertices * (1.0 + 0.01 * k)
+                           for k in range(n_frames)])
+        seg = Segment(key=key, frames=frames, frame_ids=tuple(range(n_frames)))
+        return len(encode_segment(seg, qp))
+
+    cost = [size(f, True) - size(f, False) for f in (1, 10)]
+    assert cost[0] > 0
+    assert cost[0] == cost[1]
+
+
+def test_zero_vertex_segment_refused():
+    # a raw-mode segment with no triangles, no vertices and one empty frame
+    conn = encode_connectivity(np.zeros((0, 3), dtype=np.int64), "raw")
+    positions = b"".join(encode_block(np.zeros(0, dtype=np.int64), 256)
+                         for _ in range(2))
+    segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, 1, len(conn))
+    data = (struct.pack("<4sHHI", b"ULTR", VERSION, 0, 1) + segment + conn
+            + struct.pack("<Q", len(positions)) + positions)
+    with pytest.raises(ContainerError, match="zero vertices"):
+        decode_container(data)
 
 
 def test_inconsistent_segment_attributes_rejected(rng):
