@@ -329,23 +329,12 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except MeshParseError as exc:
+    except (UltronError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidMeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ContainerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTAINER
-    except UltronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SolverError):
+            return EXIT_SOLVER
+        if isinstance(exc, ContainerError):
+            return EXIT_CONTAINER
         return EXIT_PARSE
 
 

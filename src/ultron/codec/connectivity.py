@@ -3,12 +3,14 @@
 Edgebreaker mode covers orientable genus-0 manifolds with boundary, in any
 number of components. Boundary loops are closed with one virtual apex per
 hole before coding, so the conquest machinery only ever sees closed
-manifolds; the decoder strips the virtual fans afterwards. Split symbols
-carry explicit offsets in a side list. A stored permutation maps traversal
-ranks back to input vertex ids, so decoded triangles reference the
-original vertex order (attribute streams stay aligned); the triangle list
-itself comes back in conquest order with rotated corners, i.e. the same
-mesh, not the same array.
+manifolds; the decoder strips the virtual fans afterwards. The conquest
+follows the closed mesh's corner table: each active-loop slot keeps the
+conquered corner facing its outgoing edge, whose opposite corner is the apex
+of the next triangle. Split symbols carry explicit offsets in a side list.
+A stored permutation maps traversal ranks back to input vertex ids, so
+decoded triangles reference the original vertex order (attribute streams
+stay aligned); the triangle list itself comes back in conquest order with
+rotated corners, i.e. the same mesh, not the same array.
 
 Raw mode delta-codes the flattened index list (zigzag, byte planes) and is
 bit-exact; it is the fallback for anything Edgebreaker cannot represent.
@@ -23,7 +25,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from ..errors import CorruptStreamError, EdgebreakerUnsupported
-from ..mesh import BOUNDARY, CornerTable
+from ..mesh import BOUNDARY, CornerTable, NonManifoldReport
+from ..mesh.corner_table import corner_table_from_triangles
 from .rans import decode_block, encode_block, read_uvarint, write_uvarint
 
 C, L, E, R, S = range(5)
@@ -168,30 +171,27 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
     n_real = table.vertex_count
     m = len(tris_closed)
     _check_genus_zero(tris_closed, n_closed)
-
-    # apex corner for each directed edge (traversed u -> v by its triangle)
-    t_idx = np.repeat(np.arange(m, dtype=np.int64), 3)
-    k_idx = np.tile(np.arange(3, dtype=np.int64), m)
-    u = tris_closed[t_idx, k_idx]
-    v = tris_closed[t_idx, (k_idx + 1) % 3]
-    apex_corner = 3 * t_idx + (k_idx + 2) % 3
-    keys = (u * n_closed + v).tolist()
-    directed = dict(zip(keys, apex_corner.tolist()))
-    if len(directed) != 3 * m:
-        raise EdgebreakerUnsupported("closed mesh has duplicate directed edges")
-    flat = tris_closed.reshape(-1)
+    if n_closed > n_real:
+        table = corner_table_from_triangles(tris_closed, n_closed)
+        if isinstance(table, NonManifoldReport):
+            raise EdgebreakerUnsupported(f"closed mesh: {table}")
+    V = table.V.tolist()
+    O = table.O.tolist()
 
     tri_visited = np.zeros(m, dtype=bool)
     vert_rank = np.full(n_closed, -1, dtype=np.int64)
     perm = []
     clers = []
     offsets = []
-    sv, sn, sp = [], [], []  # slot vertex / next / prev
+    # slot vertex / next / prev, and the conquered corner facing the slot's
+    # outgoing edge: the triangle across that edge is at O[sc[slot]]
+    sv, sn, sp, sc = [], [], [], []
 
-    def new_slot(w):
+    def new_slot(w, c):
         sv.append(w)
         sn.append(-1)
         sp.append(-1)
+        sc.append(c)
         return len(sv) - 1
 
     def link(a, b):
@@ -206,11 +206,13 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
         t = next_seed
         tri_visited[t] = True
         emitted += 1
-        x, y, z = (int(q) for q in tris_closed[t])
+        x, y, z = V[3 * t:3 * t + 3]
         for w in (x, y, z):
             vert_rank[w] = len(perm)
             perm.append(w)
-        sx, sy, sz = new_slot(x), new_slot(y), new_slot(z)
+        sx = new_slot(x, 3 * t + 2)
+        sy = new_slot(y, 3 * t)
+        sz = new_slot(z, 3 * t + 1)
         link(sx, sy)
         link(sy, sz)
         link(sz, sx)
@@ -220,25 +222,27 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
         while True:
             a_slot = gate
             b_slot = sn[a_slot]
-            a = sv[a_slot]
-            b = sv[b_slot]
-            c = directed.get(b * n_closed + a)
-            if c is None:
+            c = O[sc[a_slot]]
+            if c == BOUNDARY:
                 raise EdgebreakerUnsupported("open edge inside closed conquest")
-            t = c // 3
+            t, k = divmod(c, 3)
             if tri_visited[t]:
                 raise EdgebreakerUnsupported("conquest revisited a triangle")
             tri_visited[t] = True
             emitted += 1
-            w = int(flat[c])
+            w = V[c]
+            # across the gate a -> b lies w -> b -> a: cn faces a -> w, cp w -> b
+            cn = c - 2 if k == 2 else c + 1
+            cp = c + 2 if k == 0 else c - 1
 
             if vert_rank[w] < 0:
                 clers.append(C)
                 vert_rank[w] = len(perm)
                 perm.append(w)
-                s = new_slot(w)
+                s = new_slot(w, cp)
                 link(a_slot, s)
                 link(s, b_slot)
+                sc[a_slot] = cn
                 gate = s
                 continue
             nn = sn[b_slot]
@@ -252,10 +256,12 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
             if sv[nn] == w:
                 clers.append(R)
                 link(a_slot, nn)
+                sc[a_slot] = cn
                 gate = a_slot
             elif sv[pp] == w:
                 clers.append(L)
                 link(pp, b_slot)
+                sc[pp] = cp
                 gate = pp
             else:
                 clers.append(S)
@@ -269,10 +275,12 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
                             "split vertex not on the active loop"
                         )
                 offsets.append(steps)
-                s2 = new_slot(w)
+                s2 = new_slot(w, sc[s])
                 link(s2, sn[s])
                 link(a_slot, s2)
                 link(s, b_slot)
+                sc[a_slot] = cn
+                sc[s] = cp
                 stack.append(a_slot)
                 gate = s
 
@@ -293,25 +301,34 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
 
 # --- edgebreaker decode -----------------------------------------------------
 
-def _decode_edgebreaker(data: bytes) -> np.ndarray:
+def _read_edgebreaker_head(data: bytes):
+    """Header, CLERS block and split offsets of an Edgebreaker blob.
+
+    Returns (m, n_real, n_closed, clers, offsets, clers_end, offsets_end).
+    Every count is checked before anything is sized from it.
+    """
     if len(data) < 12:
         raise CorruptStreamError("connectivity blob too short")
     m, n_real, n_closed = struct.unpack_from("<III", data, 0)
     if n_closed < n_real:
         raise CorruptStreamError("virtual vertex count below real count")
-    # Every count below is checked before anything is sized from it. Each
-    # vertex costs at least one permutation bit and a closed genus-0
+    # Each vertex costs at least one permutation bit and a closed genus-0
     # component has F = 2V - 4 triangles, so m < 2 * 8 * len(data).
     if m >= 16 * len(data):
         raise CorruptStreamError("triangle count exceeds what the blob can hold")
     # one symbol per triangle except the seed triangle of each component
-    clers, offset = decode_block(data, 12, max_count=max(m - 1, 0))
-    n_off, offset = read_uvarint(data, offset)
+    clers, clers_end = decode_block(data, 12, max_count=max(m - 1, 0))
+    n_off, offset = read_uvarint(data, clers_end)
     if n_off != np.count_nonzero(clers == S):
         raise CorruptStreamError("split offset count differs from S symbols")
     offsets = np.zeros(n_off, dtype=np.int64)
     for i in range(n_off):
         offsets[i], offset = read_uvarint(data, offset)
+    return m, n_real, n_closed, clers, offsets, clers_end, offset
+
+
+def _decode_edgebreaker(data: bytes) -> np.ndarray:
+    m, n_real, n_closed, clers, offsets, _, offset = _read_edgebreaker_head(data)
     n_perm, offset = read_uvarint(data, offset)
     width, offset = read_uvarint(data, offset)
     if width > 32 or n_perm > n_closed:
@@ -492,18 +509,12 @@ def connectivity_stats(data: bytes, mode: str) -> dict:
     """Section sizes of an encoded blob, for rate accounting."""
     if mode == "raw":
         return {"total_bytes": len(data)}
-    m, n_real, n_closed = struct.unpack_from("<III", data, 0)
-    clers, off1 = decode_block(data, 12)
-    n_off, off2 = read_uvarint(data, off1)
-    pos = off2
-    for _ in range(n_off):
-        _, pos = read_uvarint(data, pos)
-    offsets_end = pos
+    m, _, _, clers, _, clers_end, offsets_end = _read_edgebreaker_head(data)
     return {
         "total_bytes": len(data),
         "triangles": int(m),
-        "clers_bytes": off1 - 12,
+        "clers_bytes": clers_end - 12,
         "clers_symbols": len(clers),
-        "offset_bytes": offsets_end - off1,
+        "offset_bytes": offsets_end - clers_end,
         "permutation_bytes": len(data) - offsets_end,
     }

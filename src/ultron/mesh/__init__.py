@@ -1,13 +1,6 @@
 from .model import Aabb, Mesh, vertex_normals
 from .io import FORMATS, detect_format, load_mesh, parse_mesh, save_mesh, serialize_mesh
-from .corner_table import (
-    BOUNDARY,
-    CornerTable,
-    NonManifoldReport,
-    build_corner_table,
-    next_corner,
-    prev_corner,
-)
+from .corner_table import BOUNDARY, CornerTable, NonManifoldReport, build_corner_table
 from .closest import (
     TriangleBvh,
     closest_point_on_mesh,
@@ -29,8 +22,6 @@ __all__ = [
     "CornerTable",
     "NonManifoldReport",
     "build_corner_table",
-    "next_corner",
-    "prev_corner",
     "TriangleBvh",
     "closest_point_on_mesh",
     "closest_point_on_triangles",

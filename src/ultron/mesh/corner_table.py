@@ -5,6 +5,14 @@ opposite the same edge in the adjacent triangle, or BOUNDARY for edges with
 a single incident triangle. Construction fails softly: meshes that are not
 orientable 2-manifolds (with boundary) yield a NonManifoldReport instead of
 a table, so callers can fall back to raw connectivity coding.
+
+The table and the report are built with array operations, no loop over
+corners or vertices. The directed edge a -> b opposite each corner is keyed
+a * n + b and the keys are sorted once: equal neighbours are edges two
+triangles traverse the same way, and O[c] is found by binary search for the
+reversed key. A vertex is pinched when its corners fall in more than one
+fan; the fans are the connected components of the links that join each
+corner to the corner at the same vertex across an interior edge.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .model import Mesh
 
@@ -61,14 +71,6 @@ class NonManifoldReport:
         return "non-manifold mesh: " + "; ".join(parts)
 
 
-def next_corner(c: int) -> int:
-    return c - 2 if c % 3 == 2 else c + 1
-
-
-def prev_corner(c: int) -> int:
-    return c + 2 if c % 3 == 0 else c - 1
-
-
 def build_corner_table(mesh: Mesh) -> CornerTable | NonManifoldReport:
     return corner_table_from_triangles(mesh.triangles, mesh.vertex_count)
 
@@ -76,83 +78,65 @@ def build_corner_table(mesh: Mesh) -> CornerTable | NonManifoldReport:
 def corner_table_from_triangles(
     triangles, vertex_count: int
 ) -> CornerTable | NonManifoldReport:
-    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    m = len(tris)
-    V = tris.reshape(-1).astype(np.int32)
-    nc = 3 * m
+    flat = np.asarray(triangles, dtype=np.int64).reshape(-1)
+    V = flat.astype(np.int32)
+    nc = len(V)
+    n = int(flat.max()) + 1 if nc else 1  # key base: (a, b) -> a * n + b
 
     corners = np.arange(nc)
     nxt = corners + 1 - 3 * (corners % 3 == 2)
     prv = corners - 1 + 3 * (corners % 3 == 0)
-    # directed edge opposite corner c, as traversed by its triangle
-    ea = V[nxt].astype(np.int64)
-    eb = V[prv].astype(np.int64)
+    # directed edge opposite corner c, as traversed by its triangle: a -> b
+    a, b = flat[nxt], flat[prv]
+    key = a * n + b
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
 
-    bad_edges = {}
-    directed = {}
-    for c in range(nc):
-        key = (int(ea[c]), int(eb[c]))
-        if key in directed:
-            und = (min(key), max(key))
-            bad_edges.setdefault(und, "inconsistent-orientation")
-        else:
-            directed[key] = c
-
-    # undirected multiplicity check catches >2 incident triangles
-    und_keys = np.stack([np.minimum(ea, eb), np.maximum(ea, eb)], axis=1)
-    uniq, counts = np.unique(und_keys, axis=0, return_counts=True)
-    for (u, v), cnt in zip(uniq[counts > 2], counts[counts > 2]):
-        bad_edges[(int(u), int(v))] = f"{cnt} incident triangles"
-
+    # a directed edge twice means two triangles traverse it the same way
+    und_key = np.minimum(a, b) * n + np.maximum(a, b)
+    twice = order[1:][sorted_key[1:] == sorted_key[:-1]]
+    bad_edges = dict.fromkeys(
+        np.unique(und_key[twice]).tolist(), "inconsistent-orientation"
+    )
+    und, counts = np.unique(und_key, return_counts=True)
+    shared = counts > 2
+    bad_edges.update(
+        (int(k), f"{cnt} incident triangles")
+        for k, cnt in zip(und[shared], counts[shared])
+    )
     if bad_edges:
-        return NonManifoldReport(
-            edges=sorted((edge, why) for edge, why in bad_edges.items())
-        )
+        return NonManifoldReport(edges=[
+            ((k // n, k % n), why) for k, why in sorted(bad_edges.items())
+        ])
 
-    O = np.full(nc, BOUNDARY, dtype=np.int32)
-    for c in range(nc):
-        d = directed.get((int(eb[c]), int(ea[c])))
-        if d is not None:
-            O[c] = d
+    # every directed edge is unique: the opposite corner holds the reverse
+    reverse = b * n + a
+    pos = np.minimum(np.searchsorted(sorted_key, reverse), max(nc - 1, 0))
+    O = np.where(sorted_key[pos] == reverse, order[pos], BOUNDARY).astype(np.int32)
 
-    pinched = _pinched_vertices(V, O, nxt, prv, vertex_count)
-    if pinched:
-        return NonManifoldReport(vertices=pinched)
+    pinched = _pinched_vertices(V, O, nxt, vertex_count)
+    if len(pinched):
+        return NonManifoldReport(vertices=pinched.tolist())
 
     V.setflags(write=False)
     O.setflags(write=False)
     return CornerTable(V=V, O=O, vertex_count=vertex_count)
 
 
-def _pinched_vertices(V, O, nxt, prv, vertex_count):
-    """Vertices whose incident triangles do not form a single fan."""
-    order = np.argsort(V, kind="stable")
-    starts = np.searchsorted(V[order], np.arange(vertex_count + 1))
-    pinched = []
-    for v in range(vertex_count):
-        cs = order[starts[v]:starts[v + 1]]
-        if len(cs) <= 1:
-            continue
-        seen = {int(cs[0])}
-        # swing both ways around v: across the edge (v, V[prv]) then (v, V[nxt])
-        c = int(cs[0])
-        while True:
-            d = O[nxt[c]]
-            if d == BOUNDARY:
-                break
-            c = int(nxt[d])
-            if c in seen:
-                break
-            seen.add(c)
-        c = int(cs[0])
-        while True:
-            d = O[prv[c]]
-            if d == BOUNDARY:
-                break
-            c = int(prv[d])
-            if c in seen:
-                break
-            seen.add(c)
-        if len(seen) != len(cs):
-            pinched.append(v)
-    return pinched
+def _pinched_vertices(V, O, nxt, vertex_count):
+    """Vertices whose corners fall in more than one fan.
+
+    Corner c and corner nxt[O[nxt[c]]] sit at the same vertex on either side
+    of an interior edge through it; the connected components of these links
+    are the fans.
+    """
+    nc = len(V)
+    inner = np.flatnonzero(O[nxt] != BOUNDARY)
+    links = coo_matrix(
+        (np.ones(len(inner), dtype=np.int8), (inner, nxt[O[nxt[inner]]])),
+        shape=(nc, nc),
+    )
+    _, fan = connected_components(links, directed=False)
+    fans = np.unique(V.astype(np.int64) * nc + fan)
+    per_vertex = np.bincount(fans // nc, minlength=vertex_count)
+    return np.flatnonzero(per_vertex > 1)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -64,6 +65,34 @@ def test_sphere_rate_under_guarantee():
 ])
 def test_shapes_roundtrip(maker):
     eb_roundtrip(maker())
+
+
+def _slab_and_sphere():
+    a, b = make_slab(5, 4), make_icosphere(1)
+    return Mesh(
+        vertices=np.concatenate([a.vertices, b.vertices + 3.0]),
+        triangles=np.concatenate([a.triangles, b.triangles + a.vertex_count]),
+    )
+
+
+# SHA-256 of each Edgebreaker blob; a change here is a change of format
+PINNED_BLOBS = [
+    (lambda: make_icosphere(3),
+     "e4cc6e8a3c948cfc0cbb9c5b1939b13a00215335b55f1f852db6e26bd42c85d8"),
+    (make_cylinder,
+     "f1ecaf2960db42a4aee5ce1375d879b974b2df9fb2cc26e9a818e87a40e60560"),
+    (make_slab,
+     "793297c6eba3b39b7a7ad6904fd7263cde6f6779a7145587e0ed909b1c313d6b"),
+    (_slab_and_sphere,
+     "304d442a6eda877cdd7bd435b6abe0951d14fc907d2de9e916dc719435a77333"),
+]
+
+
+@pytest.mark.parametrize("maker,digest", PINNED_BLOBS,
+                         ids=["icosphere3", "cylinder", "slab", "two_components"])
+def test_edgebreaker_bytes_pinned(maker, digest):
+    blob = encode_connectivity(build_corner_table(maker()), "edgebreaker")
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_multi_component():
@@ -186,11 +215,12 @@ def _tet_blob_parts():
     return blob[:12], blob[12:clers_end], blob[clers_end:]
 
 
-def _refused_without_large_allocation(blob, mode="edgebreaker"):
+def _refused_without_large_allocation(blob, mode="edgebreaker",
+                                      read=decode_connectivity):
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError):
-            decode_connectivity(blob, mode)
+            read(blob, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -216,6 +246,17 @@ def test_huge_clers_count_refused():
         + write_uvarint(PROB_TOTAL) + write_uvarint(0)
     )
     _refused_without_large_allocation(head + block + rest)
+
+
+def test_connectivity_stats_refuses_hostile_bytes():
+    head, _, rest = _tet_blob_parts()
+    # one-symbol alphabet: no payload, so any count fits in four bytes
+    block = (
+        write_uvarint(1 << 40) + write_uvarint(1)
+        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
+    )
+    for blob in (head + block, head + block + rest, b"\x04\x00"):
+        _refused_without_large_allocation(blob, read=connectivity_stats)
 
 
 def test_huge_split_offset_count_refused():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultron.mesh import (
     BOUNDARY,
@@ -8,6 +10,7 @@ from ultron.mesh import (
     NonManifoldReport,
     build_corner_table,
 )
+from ultron.synth import make_icosphere, make_slab
 
 TET = Mesh(
     vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -29,6 +32,44 @@ def brute_force_opposites(triangles):
         rev = (edge[1], edge[0])
         opp[c] = table.get(rev, BOUNDARY)
     return opp
+
+
+def brute_force_report(triangles, vertex_count):
+    """Independent oracle for the NonManifoldReport: (edges, vertices).
+
+    Edges are counted per undirected and per directed edge; a vertex is
+    pinched when its triangles, joined wherever two share an edge through
+    the vertex, form more than one group.
+    """
+    tris = [tuple(int(v) for v in t) for t in triangles]
+    directed, undirected = {}, {}
+    for t in tris:
+        for k in range(3):
+            a, b = t[k], t[(k + 1) % 3]
+            directed[(a, b)] = directed.get((a, b), 0) + 1
+            und = (min(a, b), max(a, b))
+            undirected[und] = undirected.get(und, 0) + 1
+    bad = {}
+    for (a, b), cnt in directed.items():
+        if cnt > 1:
+            bad[(min(a, b), max(a, b))] = "inconsistent-orientation"
+    for und, cnt in undirected.items():
+        if cnt > 2:
+            bad[und] = f"{cnt} incident triangles"
+    if bad:
+        return sorted(bad.items()), []
+    pinched = []
+    for v in range(vertex_count):
+        around = [set(t) - {v} for t in tris if v in t]
+        group = list(range(len(around)))
+        for i in range(len(around)):
+            for j in range(i):
+                if around[i] & around[j]:
+                    gi, gj = group[i], group[j]
+                    group = [gj if g == gi else g for g in group]
+        if len(set(group)) > 1:
+            pinched.append(v)
+    return [], pinched
 
 
 def test_single_triangle_all_boundary():
@@ -95,6 +136,55 @@ def test_pinched_vertex_reported():
     report = build_corner_table(mesh)
     assert isinstance(report, NonManifoldReport)
     assert 0 in report.vertices
+
+
+def test_pinched_vertex_between_closed_fans():
+    # two tetrahedra sharing only vertex 0: every corner has an opposite,
+    # so only the fans tell that vertex 0 is pinched
+    second = np.where(TET.triangles > 0, TET.triangles + 3, 0)
+    tris = np.concatenate([TET.triangles, second])
+    verts = np.concatenate([TET.vertices, TET.vertices[1:] - 1.0])
+    mesh = Mesh(vertices=verts, triangles=tris)
+    report = build_corner_table(mesh)
+    assert isinstance(report, NonManifoldReport)
+    assert report.edges == []
+    assert report.vertices == [0]
+    assert brute_force_report(tris, mesh.vertex_count) == ([], [0])
+
+
+SUBSET_SOURCES = [make_icosphere(1), make_slab(5, 4)]
+
+
+@given(
+    source=st.sampled_from(range(len(SUBSET_SOURCES))),
+    drop=st.one_of(st.integers(0, 3), st.integers(0, 60)),
+    flip=st.integers(0, 2),
+    dup=st.integers(0, 1),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=80, deadline=None)
+def test_matches_brute_force(source, drop, flip, dup, seed):
+    """Random triangle subsets, some flipped or duplicated: the table, or
+    the full report, equals the brute-force oracles."""
+    base = SUBSET_SOURCES[source]
+    rng = np.random.default_rng(seed)
+    tris = base.triangles[rng.permutation(base.triangle_count)[drop:]]
+    tris[:flip] = tris[:flip, ::-1]
+    tris = np.concatenate([tris, tris[len(tris) - dup:]])
+    tris = tris[rng.permutation(len(tris))]
+    if len(tris) == 0:
+        return
+    mesh = Mesh(vertices=base.vertices, triangles=tris)
+    result = build_corner_table(mesh)
+    edges, vertices = brute_force_report(tris, mesh.vertex_count)
+    if edges or vertices:
+        assert isinstance(result, NonManifoldReport)
+        assert result.edges == edges
+        assert result.vertices == vertices
+        return
+    assert isinstance(result, CornerTable)
+    oracle = brute_force_opposites(tris)
+    assert result.O.tolist() == [oracle[c] for c in range(3 * len(tris))]
 
 
 @pytest.mark.parametrize("fixture", ["sphere_162", "cylinder_mesh", "slab_mesh"])
