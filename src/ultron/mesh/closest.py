@@ -90,8 +90,7 @@ def closest_point_on_triangles(p, a, b, c):
 class TriangleBvh:
     """Static axis-aligned BVH over a triangle soup."""
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray,
-                 leaf_size: int = LEAF_SIZE):
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
         if len(triangles) == 0:
             raise EmptyMeshError("mesh has no triangles")
         self.tri_a = np.ascontiguousarray(vertices[triangles[:, 0]])
@@ -114,7 +113,7 @@ class TriangleBvh:
             node_max[ni] = tri_max[idx].max(axis=0)
             cmin = centroids[idx].min(axis=0)
             cmax = centroids[idx].max(axis=0)
-            if hi - lo <= leaf_size or not np.any(cmax > cmin):
+            if hi - lo <= LEAF_SIZE or not np.any(cmax > cmin):
                 node_child[ni] = (-(lo + 1), hi - lo)
                 continue
             axis = int(np.argmax(cmax - cmin))
@@ -162,9 +161,9 @@ class TriangleBvh:
                 starts = -self.left[ln] - 1
                 counts = self.count[ln]
                 reps = np.repeat(np.arange(len(lq)), counts)
-                tri_pos = np.concatenate(
-                    [np.arange(s, s + c) for s, c in zip(starts, counts)]
-                ) if len(lq) else np.empty(0, dtype=np.int64)
+                # each leaf's run starts..starts + counts, laid end to end
+                runs = np.cumsum(counts) - counts
+                tri_pos = np.repeat(starts - runs, counts) + np.arange(counts.sum())
                 tris = self.order[tri_pos]
                 qidx = lq[reps]
                 cand_pt = closest_point_on_triangles(

@@ -47,8 +47,14 @@ def detect_format(path: str | Path, data: bytes | None = None) -> str:
 
 
 def load_mesh(path: str | Path) -> Mesh:
+    """Read a mesh file. A MeshParseError's message starts with the path."""
     data = Path(path).read_bytes()
-    return parse_mesh(data, detect_format(path, data))
+    fmt = detect_format(path, data)
+    try:
+        return parse_mesh(data, fmt)
+    except MeshParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_mesh(mesh: Mesh, path: str | Path, format: str | None = None) -> None:

@@ -35,7 +35,7 @@ def _floats(parts, count, lineno, record):
 def _parse_corner(token, lineno):
     """Split a face corner 'v', 'v/vt', 'v//vn' or 'v/vt/vn' into indices."""
     fields = token.split("/")
-    if len(fields) > 3:
+    if len(fields) > 3 or fields[0] == "":
         raise MeshParseError(f"bad face corner {token!r}", line=lineno)
     out = []
     for f in fields:
@@ -110,10 +110,26 @@ def parse_obj(data: bytes) -> Mesh:
 
     nv = len(positions)
     triangles = np.zeros((len(faces), 3), dtype=np.int32)
-    uv_of_vertex = np.full(nv, -1, dtype=np.int64)
-    normal_of_vertex = np.full(nv, -1, dtype=np.int64)
-    uses_uv = False
-    uses_normal = False
+    # for each attribute, the table row of every vertex (-1: no corner names one)
+    attributes = (("uv", "vt", texcoords), ("normal", "vn", raw_normals))
+    rows_of = [np.full(nv, -1, dtype=np.int64) for _ in attributes]
+
+    def attach(k, v, ref, lineno):
+        what, record, table = attributes[k]
+        of_vertex = rows_of[k]
+        if ref >= len(table):
+            raise IndexOutOfRangeError(
+                f"{what} index {ref + 1} exceeds {record} count {len(table)}",
+                line=lineno,
+            )
+        if of_vertex[v] == -1:
+            of_vertex[v] = ref
+        elif of_vertex[v] != ref:
+            raise UnsupportedElementError(
+                f"vertex {v + 1} referenced with conflicting {what} indices; "
+                "only per-vertex attributes are representable",
+                line=lineno,
+            )
 
     for row, (lineno, tri) in enumerate(faces):
         for col, (v, vt, vn) in enumerate(tri):
@@ -123,63 +139,26 @@ def parse_obj(data: bytes) -> Mesh:
                 )
             triangles[row, col] = v
             if vt is not None:
-                uses_uv = True
-                if vt >= len(texcoords):
-                    raise IndexOutOfRangeError(
-                        f"uv index {vt + 1} exceeds vt count {len(texcoords)}",
-                        line=lineno,
-                    )
-                if uv_of_vertex[v] == -1:
-                    uv_of_vertex[v] = vt
-                elif uv_of_vertex[v] != vt:
-                    raise UnsupportedElementError(
-                        f"vertex {v + 1} referenced with conflicting uv indices; "
-                        "only per-vertex attributes are representable",
-                        line=lineno,
-                    )
+                attach(0, v, vt, lineno)
             if vn is not None:
-                uses_normal = True
-                if vn >= len(raw_normals):
-                    raise IndexOutOfRangeError(
-                        f"normal index {vn + 1} exceeds vn count {len(raw_normals)}",
-                        line=lineno,
-                    )
-                if normal_of_vertex[v] == -1:
-                    normal_of_vertex[v] = vn
-                elif normal_of_vertex[v] != vn:
-                    raise UnsupportedElementError(
-                        f"vertex {v + 1} referenced with conflicting normal indices; "
-                        "only per-vertex attributes are representable",
-                        line=lineno,
-                    )
+                attach(1, v, vn, lineno)
 
-    def gather(table, mapping, width):
-        src = np.asarray(table, dtype=np.float64).reshape(-1, width)
-        out = np.zeros((nv, width), dtype=np.float64)
-        assigned = mapping >= 0
-        out[assigned] = src[mapping[assigned]]
+    def per_vertex(table, of_vertex):
+        assigned = of_vertex >= 0
+        if table and len(table) == nv and np.all(
+            of_vertex[assigned] == np.flatnonzero(assigned)
+        ):
+            # one record per vertex with only identity face references: take
+            # the table positionally, covering vertices no face mentions
+            return np.asarray(table, dtype=np.float64)
+        if not assigned.any():
+            return None
+        out = np.zeros((nv, len(table[0])), dtype=np.float64)
+        out[assigned] = np.asarray(table, dtype=np.float64)[of_vertex[assigned]]
         return out
 
-    def aligned(table, mapping):
-        # one record per vertex with only identity face references: take the
-        # table positionally, covering vertices no face mentions
-        if len(table) != nv:
-            return False
-        assigned = mapping >= 0
-        return bool(np.all(mapping[assigned] == np.flatnonzero(assigned)))
-
-    uvs = None
-    if texcoords:
-        if aligned(texcoords, uv_of_vertex):
-            uvs = np.asarray(texcoords, dtype=np.float64)
-        elif uses_uv:
-            uvs = gather(texcoords, uv_of_vertex, 2)
-    normals = None
-    if raw_normals:
-        if aligned(raw_normals, normal_of_vertex):
-            normals = np.asarray(raw_normals, dtype=np.float64)
-        elif uses_normal:
-            normals = gather(raw_normals, normal_of_vertex, 3)
+    uvs, normals = (per_vertex(table, of_vertex)
+                    for (_, _, table), of_vertex in zip(attributes, rows_of))
 
     return Mesh(
         vertices=np.asarray(positions, dtype=np.float64).reshape(nv, 3),
@@ -190,38 +169,25 @@ def parse_obj(data: bytes) -> Mesh:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _format_rows(row_fmt: str, table: np.ndarray) -> str:
+    """row_fmt once per row of table. Floats go through %r, the shortest
+    decimal that reads back to the same double."""
+    return (row_fmt * len(table)) % tuple(table.ravel().tolist())
 
 
 def serialize_obj(mesh: Mesh) -> bytes:
-    lines = []
+    v = mesh.vertices
     if mesh.colors is not None:
-        for p, c in zip(mesh.vertices, mesh.colors):
-            lines.append(
-                f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}"
-                f" {_fmt(c[0])} {_fmt(c[1])} {_fmt(c[2])}"
-            )
-    else:
-        for p in mesh.vertices:
-            lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    if mesh.uvs is not None:
-        for t in mesh.uvs:
-            lines.append(f"vt {_fmt(t[0])} {_fmt(t[1])}")
-    if mesh.normals is not None:
-        for n in mesh.normals:
-            lines.append(f"vn {_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}")
-
+        v = np.concatenate([v, mesh.colors], axis=1)
+    text = _format_rows("v" + " %r" * v.shape[1] + "\n", v)
     has_uv = mesh.uvs is not None
     has_n = mesh.normals is not None
-    for tri in mesh.triangles:
-        a, b, c = (int(i) + 1 for i in tri)
-        if has_uv and has_n:
-            lines.append(f"f {a}/{a}/{a} {b}/{b}/{b} {c}/{c}/{c}")
-        elif has_uv:
-            lines.append(f"f {a}/{a} {b}/{b} {c}/{c}")
-        elif has_n:
-            lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
-        else:
-            lines.append(f"f {a} {b} {c}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    if has_uv:
+        text += _format_rows("vt %r %r\n", mesh.uvs)
+    if has_n:
+        text += _format_rows("vn %r %r %r\n", mesh.normals)
+    # a face corner is v, v/vt, v//vn or v/vt/vn; all three are the vertex id
+    corner = "%d" + ("/%d" if has_uv else "/" if has_n else "") + ("/%d" if has_n else "")
+    ids = np.repeat(mesh.triangles + 1, corner.count("%d"), axis=1)
+    text += _format_rows("f" + (" " + corner) * 3 + "\n", ids)
+    return (text or "\n").encode("utf-8")

@@ -5,6 +5,10 @@ Vertex properties understood: x y z, nx ny nz, u v (or s t), red green blue
 skipped. Faces come from a 'vertex_indices' (or 'vertex_index') list
 property; polygons with more than 3 corners are fan-triangulated.
 
+parse_ply walks the elements once for both encodings. An encoding's body
+reader supplies two primitives, rows of scalar properties and
+variable-length index lists; the walker does the rest.
+
 The writer emits double-precision properties so binary round-trips are
 bit-exact and ascii round-trips (shortest round-trip decimals) are too.
 """
@@ -17,6 +21,7 @@ import numpy as np
 
 from ..errors import IndexOutOfRangeError, MeshParseError, UnsupportedElementError
 from .model import Mesh
+from .obj_io import _format_rows
 
 logger = logging.getLogger(__name__)
 
@@ -31,15 +36,9 @@ _SCALAR_TYPES = {
     "double": "f8", "float64": "f8",
 }
 
-_UV_ALIASES = {"u": "u", "v": "v", "s": "u", "t": "v",
-               "texture_u": "u", "texture_v": "v"}
-
-
-class _Element:
-    def __init__(self, name, count):
-        self.name = name
-        self.count = count
-        self.properties = []  # (name, np_type) or ("__list__", name, count_t, idx_t)
+# vertex property -> Mesh column; other vertex properties are skipped
+_VERTEX_KEYS = {n: n for n in ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue")}
+_VERTEX_KEYS.update(u="u", v="v", s="u", t="v", texture_u="u", texture_v="v")
 
 
 def _parse_header(data: bytes):
@@ -52,10 +51,10 @@ def _parse_header(data: bytes):
         raise MeshParseError("not a PLY file (missing 'ply' magic)", line=1)
 
     fmt = None
-    elements = []
+    elements = []  # (name, count, [(name, type) or ("__list__", name, count_t, idx_t)])
     for lineno, line in enumerate(header_lines[1:], start=2):
         parts = line.split()
-        if not parts or parts[0] == "comment" or parts[0] == "obj_info":
+        if not parts or parts[0] in ("comment", "obj_info"):
             continue
         if parts[0] == "format":
             if len(parts) < 2:
@@ -74,78 +73,29 @@ def _parse_header(data: bytes):
                 count = int(parts[2])
             except ValueError:
                 raise MeshParseError("bad element count", line=lineno)
-            elements.append(_Element(parts[1], count))
+            if count < 0:
+                raise MeshParseError("negative element count", line=lineno)
+            elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise MeshParseError("property before any element", line=lineno)
-            if parts[1] == "list":
-                if len(parts) != 5:
-                    raise MeshParseError("bad list property", line=lineno)
-                for t in (parts[2], parts[3]):
-                    if t not in _SCALAR_TYPES:
-                        raise MeshParseError(f"unknown type {t!r}", line=lineno)
-                elements[-1].properties.append(
-                    ("__list__", parts[4], _SCALAR_TYPES[parts[2]],
-                     _SCALAR_TYPES[parts[3]])
-                )
-            else:
-                if len(parts) != 3:
-                    raise MeshParseError("bad property line", line=lineno)
-                if parts[1] not in _SCALAR_TYPES:
-                    raise MeshParseError(f"unknown type {parts[1]!r}", line=lineno)
-                elements[-1].properties.append((parts[2], _SCALAR_TYPES[parts[1]]))
+            # property <type> <name>, or property list <count type> <index type> <name>
+            is_list = parts[1:2] == ["list"]
+            if len(parts) != (5 if is_list else 3):
+                raise MeshParseError("bad property line", line=lineno)
+            types = parts[2:4] if is_list else parts[1:2]
+            for t in types:
+                if t not in _SCALAR_TYPES:
+                    raise MeshParseError(f"unknown type {t!r}", line=lineno)
+            types = [_SCALAR_TYPES[t] for t in types]
+            elements[-1][2].append(
+                ("__list__", parts[4], *types) if is_list else (parts[2], *types)
+            )
         else:
             raise MeshParseError(f"unknown header keyword {parts[0]!r}", line=lineno)
     if fmt is None:
         raise MeshParseError("PLY header missing format line")
     return fmt, elements, body_start
-
-
-def _assemble(vertex_table, face_rows, fan_count):
-    if fan_count:
-        logger.warning("fan-triangulated %d polygonal faces", fan_count)
-    nv = len(next(iter(vertex_table.values()))) if vertex_table else 0
-
-    def cols(names):
-        return np.stack([vertex_table[n] for n in names], axis=1)
-
-    if not all(k in vertex_table for k in ("x", "y", "z")):
-        raise MeshParseError("vertex element lacks x/y/z properties")
-    vertices = cols(["x", "y", "z"]).astype(np.float64)
-
-    normals = None
-    if all(k in vertex_table for k in ("nx", "ny", "nz")):
-        normals = cols(["nx", "ny", "nz"]).astype(np.float64)
-    uvs = None
-    if "u" in vertex_table and "v" in vertex_table:
-        uvs = cols(["u", "v"]).astype(np.float64)
-    colors = None
-    if all(k in vertex_table for k in ("red", "green", "blue")):
-        rgb = cols(["red", "green", "blue"])
-        if rgb.dtype == np.uint8:
-            colors = rgb.astype(np.float64) / 255.0
-        else:
-            colors = rgb.astype(np.float64)
-
-    triangles = np.asarray(face_rows, dtype=np.int64).reshape(-1, 3)
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
-        bad = triangles[(triangles < 0) | (triangles >= nv)][0]
-        raise IndexOutOfRangeError(
-            f"face index {int(bad)} out of range for {nv} vertices"
-        )
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles.astype(np.int32),
-        normals=normals,
-        uvs=uvs,
-        colors=colors,
-    )
-
-
-def _vertex_key(name):
-    if name in ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue"):
-        return name
-    return _UV_ALIASES.get(name)
 
 
 def parse_ply(data: bytes, *, expect_format: str | None = None) -> Mesh:
@@ -154,234 +104,220 @@ def parse_ply(data: bytes, *, expect_format: str | None = None) -> Mesh:
         raise MeshParseError(
             f"PLY declares format {fmt!r}, expected {expect_format!r}"
         )
-    if fmt == "ascii":
-        return _parse_body_ascii(data, elements, body_start)
-    return _parse_body_binary(data, elements, body_start)
-
-
-def _parse_body_ascii(data, elements, body_start):
-    text = data[body_start:].decode("ascii", errors="replace")
-    tokens = text.split()
-    pos = 0
-    header_line_count = data[:body_start].count(b"\n")
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(tokens):
-            raise MeshParseError(
-                f"truncated ascii body while reading {what}",
-                line=header_line_count + 1,
-            )
-        out = tokens[pos:pos + n]
-        pos += n
-        return out
-
-    vertex_table = {}
-    face_rows = []
-    fan_count = 0
-    for elem in elements:
-        if elem.name == "vertex":
-            names = []
-            for prop in elem.properties:
-                if prop[0] == "__list__":
-                    raise UnsupportedElementError(
-                        "list property on vertex element is not supported"
-                    )
-                names.append(prop[0])
-            raw = take(len(names) * elem.count, "vertex element")
-            try:
-                grid = np.asarray(raw, dtype=np.float64).reshape(elem.count, len(names))
-            except ValueError as exc:
-                raise MeshParseError(f"bad vertex number: {exc}")
-            for j, (name, typ) in enumerate(elem.properties):
-                key = _vertex_key(name)
-                if key is None:
-                    continue
-                col = grid[:, j]
-                vertex_table[key] = (
-                    col.astype(np.uint8) if typ == "u1" else col
-                )
-        elif elem.name == "face":
-            list_props = [p for p in elem.properties if p[0] == "__list__"]
-            if len(list_props) != 1 or list_props[0][1] not in (
+    body = (_AsciiBody if fmt == "ascii" else _BinaryBody)(data, body_start)
+    columns = {}
+    face_blocks = []
+    fans = 0
+    for name, count, props in elements:
+        if name == "face":
+            if len(props) != 1 or props[0][0] != "__list__" or props[0][1] not in (
                 "vertex_indices", "vertex_index",
             ):
                 raise UnsupportedElementError(
                     "face element must have a single vertex_indices list"
                 )
-            if len(elem.properties) != 1:
-                raise UnsupportedElementError(
-                    "extra face properties are not supported"
-                )
-            for _ in range(elem.count):
-                (cnt,) = take(1, "face size")
-                try:
-                    k = int(cnt)
-                except ValueError:
-                    raise MeshParseError(f"bad face size {cnt!r}")
-                if k < 3:
-                    raise MeshParseError(f"face with {k} corners")
-                idx = take(k, "face indices")
-                try:
-                    idx = [int(i) for i in idx]
-                except ValueError as exc:
-                    raise MeshParseError(f"bad face index: {exc}")
-                if k > 3:
-                    fan_count += 1
-                for i in range(1, k - 1):
-                    face_rows.append((idx[0], idx[i], idx[i + 1]))
-        else:
-            # skip unknown element payload entirely
-            width = 0
-            for prop in elem.properties:
-                if prop[0] == "__list__":
-                    raise UnsupportedElementError(
-                        f"cannot skip list property in element {elem.name!r}"
-                    )
-                width += 1
-            take(width * elem.count, f"element {elem.name}")
-    return _assemble(vertex_table, face_rows, fan_count)
-
-
-def _parse_body_binary(data, elements, body_start):
-    offset = body_start
-    vertex_table = {}
-    face_rows = []
-    fan_count = 0
-    for elem in elements:
-        if elem.name == "vertex":
-            fields = []
-            for prop in elem.properties:
-                if prop[0] == "__list__":
-                    raise UnsupportedElementError(
-                        "list property on vertex element is not supported"
-                    )
-                fields.append((prop[0], "<" + prop[1]))
-            dtype = np.dtype(fields)
-            nbytes = dtype.itemsize * elem.count
-            if offset + nbytes > len(data):
-                raise MeshParseError("truncated vertex element", offset=offset)
-            block = np.frombuffer(data, dtype=dtype, count=elem.count, offset=offset)
-            offset += nbytes
-            for name, _typ in fields:
-                key = _vertex_key(name)
-                if key is None:
-                    continue
-                col = block[name]
-                vertex_table[key] = (
-                    col if col.dtype == np.uint8 else col.astype(np.float64)
-                )
-        elif elem.name == "face":
-            if len(elem.properties) != 1 or elem.properties[0][0] != "__list__":
-                raise UnsupportedElementError(
-                    "face element must have a single vertex_indices list"
-                )
-            _, name, count_t, index_t = elem.properties[0]
-            if name not in ("vertex_indices", "vertex_index"):
-                raise UnsupportedElementError(
-                    f"unknown face list property {name!r}"
-                )
-            count_dt = np.dtype("<" + count_t)
-            index_dt = np.dtype("<" + index_t)
-            # fast path: all-triangle face block read in one shot
-            tri_dt = np.dtype([("n", count_dt), ("idx", index_dt, (3,))])
-            fast = False
-            if offset + tri_dt.itemsize * elem.count <= len(data):
-                block = np.frombuffer(
-                    data, dtype=tri_dt, count=elem.count, offset=offset
-                )
-                if elem.count == 0 or np.all(block["n"] == 3):
-                    face_rows = block["idx"].astype(np.int64).reshape(-1, 3)
-                    offset += tri_dt.itemsize * elem.count
-                    fast = True
-            if not fast:
-                face_rows = []
-                for _ in range(elem.count):
-                    if offset + count_dt.itemsize > len(data):
-                        raise MeshParseError("truncated face element", offset=offset)
-                    k = int(
-                        np.frombuffer(data, dtype=count_dt, count=1, offset=offset)[0]
-                    )
-                    offset += count_dt.itemsize
-                    if k < 3:
-                        raise MeshParseError(f"face with {k} corners", offset=offset)
-                    nbytes = index_dt.itemsize * k
-                    if offset + nbytes > len(data):
-                        raise MeshParseError("truncated face element", offset=offset)
-                    idx = np.frombuffer(data, dtype=index_dt, count=k, offset=offset)
-                    offset += nbytes
-                    if k > 3:
-                        fan_count += 1
-                    for i in range(1, k - 1):
-                        face_rows.append(
-                            (int(idx[0]), int(idx[i]), int(idx[i + 1]))
-                        )
-        else:
-            fields = []
-            for prop in elem.properties:
-                if prop[0] == "__list__":
-                    raise UnsupportedElementError(
-                        f"cannot skip list property in element {elem.name!r}"
-                    )
-                fields.append((prop[0], "<" + prop[1]))
-            dtype = np.dtype(fields)
-            nbytes = dtype.itemsize * elem.count
-            if offset + nbytes > len(data):
-                raise MeshParseError(f"truncated element {elem.name!r}", offset=offset)
-            offset += nbytes
-    if offset != len(data):
-        # trailing newline tolerated, anything else is suspicious
-        tail = data[offset:]
-        if tail.strip(b"\r\n"):
-            raise MeshParseError(
-                f"{len(tail)} unexpected trailing bytes", offset=offset
+            sizes, flat = body.lists(count, *props[0][2:])
+            fans += int(np.count_nonzero(sizes > 3))
+            face_blocks.append(_fan_triangulate(sizes, flat))
+        elif any(p[0] == "__list__" for p in props):
+            raise UnsupportedElementError(
+                f"list property on element {name!r} is not supported"
             )
-    return _assemble(vertex_table, face_rows, fan_count)
+        elif name != "vertex":
+            body.rows(count, props, wanted=False)
+        else:
+            for (prop, typ), col in zip(props, body.rows(count, props, wanted=True)):
+                if prop in _VERTEX_KEYS:
+                    columns[_VERTEX_KEYS[prop]] = col.astype(
+                        np.uint8 if typ == "u1" else np.float64
+                    )
+    body.end()
+    if fans:
+        logger.warning("fan-triangulated %d polygonal faces", fans)
+
+    def cols(*names):
+        if all(n in columns for n in names):
+            return np.stack([columns[n] for n in names], axis=1)
+        return None
+
+    vertices = cols("x", "y", "z")
+    if vertices is None:
+        raise MeshParseError("vertex element lacks x/y/z properties")
+    colors = cols("red", "green", "blue")
+    if colors is not None and colors.dtype == np.uint8:
+        colors = colors / 255.0
+    if len(face_blocks) == 1:
+        triangles = face_blocks[0]
+    else:
+        triangles = np.concatenate([np.empty((0, 3), np.int64), *face_blocks])
+    nv = len(vertices)
+    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
+        bad = triangles[(triangles < 0) | (triangles >= nv)][0]
+        raise IndexOutOfRangeError(
+            f"face index {int(bad)} out of range for {nv} vertices"
+        )
+    return Mesh(vertices=vertices, triangles=triangles, normals=cols("nx", "ny", "nz"),
+                uvs=cols("u", "v"), colors=colors)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fan_triangulate(sizes, flat):
+    """Polygon (a, b, c, d, ...) gives (a, b, c), (a, c, d), ..."""
+    if np.all(sizes == 3):
+        return flat.reshape(-1, 3)
+    per = sizes - 2
+    first = np.repeat(np.cumsum(sizes) - sizes, per)
+    step = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per) + 1
+    return flat[np.stack([first, first + step, first + step + 1], axis=1)]
 
 
-def _vertex_layout(mesh: Mesh):
-    names = ["x", "y", "z"]
-    arrays = [mesh.vertices]
-    if mesh.normals is not None:
-        names += ["nx", "ny", "nz"]
-        arrays.append(mesh.normals)
-    if mesh.uvs is not None:
-        names += ["u", "v"]
-        arrays.append(mesh.uvs)
-    if mesh.colors is not None:
-        names += ["red", "green", "blue"]
-        arrays.append(mesh.colors)
-    return names, np.concatenate(arrays, axis=1) if arrays else None
+class _AsciiBody:
+    """Whitespace-separated tokens. Errors name the line the body starts on."""
+
+    def __init__(self, data, start):
+        self.tokens = data[start:].decode("ascii", errors="replace").split()
+        self.pos = 0
+        self.line = data[:start].count(b"\n") + 1
+
+    def error(self, message, cls=MeshParseError):
+        return cls(message, line=self.line)
+
+    def rows(self, count, props, wanted):
+        """count rows of len(props) numbers, as one float64 column each."""
+        end = self.pos + count * len(props)
+        if end > len(self.tokens):
+            raise self.error("truncated ascii body while reading an element")
+        raw = self.tokens[self.pos:end]
+        self.pos = end
+        if not wanted:
+            return None
+        try:
+            grid = np.asarray(raw, dtype=np.float64).reshape(count, len(props))
+        except ValueError as exc:
+            raise self.error(f"bad vertex number: {exc}")
+        return grid.T
+
+    def lists(self, count, count_t, index_t):
+        """count index lists, as (sizes, concatenated int64 indices)."""
+        tokens, pos = self.tokens, self.pos
+        sizes, flat = [], []
+        for _ in range(count):
+            if pos >= len(tokens):
+                raise self.error("truncated ascii body while reading face size")
+            try:
+                k = int(tokens[pos])
+            except ValueError:
+                raise self.error(f"bad face size {tokens[pos]!r}")
+            if k < 3:
+                raise self.error(f"face with {k} corners")
+            end = pos + 1 + k
+            if end > len(tokens):
+                raise self.error("truncated ascii body while reading face indices")
+            flat += tokens[pos + 1:end]
+            sizes.append(k)
+            pos = end
+        self.pos = pos
+        try:
+            flat = np.array(list(map(int, flat)), dtype=np.int64)
+        except ValueError as exc:
+            raise self.error(f"bad face index: {exc}")
+        except OverflowError:
+            raise self.error("face index out of range", IndexOutOfRangeError)
+        return np.array(sizes, dtype=np.int64), flat
+
+    def end(self):
+        pass  # tokens after the last element are ignored
+
+
+class _BinaryBody:
+    """Little-endian records. Errors name the byte offset reached."""
+
+    def __init__(self, data, start):
+        self.data = data
+        self.offset = start
+
+    def error(self, message, cls=MeshParseError):
+        return cls(message, offset=self.offset)
+
+    def _advance(self, nbytes):
+        if self.offset + nbytes > len(self.data):
+            raise self.error("truncated binary body")
+        self.offset += nbytes
+
+    def rows(self, count, props, wanted):
+        """count records of the scalar props, as one column each."""
+        if not wanted:
+            self._advance(count * sum(np.dtype(t).itemsize for _, t in props))
+            return None
+        if not props:
+            return []
+        try:
+            dtype = np.dtype([(name, "<" + t) for name, t in props])
+        except ValueError as exc:  # a property named twice
+            raise self.error(f"bad element properties: {exc}")
+        start = self.offset
+        self._advance(dtype.itemsize * count)
+        block = np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+        return [block[name] for name in dtype.names]
+
+    def lists(self, count, count_t, index_t):
+        """count index lists, as (sizes, concatenated int64 indices)."""
+        data = self.data
+        count_dt = np.dtype("<" + count_t)
+        index_dt = np.dtype("<" + index_t)
+        # fast path: an all-triangle face block read in one shot
+        tri_dt = np.dtype([("n", count_dt), ("idx", index_dt, (3,))])
+        if self.offset + tri_dt.itemsize * count <= len(data):
+            block = np.frombuffer(data, dtype=tri_dt, count=count, offset=self.offset)
+            if np.all(block["n"] == 3):
+                self.offset += tri_dt.itemsize * count
+                return (np.full(count, 3, dtype=np.int64),
+                        block["idx"].astype(np.int64).ravel())
+        sizes, flat = [], []
+        for _ in range(count):
+            start = self.offset
+            self._advance(count_dt.itemsize)
+            k = int(np.frombuffer(data, dtype=count_dt, count=1, offset=start)[0])
+            if k < 3:
+                raise self.error(f"face with {k} corners")
+            start = self.offset
+            self._advance(index_dt.itemsize * k)
+            flat.append(np.frombuffer(data, dtype=index_dt, count=k, offset=start))
+            sizes.append(k)
+        return np.array(sizes, dtype=np.int64), np.concatenate(flat).astype(np.int64)
+
+    def end(self):
+        tail = self.data[self.offset:]
+        # a trailing line break is tolerated, anything else is suspicious
+        if tail.strip(b"\r\n"):
+            raise self.error(f"{len(tail)} unexpected trailing bytes")
+
+
+_LAYOUT = (("vertices", "x y z"), ("normals", "nx ny nz"), ("uvs", "u v"),
+           ("colors", "red green blue"))
 
 
 def serialize_ply(mesh: Mesh, binary: bool) -> bytes:
-    names, table = _vertex_layout(mesh)
-    header = ["ply"]
-    header.append(
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0"
-    )
-    header.append(f"element vertex {mesh.vertex_count}")
-    header += [f"property double {n}" for n in names]
-    header.append(f"element face {mesh.triangle_count}")
-    header.append("property list uchar int vertex_indices")
-    header.append("end_header")
-    head = ("\n".join(header) + "\n").encode("ascii")
+    present = [(getattr(mesh, a), n.split()) for a, n in _LAYOUT
+               if getattr(mesh, a) is not None]
+    table = np.concatenate([arr for arr, _ in present], axis=1)
+    names = [n for _, ns in present for n in ns]
+    head = "\n".join([
+        "ply",
+        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+        f"element vertex {mesh.vertex_count}",
+        *[f"property double {n}" for n in names],
+        f"element face {mesh.triangle_count}",
+        "property list uchar int vertex_indices",
+        "end_header\n",
+    ]).encode("ascii")
 
     if binary:
-        body = table.astype("<f8").tobytes()
         tri_dt = np.dtype([("n", "<u1"), ("idx", "<i4", (3,))])
         faces = np.empty(mesh.triangle_count, dtype=tri_dt)
         faces["n"] = 3
         faces["idx"] = mesh.triangles
-        return head + body + faces.tobytes()
+        return head + table.astype("<f8").tobytes() + faces.tobytes()
 
-    lines = []
-    for row in table:
-        lines.append(" ".join(_fmt(x) for x in row))
-    for tri in mesh.triangles:
-        lines.append(f"3 {int(tri[0])} {int(tri[1])} {int(tri[2])}")
-    return head + ("\n".join(lines) + "\n").encode("ascii")
+    text = (_format_rows(" ".join(["%r"] * len(names)) + "\n", table)
+            + _format_rows("3 %d %d %d\n", mesh.triangles))
+    return head + (text or "\n").encode("ascii")

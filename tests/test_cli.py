@@ -157,10 +157,11 @@ def test_eval_is_symmetric(tmp_path, rng):
     assert v1 == v2
 
 
-def test_parse_error_exit_code(tmp_path):
+def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.obj"
     bad.write_text("v 0 0\n")
     assert run_cli("encode", bad, "--output", tmp_path / "x.ultn") == 3
+    assert "bad.obj" in capsys.readouterr().err
 
 
 def test_container_error_exit_code_and_cleanup(tmp_path):

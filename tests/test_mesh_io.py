@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from ultron.errors import (
     IndexOutOfRangeError,
+    InvalidMeshError,
     MeshParseError,
     UnsupportedElementError,
 )
@@ -124,6 +127,34 @@ def test_ply_truncated_reports_offset():
     assert err.value.offset is not None
 
 
+def ply_with_faces(fmt, vertices, faces):
+    """A PLY file of x/y/z vertices and arbitrary index lists."""
+    encoding = "ascii" if fmt == "ply-ascii" else "binary_little_endian"
+    head = (
+        f"ply\nformat {encoding} 1.0\nelement vertex {len(vertices)}\n"
+        "property double x\nproperty double y\nproperty double z\n"
+        f"element face {len(faces)}\nproperty list uchar int vertex_indices\n"
+        "end_header\n"
+    ).encode()
+    if fmt == "ply-ascii":
+        rows = [" ".join(map(repr, v)) for v in vertices]
+        rows += [" ".join(map(str, [len(f), *f])) for f in faces]
+        return head + ("\n".join(rows) + "\n").encode()
+    return head + np.asarray(vertices, "<f8").tobytes() + b"".join(
+        bytes([len(f)]) + np.asarray(f, "<i4").tobytes() for f in faces
+    )
+
+
+@pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary"])
+def test_ply_polygons_fan_triangulated(fmt, caplog):
+    vertices = [[float(i), float(i * i % 5), 0.0] for i in range(7)]
+    faces = [[0, 1, 2, 3], [1, 2, 4], [0, 2, 3, 5, 6], [4, 5, 6]]
+    mesh = parse_mesh(ply_with_faces(fmt, vertices, faces), fmt)
+    fan = [(f[0], f[i], f[i + 1]) for f in faces for i in range(1, len(f) - 1)]
+    assert np.array_equal(mesh.triangles, fan)
+    assert "fan-triangulated 2 polygonal faces" in caplog.text
+
+
 @st.composite
 def random_meshes(draw):
     n = draw(st.integers(min_value=3, max_value=40))
@@ -172,3 +203,95 @@ def test_parse_serialize_identity(mesh, fmt):
             assert b is None
         else:
             assert np.array_equal(a, b)
+
+
+def pinned_mesh(with_attributes):
+    """Eight vertices with awkward doubles (-0.0, 1e22, the smallest
+    subnormal, 0.1, 1/3), optionally with normals, UVs and colors."""
+    r = np.random.default_rng(2024)
+    vertices = r.random((8, 3)) * 20.0 - 10.0
+    vertices[0] = [-0.0, 1e22, 5e-324]
+    vertices[1] = [0.1, 1.0 / 3.0, -123456789.0]
+    triangles = [[0, 1, 2], [0, 2, 3], [4, 5, 6], [5, 7, 6], [1, 7, 3]]
+    if not with_attributes:
+        return Mesh(vertices=vertices, triangles=triangles)
+    colors = r.random((8, 3))
+    colors[0] = [0.0, 1.0, 0.5]
+    return Mesh(vertices=vertices, triangles=triangles,
+                normals=r.random((8, 3)) - 0.5, uvs=r.random((8, 2)), colors=colors)
+
+
+# SHA-256 of serialize_mesh(pinned_mesh(with_attributes), format)
+PINNED_FILES = {
+    (False, "obj"): "ed5fe05781c6eef1573acda9a828c41ea17d7752282f2023782bdaf3aa22c4f7",
+    (False, "ply-ascii"): "71ef9a1915cd8a81dce38cc74e38c21340e3c5f5652887d30b7a7aae5bbe42c4",
+    (False, "ply-binary"): "6f001f81e3385f85f4b2c87dfe45dd1eb42b22e1b2ecef269d0fcef803689f5d",
+    (True, "obj"): "d54491fe61a7da29204d94437ac559a2223bee802e2d45c68cdf8e2449ada75d",
+    (True, "ply-ascii"): "9e33247e043888dcea45eecf3b687b9c3fef348096f6bd8fbd6b0404f08f7ee9",
+    (True, "ply-binary"): "25745d60762c204f887c2c9009c543bcba0769b7f76157ae63f1e8d990d48706",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("with_attributes", [False, True], ids=["bare", "attributes"])
+def test_writer_bytes_pinned(with_attributes, fmt):
+    data = serialize_mesh(pinned_mesh(with_attributes), fmt)
+    assert hashlib.sha256(data).hexdigest() == PINNED_FILES[with_attributes, fmt]
+
+
+_PLY_ASCII_TRIANGLE = (
+    b"ply\nformat ascii 1.0\nelement vertex 3\n"
+    b"property double x\nproperty double y\nproperty double z\n"
+    b"element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    b"0 0 0\n1 0 0\n0 1 0\n"
+)
+
+
+@pytest.mark.parametrize("fmt,data", [
+    ("ply-ascii", b"ply\nformat ascii 1.0\nelement vertex 0\nproperty\nend_header\n"),
+    ("ply-binary",
+     b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+     b"property double x\nproperty double x\nproperty double z\nend_header\n"
+     + bytes(24)),
+    ("ply-ascii", _PLY_ASCII_TRIANGLE + b"3 0 1 99999999999999999999\n"),
+    ("obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf /2 2 3\n"),
+    ("ply-ascii",
+     b"ply\nformat ascii 1.0\nelement vertex -2\n"
+     b"property double x\nproperty double y\nproperty double z\nend_header\n"),
+], ids=["property_without_type", "property_named_twice", "index_above_2_63",
+        "corner_without_vertex", "negative_element_count"])
+def test_malformed_files_raise_parse_errors(fmt, data):
+    with pytest.raises(MeshParseError):
+        parse_mesh(data, fmt)
+
+
+@st.composite
+def mutated_files(draw):
+    """A serialized mesh with one to three bit flips, truncations, inserted
+    bytes or deleted runs."""
+    fmt = draw(st.sampled_from(FORMATS))
+    data = bytearray(serialize_mesh(pinned_mesh(draw(st.booleans())), fmt))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        kind = draw(st.sampled_from(["flip", "truncate", "insert", "delete"]))
+        if kind == "flip":
+            data[at] ^= 1 << draw(st.integers(min_value=0, max_value=7))
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "insert":
+            data.insert(at, draw(st.sampled_from(b"-0123456789 ./ef\n")))
+        else:
+            del data[at:at + draw(st.integers(min_value=1, max_value=16))]
+        if not data:
+            break
+    return fmt, bytes(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=mutated_files())
+def test_mutated_files_raise_only_parse_errors(case):
+    fmt, data = case
+    try:
+        parse_mesh(data, fmt)
+    except (MeshParseError, InvalidMeshError):
+        pass
