@@ -3,10 +3,13 @@
 Edgebreaker mode covers orientable genus-0 manifolds with boundary, in any
 number of components. Boundary loops are closed with one virtual apex per
 hole before coding, so the conquest machinery only ever sees closed
-manifolds; the decoder strips the virtual fans afterwards. The conquest
-follows the closed mesh's corner table: each active-loop slot keeps the
-conquered corner facing its outgoing edge, whose opposite corner is the apex
-of the next triangle. Split symbols carry explicit offsets in a side list.
+manifolds; the decoder strips the virtual fans afterwards. One conquest
+state machine, `_ActiveLoops`, serves both directions: it holds the active
+loops and does the loop update for each of the seed, C, L, E, R and S
+steps. The encoder picks each symbol from the closed mesh's corner table
+(each slot keeps the conquered corner facing its outgoing edge, whose
+opposite corner is the apex of the next triangle) and the decoder reads it
+from the stream. Split symbols carry explicit offsets in a side list.
 A stored permutation maps traversal ranks back to input vertex ids, so
 decoded triangles reference the original vertex order (attribute streams
 stay aligned); the triangle list itself comes back in conquest order with
@@ -164,6 +167,96 @@ def _check_genus_zero(tris: np.ndarray, n_vertices: int) -> None:
             )
 
 
+# --- the conquest -----------------------------------------------------------
+
+class _ActiveLoops:
+    """The active loops of a conquest: the one state machine both coders drive.
+
+    Slot i holds vertex v[i], its loop links next[i] and prev[i], and
+    corner[i], the conquered corner facing the edge from v[i] to the next
+    slot's vertex; the triangle across that edge is at the corner opposite
+    it. The decoder has no corner table and stores -1 there. The gate is the
+    slot a whose edge a -> b is conquered next. Each symbol method conquers
+    the triangle (b, a, w) across it, given the new triangle's corners cn
+    facing a -> w and cp facing w -> b, moves the gate and returns w.
+    """
+
+    def __init__(self):
+        self.v, self.next, self.prev, self.corner = [], [], [], []
+        self.stack = []  # gates parked by S, resumed by E
+        self.gate = -1  # no open loop: between components
+
+    def _slot(self, w, c):
+        self.v.append(w)
+        self.next.append(-1)
+        self.prev.append(-1)
+        self.corner.append(c)
+        return len(self.v) - 1
+
+    def _link(self, a, b):
+        self.next[a] = b
+        self.prev[b] = a
+
+    def seed(self, x, y, z, cx, cy, cz):
+        """Open a component's loop on triangle (x, y, z); cx faces x -> y."""
+        sx, sy, sz = self._slot(x, cx), self._slot(y, cy), self._slot(z, cz)
+        self._link(sx, sy)
+        self._link(sy, sz)
+        self._link(sz, sx)
+        self.gate = sx
+
+    def C(self, w, cn, cp):
+        """w is a new vertex: it joins the loop between a and b."""
+        a = self.gate
+        s = self._slot(w, cp)
+        self._link(s, self.next[a])
+        self._link(a, s)
+        self.corner[a] = cn
+        self.gate = s
+        return w
+
+    def R(self, cn):
+        """w follows b on the loop: b leaves it."""
+        a = self.gate
+        nn = self.next[self.next[a]]
+        self._link(a, nn)
+        self.corner[a] = cn
+        return self.v[nn]
+
+    def L(self, cp):
+        """w precedes a on the loop: a leaves it."""
+        a = self.gate
+        pp = self.prev[a]
+        self._link(pp, self.next[a])
+        self.corner[pp] = cp
+        self.gate = pp
+        return self.v[pp]
+
+    def S(self, s, cn, cp):
+        """w is elsewhere on the loop, at slot s: the loop splits in two.
+
+        a -> w -> (the slots after s) is parked; w -> b -> ... -> s is
+        conquered first.
+        """
+        a = self.gate
+        b = self.next[a]
+        s2 = self._slot(self.v[s], self.corner[s])
+        self._link(s2, self.next[s])
+        self._link(a, s2)
+        self._link(s, b)
+        self.corner[a] = cn
+        self.corner[s] = cp
+        self.stack.append(a)
+        self.gate = s
+        return self.v[s]
+
+    def E(self):
+        """The loop is this triangle: resume a parked loop, if any."""
+        w = self.v[self.next[self.next[self.gate]]]
+        self.gate = self.stack.pop() if self.stack else -1
+        return w
+
+
 # --- edgebreaker encode -----------------------------------------------------
 
 def _encode_edgebreaker(table: CornerTable) -> bytes:
@@ -178,50 +271,26 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
     V = table.V.tolist()
     O = table.O.tolist()
 
-    tri_visited = np.zeros(m, dtype=bool)
-    vert_rank = np.full(n_closed, -1, dtype=np.int64)
+    tri_visited = [False] * m
+    vert_rank = [-1] * n_closed
     perm = []
     clers = []
     offsets = []
-    # slot vertex / next / prev, and the conquered corner facing the slot's
-    # outgoing edge: the triangle across that edge is at O[sc[slot]]
-    sv, sn, sp, sc = [], [], [], []
+    loops = _ActiveLoops()
+    sv, sn, sp, sc = loops.v, loops.next, loops.prev, loops.corner
 
-    def new_slot(w, c):
-        sv.append(w)
-        sn.append(-1)
-        sp.append(-1)
-        sc.append(c)
-        return len(sv) - 1
-
-    def link(a, b):
-        sn[a] = b
-        sp[b] = a
-
-    emitted = 0
-    next_seed = 0
-    while emitted < m:
-        while tri_visited[next_seed]:
-            next_seed += 1
-        t = next_seed
-        tri_visited[t] = True
-        emitted += 1
-        x, y, z = V[3 * t:3 * t + 3]
+    for seed in range(m):
+        if tri_visited[seed]:
+            continue
+        tri_visited[seed] = True
+        x, y, z = V[3 * seed:3 * seed + 3]
         for w in (x, y, z):
             vert_rank[w] = len(perm)
             perm.append(w)
-        sx = new_slot(x, 3 * t + 2)
-        sy = new_slot(y, 3 * t)
-        sz = new_slot(z, 3 * t + 1)
-        link(sx, sy)
-        link(sy, sz)
-        link(sz, sx)
-        gate = sx
-        stack = []
+        loops.seed(x, y, z, 3 * seed + 2, 3 * seed, 3 * seed + 1)
 
-        while True:
-            a_slot = gate
-            b_slot = sn[a_slot]
+        while loops.gate >= 0:
+            a_slot = loops.gate
             c = O[sc[a_slot]]
             if c == BOUNDARY:
                 raise EdgebreakerUnsupported("open edge inside closed conquest")
@@ -229,7 +298,6 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
             if tri_visited[t]:
                 raise EdgebreakerUnsupported("conquest revisited a triangle")
             tri_visited[t] = True
-            emitted += 1
             w = V[c]
             # across the gate a -> b lies w -> b -> a: cn faces a -> w, cp w -> b
             cn = c - 2 if k == 2 else c + 1
@@ -239,30 +307,19 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
                 clers.append(C)
                 vert_rank[w] = len(perm)
                 perm.append(w)
-                s = new_slot(w, cp)
-                link(a_slot, s)
-                link(s, b_slot)
-                sc[a_slot] = cn
-                gate = s
+                loops.C(w, cn, cp)
                 continue
-            nn = sn[b_slot]
+            nn = sn[sn[a_slot]]
             pp = sp[a_slot]
             if nn == pp and sv[nn] == w:
                 clers.append(E)
-                if stack:
-                    gate = stack.pop()
-                    continue
-                break
-            if sv[nn] == w:
+                loops.E()
+            elif sv[nn] == w:
                 clers.append(R)
-                link(a_slot, nn)
-                sc[a_slot] = cn
-                gate = a_slot
+                loops.R(cn)
             elif sv[pp] == w:
                 clers.append(L)
-                link(pp, b_slot)
-                sc[pp] = cp
-                gate = pp
+                loops.L(cp)
             else:
                 clers.append(S)
                 steps = 2
@@ -275,14 +332,7 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
                             "split vertex not on the active loop"
                         )
                 offsets.append(steps)
-                s2 = new_slot(w, sc[s])
-                link(s2, sn[s])
-                link(a_slot, s2)
-                link(s, b_slot)
-                sc[a_slot] = cn
-                sc[s] = cp
-                stack.append(a_slot)
-                gate = s
+                loops.S(s, cn, cp)
 
     head = struct.pack("<III", m, n_real, n_closed)
     clers_blob = encode_block(np.asarray(clers, dtype=np.int64), 5)
@@ -321,9 +371,10 @@ def _read_edgebreaker_head(data: bytes):
     n_off, offset = read_uvarint(data, clers_end)
     if n_off != np.count_nonzero(clers == S):
         raise CorruptStreamError("split offset count differs from S symbols")
-    offsets = np.zeros(n_off, dtype=np.int64)
-    for i in range(n_off):
-        offsets[i], offset = read_uvarint(data, offset)
+    offsets = []
+    for _ in range(n_off):
+        steps, offset = read_uvarint(data, offset)
+        offsets.append(steps)
     return m, n_real, n_closed, clers, offsets, clers_end, offset
 
 
@@ -344,89 +395,41 @@ def _decode_edgebreaker(data: bytes) -> np.ndarray:
     if np.any(perm >= n_closed):
         raise CorruptStreamError("permutation entry out of range")
 
-    triangles = np.empty((m, 3), dtype=np.int64)
-    sv, sn, sp = [], [], []
-
-    def new_slot(w):
-        sv.append(w)
-        sn.append(-1)
-        sp.append(-1)
-        return len(sv) - 1
-
-    def link(a, b):
-        sn[a] = b
-        sp[b] = a
-
+    symbols = clers.tolist()
+    # one offset per S symbol, as _read_edgebreaker_head checked
+    split_offsets = iter(offsets)
+    triangles = []  # flattened rows
+    loops = _ActiveLoops()
+    sv, sn, sp = loops.v, loops.next, loops.prev
     sym_pos = 0
-    off_pos = 0
     next_id = 0
-    emitted = 0
-    while emitted < m:
+    while len(triangles) < 3 * m:
         if next_id + 3 > n_perm:
             raise CorruptStreamError("vertex ids exceed permutation")
-        triangles[emitted] = (next_id, next_id + 1, next_id + 2)
-        emitted += 1
-        sx, sy, sz = new_slot(next_id), new_slot(next_id + 1), new_slot(next_id + 2)
+        triangles += (next_id, next_id + 1, next_id + 2)
+        loops.seed(next_id, next_id + 1, next_id + 2, -1, -1, -1)
         next_id += 3
-        link(sx, sy)
-        link(sy, sz)
-        link(sz, sx)
-        gate = sx
-        stack = []
 
-        while True:
-            if emitted >= m:
-                raise CorruptStreamError("too many triangles in CLERS stream")
-            if sym_pos >= len(clers):
+        while loops.gate >= 0:
+            if len(triangles) >= 3 * m:
+                raise CorruptStreamError("loop still open after the last triangle")
+            if sym_pos >= len(symbols):
                 raise CorruptStreamError("CLERS stream exhausted early")
-            sym = int(clers[sym_pos])
+            sym = symbols[sym_pos]
             sym_pos += 1
-            a_slot = gate
-            b_slot = sn[a_slot]
-            a = sv[a_slot]
-            b = sv[b_slot]
-
+            gate = loops.gate
+            a, b = sv[gate], sv[sn[gate]]
             if sym == C:
-                w = next_id
-                next_id += 1
-                if w >= n_perm:
+                if next_id >= n_perm:
                     raise CorruptStreamError("vertex ids exceed permutation")
-                triangles[emitted] = (b, a, w)
-                emitted += 1
-                s = new_slot(w)
-                link(a_slot, s)
-                link(s, b_slot)
-                gate = s
-                continue
-            if sym == E:
-                nn = sn[b_slot]
-                if nn != sp[a_slot]:
-                    raise CorruptStreamError("E symbol on a loop longer than 3")
-                triangles[emitted] = (b, a, sv[nn])
-                emitted += 1
-                if stack:
-                    gate = stack.pop()
-                    if emitted == m:
-                        raise CorruptStreamError("stack not empty at end")
-                    continue
-                break
-            if sym == R:
-                nn = sn[b_slot]
-                triangles[emitted] = (b, a, sv[nn])
-                emitted += 1
-                link(a_slot, nn)
-                gate = a_slot
+                w = loops.C(next_id, -1, -1)
+                next_id += 1
+            elif sym == R:
+                w = loops.R(-1)
             elif sym == L:
-                pp = sp[a_slot]
-                triangles[emitted] = (b, a, sv[pp])
-                emitted += 1
-                link(pp, b_slot)
-                gate = pp
+                w = loops.L(-1)
             elif sym == S:
-                if off_pos >= len(offsets):
-                    raise CorruptStreamError("missing split offset")
-                steps = int(offsets[off_pos])
-                off_pos += 1
+                steps = next(split_offsets)
                 if steps < 2:
                     raise CorruptStreamError("split offset too small")
                 s = gate
@@ -434,22 +437,18 @@ def _decode_edgebreaker(data: bytes) -> np.ndarray:
                     s = sn[s]
                     if s == gate:
                         raise CorruptStreamError("split offset wraps the loop")
-                triangles[emitted] = (b, a, sv[s])
-                emitted += 1
-                s2 = new_slot(sv[s])
-                link(s2, sn[s])
-                link(a_slot, s2)
-                link(s, b_slot)
-                stack.append(a_slot)
-                gate = s
+                w = loops.S(s, -1, -1)
+            elif sym == E:
+                if sn[sn[gate]] != sp[gate]:
+                    raise CorruptStreamError("E symbol on a loop longer than 3")
+                w = loops.E()
             else:
                 raise CorruptStreamError(f"unknown CLERS symbol {sym}")
-            if emitted == m:
-                raise CorruptStreamError("CLERS ended without closing loop")
+            triangles += (b, a, w)
 
-    if sym_pos != len(clers) or off_pos != len(offsets):
+    if sym_pos != len(symbols):
         raise CorruptStreamError("unused symbols in connectivity blob")
-    mapped = perm[triangles]
+    mapped = perm[np.asarray(triangles, dtype=np.int64).reshape(-1, 3)]
     real = ~np.any(mapped >= n_real, axis=1)
     return mapped[real].astype(np.int32)
 
@@ -483,17 +482,15 @@ def encode_connectivity(source, mode: str) -> bytes:
     """Encode triangle connectivity.
 
     mode 'edgebreaker' takes a CornerTable (manifold input); mode 'raw'
-    takes a triangle index array (or a CornerTable, whose triangles are
-    used). Raises EdgebreakerUnsupported when the traversal coder cannot
-    represent the input.
+    takes a triangle index array. Raises EdgebreakerUnsupported when the
+    traversal coder cannot represent the input.
     """
     if mode == "edgebreaker":
         if not isinstance(source, CornerTable):
             raise TypeError("edgebreaker mode needs a CornerTable")
         return _encode_edgebreaker(source)
     if mode == "raw":
-        tris = source.triangles() if isinstance(source, CornerTable) else source
-        return _encode_raw(np.asarray(tris))
+        return _encode_raw(source)
     raise ValueError(f"unknown connectivity mode {mode!r}")
 
 

@@ -25,12 +25,8 @@ _HEADER = struct.Struct("<4sHHI")
 def encode_container(
     segments: list[Segment],
     qparams: QuantizationParams = QuantizationParams(),
-    flags: int | None = None,
 ) -> bytes:
-    if flags is None:
-        flags = segment_flags(segments[0]) if segments else 0
-    if flags & ~KNOWN_FLAGS:
-        raise ContainerError(f"undefined flag bits in {flags:#06x}")
+    flags = segment_flags(segments[0]) if segments else 0
     for i, seg in enumerate(segments):
         if segment_flags(seg) != flags:
             raise ContainerError(

@@ -1,5 +1,5 @@
 from .model import Aabb, Mesh, vertex_normals
-from .io import FORMATS, detect_format, load_mesh, parse_mesh, save_mesh, serialize_mesh
+from .io import FORMATS, load_mesh, parse_mesh, save_mesh, serialize_mesh
 from .corner_table import BOUNDARY, CornerTable, NonManifoldReport, build_corner_table
 from .closest import (
     TriangleBvh,
@@ -13,7 +13,6 @@ __all__ = [
     "Mesh",
     "vertex_normals",
     "FORMATS",
-    "detect_format",
     "load_mesh",
     "parse_mesh",
     "save_mesh",

@@ -33,25 +33,15 @@ def serialize_mesh(mesh: Mesh, format: str) -> bytes:
     raise ValueError(f"unknown mesh format {format!r}")
 
 
-def detect_format(path: str | Path, data: bytes | None = None) -> str:
-    """Infer the format from the file extension (PLY subtype from the header)."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".obj":
-        return "obj"
-    if suffix == ".ply":
-        if data is None:
-            with open(path, "rb") as fh:
-                data = fh.read(512)
-        return "ply-ascii" if b"format ascii" in data[:512] else "ply-binary"
-    raise MeshParseError(f"cannot infer mesh format from {path!r}")
-
-
 def load_mesh(path: str | Path) -> Mesh:
-    """Read a mesh file. A MeshParseError's message starts with the path."""
+    """Read a .obj or .ply file; a PLY header's format line picks the
+    encoding. A MeshParseError's message starts with the path."""
     data = Path(path).read_bytes()
-    fmt = detect_format(path, data)
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".obj", ".ply"):
+        raise MeshParseError(f"cannot infer mesh format from {path!r}")
     try:
-        return parse_mesh(data, fmt)
+        return parse_obj(data) if suffix == ".obj" else parse_ply(data)
     except MeshParseError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

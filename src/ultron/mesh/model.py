@@ -123,16 +123,14 @@ class Mesh:
     def bounds(self) -> Aabb:
         return Aabb.of_points(self.vertices)
 
-    def with_vertices(self, vertices, *, drop_normals=True) -> "Mesh":
-        """Same connectivity and attributes, new vertex positions.
+    def with_vertices(self, vertices) -> "Mesh":
+        """Same connectivity, UVs and colors, new vertex positions.
 
-        Stored normals are stale for moved geometry, so they are dropped by
-        default; pass drop_normals=False to carry them over.
+        Stored normals are stale for moved geometry, so they are dropped.
         """
         return Mesh(
             vertices=vertices,
             triangles=self.triangles,
-            normals=None if drop_normals else self.normals,
             uvs=self.uvs,
             colors=self.colors,
         )

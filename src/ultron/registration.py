@@ -36,6 +36,13 @@ from .tracking import CorrespondenceSet
 
 logger = logging.getLogger(__name__)
 
+# register stops once the total energy changes by less than _CONVERGENCE_TOL
+# (relative); each CG solve stops at relative residual _CG_TOL or after
+# _CG_MAX_ITERS iterations
+_CONVERGENCE_TOL = 1e-5
+_CG_TOL = 1e-8
+_CG_MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class AffineField:
@@ -74,9 +81,6 @@ class RegistrationConfig:
     gamma: float = 1.0           # translation weight inside the smoothness norm
     outer_iterations: int = 30
     beta_decay: float = 0.7
-    convergence_tol: float = 1e-5
-    cg_tol: float = 1e-8
-    cg_max_iters: int = 2000
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0 or self.gamma <= 0:
@@ -214,13 +218,13 @@ def fixed_correspondence_quadratic(
     return Quadratic(H, b, const)
 
 
-def _solve(quad: Quadratic, x0, cfg: RegistrationConfig):
+def _solve(quad: Quadratic, x0):
     d = quad.H.diagonal()
     inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
     M = LinearOperator(quad.H.shape, matvec=lambda r: inv * r)
     x, info = cg(
-        quad.H, quad.b, x0=x0, rtol=cfg.cg_tol, atol=0.0,
-        maxiter=cfg.cg_max_iters, M=M,
+        quad.H, quad.b, x0=x0, rtol=_CG_TOL, atol=0.0,
+        maxiter=_CG_MAX_ITERS, M=M,
     )
     if info < 0:
         raise SolverError(f"conjugate gradient failed (info={info})")
@@ -327,7 +331,7 @@ def register(
         quad = Quadratic(
             quad.H + lam * sp.identity(12 * n, format="csr"), quad.b, quad.constant
         )
-        x = _solve(quad, x, cfg)
+        x = _solve(quad, x)
 
         field_now = x.reshape(n, 3, 4)
         cpts, dists = closest(x)
@@ -342,7 +346,7 @@ def register(
             best = (total, x.copy(), (E_d, E_s, E_m), beta, it)
         if prev_total is not None:
             rel = abs(total - prev_total) / max(prev_total, 1e-30)
-            if rel < cfg.convergence_tol:
+            if rel < _CONVERGENCE_TOL:
                 converged = True
                 break
             # count only clear increases: sub-0.1% wiggle near the fixed

@@ -32,7 +32,6 @@ from ultron.codec import (
     quantize_array,
     rans_decode,
     rans_encode,
-    segment_flags,
     widen_to_f32,
 )
 from ultron.codec.segments import MODE_EDGEBREAKER, _HEADER as _SEG_HEADER
@@ -90,7 +89,7 @@ def random_segment_suite():
     suite = []
     for _ in range(100):
         seg = _random_segment(rng, shapes)
-        blob = encode_container([seg], QuantizationParams(), segment_flags(seg))
+        blob = encode_container([seg], QuantizationParams())
         decoded, _flags = decode_container(blob)
         suite.append((seg, decoded[0], blob))
     return suite, time.time() - start
@@ -200,7 +199,7 @@ def _per_frame_baseline(frames, qparams):
     for seg in singles:
         blob = encode_container([Segment(
             key=seg.key, frames=seg.frames, frame_ids=(0,),
-        )], qparams, segment_flags(seg))
+        )], qparams)
         total += len(blob) - 12
     return total
 

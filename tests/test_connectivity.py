@@ -9,7 +9,14 @@ from conftest import canonical_triangles
 from ultron.errors import CorruptStreamError, EdgebreakerUnsupported
 from ultron.mesh import CornerTable, Mesh, build_corner_table
 from ultron.codec import connectivity_stats, decode_connectivity, encode_connectivity
-from ultron.codec.rans import PROB_TOTAL, decode_block, write_uvarint
+from ultron.codec.connectivity import C, S, pack_bits, unpack_bits
+from ultron.codec.rans import (
+    PROB_TOTAL,
+    decode_block,
+    encode_block,
+    read_uvarint,
+    write_uvarint,
+)
 from ultron.synth import make_cylinder, make_icosphere, make_slab
 
 TET = Mesh(
@@ -101,20 +108,26 @@ def test_multi_component():
     eb_roundtrip(Mesh(vertices=verts, triangles=tris))
 
 
+def shuffled(mesh, rng):
+    """The same mesh with shuffled vertex ids, corner rotations and
+    triangle order."""
+    pv = rng.permutation(mesh.vertex_count)
+    tris = pv[mesh.triangles]
+    rolls = rng.integers(0, 3, len(tris))
+    tris = np.stack(
+        [tris[np.arange(len(tris)), (rolls + i) % 3] for i in range(3)],
+        axis=1,
+    )
+    tris = tris[rng.permutation(len(tris))]
+    inv = np.empty_like(pv)
+    inv[pv] = np.arange(len(pv))
+    return Mesh(vertices=mesh.vertices[inv], triangles=tris)
+
+
 def test_permuted_fuzz(rng):
     base = make_icosphere(2)
     for _ in range(15):
-        pv = rng.permutation(base.vertex_count)
-        tris = pv[base.triangles]
-        rolls = rng.integers(0, 3, len(tris))
-        tris = np.stack(
-            [tris[np.arange(len(tris)), (rolls + i) % 3] for i in range(3)],
-            axis=1,
-        )
-        tris = tris[rng.permutation(len(tris))]
-        inv = np.empty_like(pv)
-        inv[pv] = np.arange(len(pv))
-        eb_roundtrip(Mesh(vertices=base.vertices[inv], triangles=tris))
+        eb_roundtrip(shuffled(base, rng))
 
 
 def test_boundary_fuzz(rng):
@@ -147,7 +160,7 @@ def test_boundary_fuzz(rng):
     assert tested == 10
 
 
-def test_torus_rejected():
+def make_torus():
     nu, nv = 12, 8
     verts = []
     for i in range(nu):
@@ -166,7 +179,24 @@ def test_torus_rejected():
             c = i * nv + (j + 1) % nv
             d = ((i + 1) % nu) * nv + (j + 1) % nv
             tris += [[a, b, d], [a, d, c]]
-    torus = Mesh(vertices=np.asarray(verts), triangles=np.asarray(tris))
+    return Mesh(vertices=np.asarray(verts), triangles=np.asarray(tris))
+
+
+def _torus_and_sphere():
+    a, b = make_torus(), make_icosphere(1)
+    return Mesh(
+        vertices=np.concatenate([a.vertices, b.vertices + 5.0]),
+        triangles=np.concatenate([a.triangles, b.triangles + a.vertex_count]),
+    )
+
+
+@pytest.mark.parametrize("maker", [
+    make_torus,
+    lambda: shuffled(make_torus(), np.random.default_rng(7)),
+    _torus_and_sphere,
+], ids=["grid", "shuffled", "with_sphere"])
+def test_torus_rejected(maker):
+    torus = maker()
     table = build_corner_table(torus)
     assert isinstance(table, CornerTable)
     with pytest.raises(EdgebreakerUnsupported):
@@ -206,6 +236,70 @@ def test_corrupt_streams_raise(rng):
             pass
         # decoding to a *different but structurally valid* mesh is possible
         # for symbol-level corruption; crashes are not
+
+
+def _symbol_mutations(symbols):
+    """Every single-symbol substitution, deletion and duplication."""
+    for i, sym in enumerate(symbols):
+        for other in range(5):
+            if other != sym:
+                yield symbols[:i] + [other] + symbols[i + 1:]
+        yield symbols[:i] + symbols[i + 1:]
+        yield symbols[:i + 1] + symbols[i:]
+
+
+def _blob_with_symbols(blob, symbols):
+    """blob's Edgebreaker stream with its CLERS symbols replaced.
+
+    The header counts, split offsets and permutation are resized to agree
+    with the new symbols (the original offsets and ids, cut or padded), so
+    the count checks pass and the conquest itself must judge the symbols.
+    """
+    m, n_real, n_closed = struct.unpack_from("<III", blob)
+    old, offset = decode_block(blob, 12)
+    n_off, offset = read_uvarint(blob, offset)
+    offsets = []
+    for _ in range(n_off):
+        steps, offset = read_uvarint(blob, offset)
+        offsets.append(steps)
+    n_perm, offset = read_uvarint(blob, offset)
+    width, offset = read_uvarint(blob, offset)
+    perm = list(unpack_bits(blob[offset:], n_perm, width))
+    seeds = m - len(old)
+    new = np.asarray(symbols, dtype=np.int64)
+    n_split = int(np.count_nonzero(new == S))
+    offsets = (offsets + [2] * n_split)[:n_split]
+    n_perm = 3 * seeds + int(np.count_nonzero(new == C))
+    perm = (perm + [0] * n_perm)[:n_perm]
+    return b"".join(
+        [struct.pack("<III", len(symbols) + seeds, n_real, max(n_closed, n_perm)),
+         encode_block(new, 5), write_uvarint(n_split)]
+        + [write_uvarint(o) for o in offsets]
+        + [write_uvarint(n_perm), write_uvarint(width), pack_bits(perm, width)]
+    )
+
+
+def test_mutated_symbols_decode_or_raise():
+    slab = make_slab(5, 4)
+    blob = encode_connectivity(build_corner_table(slab), "edgebreaker")
+    symbols = decode_block(blob, 12)[0].tolist()
+    # the slab's CLERS string uses every symbol and splits twice
+    assert set(symbols) == set(range(5)) and symbols.count(S) == 2
+    assert _blob_with_symbols(blob, symbols) == blob
+    outcomes = {"decoded": 0, "refused": 0}
+    for mutated in _symbol_mutations(symbols):
+        try:
+            tris = decode_connectivity(
+                _blob_with_symbols(blob, mutated), "edgebreaker"
+            )
+        except CorruptStreamError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["decoded"] += 1
+        assert tris.dtype == np.int32 and tris.ndim == 2
+        assert tris.shape[1] == 3
+        assert tris.size == 0 or 0 <= tris.min() <= tris.max() < slab.vertex_count
+    assert outcomes["decoded"] and outcomes["refused"]
 
 
 def _tet_blob_parts():
@@ -263,6 +357,18 @@ def test_huge_split_offset_count_refused():
     head, clers, _ = _tet_blob_parts()
     offsets = write_uvarint(1 << 40) + bytes(16)
     _refused_without_large_allocation(head + clers + offsets)
+
+
+def test_huge_split_offset_refused():
+    # a split offset past int64: the walk wraps the loop, nothing overflows
+    blob = encode_connectivity(build_corner_table(make_slab(5, 4)), "edgebreaker")
+    _, offset = decode_block(blob, 12)
+    n_off, offset = read_uvarint(blob, offset)
+    assert n_off == 2
+    _, end = read_uvarint(blob, offset)
+    huge = blob[:offset] + write_uvarint((1 << 64) - 1) + blob[end:]
+    _refused_without_large_allocation(huge)
+    assert connectivity_stats(huge, "edgebreaker")["triangles"] == 38
 
 
 def test_huge_raw_plane_count_refused():

@@ -11,7 +11,7 @@ from ultron.errors import (
     MeshParseError,
     UnsupportedElementError,
 )
-from ultron.mesh import FORMATS, Mesh, parse_mesh, serialize_mesh
+from ultron.mesh import FORMATS, Mesh, load_mesh, parse_mesh, serialize_mesh
 
 
 def test_minimal_obj():
@@ -125,6 +125,25 @@ def test_ply_truncated_reports_offset():
     with pytest.raises(MeshParseError) as err:
         parse_mesh(good[:-5], "ply-binary")
     assert err.value.offset is not None
+
+
+TRIANGLE = Mesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0]], triangles=[[0, 1, 2]])
+
+
+@pytest.mark.parametrize("name,data", [
+    ("tri.obj", serialize_mesh(TRIANGLE, "obj")),
+    ("tri.ply", serialize_mesh(TRIANGLE, "ply-ascii")),
+    ("tri.ply", serialize_mesh(TRIANGLE, "ply-binary")),
+    # header comments push the format line past the first 512 bytes
+    ("tri.ply", serialize_mesh(TRIANGLE, "ply-ascii").replace(
+        b"ply\n", b"ply\ncomment " + b"x" * 600 + b"\n", 1)),
+], ids=["obj", "ply-ascii", "ply-binary", "ply-ascii-long-header"])
+def test_load_mesh_reads_declared_format(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    mesh = load_mesh(path)
+    assert np.array_equal(mesh.vertices, TRIANGLE.vertices)
+    assert np.array_equal(mesh.triangles, TRIANGLE.triangles)
 
 
 def ply_with_faces(fmt, vertices, faces):

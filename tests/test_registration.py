@@ -154,12 +154,11 @@ class TestQuadratic:
         assert failures == 0
 
     def test_inner_solve_never_increases_objective(self, rng):
-        cfg = RegistrationConfig()
         for _ in range(10):
             quad, *_ = random_quadratic(rng)
             x0 = rng.normal(size=quad.size)
             before = quad.value(x0)
-            x1 = _solve(quad, x0, cfg)
+            x1 = _solve(quad, x0)
             after = quad.value(x1)
             assert after <= before + 1e-9 * max(abs(before), 1.0)
 
