@@ -31,7 +31,7 @@ from .errors import (
 from .mesh import Mesh, load_mesh, save_mesh, serialize_mesh
 from .pipeline import QualityThresholds, run_pipeline, symmetric_rms_distance
 from .registration import RegistrationConfig
-from .synth import SynthConfig, generate_sequence
+from .synth import MOTIONS, SHAPES, SynthConfig, generate_sequence
 from .tracking import DescriptorConfig
 
 EXIT_OK = 0
@@ -72,19 +72,24 @@ def _load_frames(paths: list[Path]):
         yield load_mesh(p)
 
 
+def _encode_configs(args):
+    """The library configurations an `encode` command line asks for."""
+    return (
+        QualityThresholds(geometry_tol=args.geometry_tol, color_tol=args.color_tol),
+        DescriptorConfig(
+            kind=args.descriptor, normal_angle_limit=args.normal_angle_limit
+        ),
+        RegistrationConfig(
+            alpha=args.alpha, beta=args.beta, gamma=args.gamma,
+            outer_iterations=args.outer_iterations,
+        ),
+        QuantizationParams(qp=args.qp, qt=args.qt, qn=args.qn),
+    )
+
+
 def cmd_encode(args) -> int:
     paths = resolve_inputs(args.inputs, args.manifest)
-    thresholds = QualityThresholds(
-        geometry_tol=args.geometry_tol, color_tol=args.color_tol
-    )
-    descriptor = DescriptorConfig(
-        kind=args.descriptor, normal_angle_limit=args.normal_angle_limit
-    )
-    reg_cfg = RegistrationConfig(
-        alpha=args.alpha, beta=args.beta, gamma=args.gamma,
-        outer_iterations=args.outer_iterations,
-    )
-    qparams = QuantizationParams(qp=args.qp, qt=args.qt, qn=args.qn)
+    thresholds, descriptor, reg_cfg, qparams = _encode_configs(args)
 
     segments, stats = run_pipeline(
         _load_frames(paths),
@@ -264,19 +269,23 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--manifest", help="file listing one frame path per line")
     enc.add_argument("--output", required=True, help="output .ultn path")
     enc.add_argument("--stats", help="stats CSV path (default <output>.stats.csv)")
-    enc.add_argument("--qp", type=int, default=10, help="position bits")
-    enc.add_argument("--qt", type=int, default=11, help="uv bits")
-    enc.add_argument("--qn", type=int, default=8, help="normal bits")
-    enc.add_argument("--geometry-tol", type=float, default=0.002)
-    enc.add_argument("--color-tol", type=float, default=0.02)
-    enc.add_argument("--alpha", type=float, default=10.0)
-    enc.add_argument("--beta", type=float, default=1.0)
-    enc.add_argument("--gamma", type=float, default=1.0)
-    enc.add_argument("--outer-iterations", type=int, default=30)
+    # defaults come from the library's own configurations
+    q, gate, reg, desc = (QuantizationParams(), QualityThresholds(),
+                          RegistrationConfig(), DescriptorConfig())
+    enc.add_argument("--qp", type=int, default=q.qp, help="position bits")
+    enc.add_argument("--qt", type=int, default=q.qt, help="uv bits")
+    enc.add_argument("--qn", type=int, default=q.qn, help="normal bits")
+    enc.add_argument("--geometry-tol", type=float, default=gate.geometry_tol)
+    enc.add_argument("--color-tol", type=float, default=gate.color_tol)
+    enc.add_argument("--alpha", type=float, default=reg.alpha)
+    enc.add_argument("--beta", type=float, default=reg.beta)
+    enc.add_argument("--gamma", type=float, default=reg.gamma)
+    enc.add_argument("--outer-iterations", type=int, default=reg.outer_iterations)
     enc.add_argument(
-        "--descriptor", choices=("identity", "normal-gated"), default="identity"
+        "--descriptor", choices=("identity", "normal-gated"), default=desc.kind
     )
-    enc.add_argument("--normal-angle-limit", type=float, default=60.0)
+    enc.add_argument("--normal-angle-limit", type=float,
+                     default=desc.normal_angle_limit)
     enc.add_argument("--max-residual", type=float, default=None)
     enc.add_argument("--store-normals", action="store_true",
                      help="store per-frame normals instead of recomputing")
@@ -300,16 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     syn = sub.add_parser("synth", help="generate a synthetic sequence")
-    syn.add_argument("shape", choices=("sphere", "cylinder", "slab"))
-    syn.add_argument("--frames", type=int, default=20)
-    syn.add_argument(
-        "--motion", choices=("translate", "accelerate", "bend", "twist"),
-        default="translate",
-    )
-    syn.add_argument("--amplitude", type=float, default=0.1)
-    syn.add_argument("--resolution", type=int, default=3)
-    syn.add_argument("--remesh-every", type=int, default=None)
-    syn.add_argument("--seed", type=int, default=0)
+    synth_cfg = SynthConfig()
+    syn.add_argument("shape", choices=SHAPES)
+    syn.add_argument("--frames", type=int, default=synth_cfg.frames)
+    syn.add_argument("--motion", choices=MOTIONS, default=synth_cfg.motion)
+    syn.add_argument("--amplitude", type=float, default=synth_cfg.amplitude)
+    syn.add_argument("--resolution", type=int, default=synth_cfg.resolution)
+    syn.add_argument("--remesh-every", type=int, default=synth_cfg.remesh_every)
+    syn.add_argument("--seed", type=int, default=synth_cfg.seed)
     syn.add_argument("--colors", action="store_true")
     syn.add_argument(
         "--format", choices=("obj", "ply", "ply-binary"), default="obj"

@@ -1,12 +1,22 @@
 """Exact closest-point-on-mesh queries.
 
-A median-split AABB BVH (leaf size 8) is built lazily per mesh and cached;
-queries run as a vectorized wavefront over (query, node) pairs with an
-initial upper bound from the nearest triangle centroid, so results are
-exact while the hot path stays in numpy.
+Each mesh lazily builds and caches one index: k-d trees over its triangle
+centroids. Every point of a triangle lies within the triangle's reach (its
+largest centroid-to-corner distance) of its centroid. So once a query has an
+achieved distance d, from the triangle with the nearest centroid, any closer
+triangle has its centroid within d + reach; a ball query of that radius
+finds every candidate, and scoring them all with closest_point_on_triangles
+is exact. Ties go to the lowest triangle id.
+
+Triangles are grouped by reach within a factor of two, one tree per group,
+so each ball is sized by its own group's reach. One tree searched with the
+largest reach of all would turn a big floor quad beside a fine surface into
+a candidate list holding every fine triangle for every query.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -14,7 +24,8 @@ from scipy.spatial import cKDTree
 from ..errors import EmptyMeshError
 from .model import Mesh
 
-LEAF_SIZE = 8
+# relative widening of each candidate ball against floating-point rounding
+_SLACK = 1e-9
 
 
 def closest_point_on_triangles(p, a, b, c):
@@ -88,7 +99,13 @@ def closest_point_on_triangles(p, a, b, c):
 
 
 class TriangleBvh:
-    """Static axis-aligned BVH over a triangle soup."""
+    """Centroid k-d trees over a triangle soup, one per reach class.
+
+    A triangle's reach is the largest distance from its centroid to a corner.
+    Triangles whose reaches lie within a factor of two share a tree; triangles
+    of zero reach join the smallest class. (The class keeps its old name:
+    perfbench/tracing.py counts index builds through it.)
+    """
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
         if len(triangles) == 0:
@@ -96,105 +113,67 @@ class TriangleBvh:
         self.tri_a = np.ascontiguousarray(vertices[triangles[:, 0]])
         self.tri_b = np.ascontiguousarray(vertices[triangles[:, 1]])
         self.tri_c = np.ascontiguousarray(vertices[triangles[:, 2]])
-        m = len(triangles)
-        tri_min = np.minimum(np.minimum(self.tri_a, self.tri_b), self.tri_c)
-        tri_max = np.maximum(np.maximum(self.tri_a, self.tri_b), self.tri_c)
         centroids = (self.tri_a + self.tri_b + self.tri_c) / 3.0
-
-        order = np.arange(m)
-        node_min = [None]
-        node_max = [None]
-        node_child = [None]  # (left, right) or (-start-1, count) for leaves
-        stack = [(0, m, 0)]
-        while stack:
-            lo, hi, ni = stack.pop()
-            idx = order[lo:hi]
-            node_min[ni] = tri_min[idx].min(axis=0)
-            node_max[ni] = tri_max[idx].max(axis=0)
-            cmin = centroids[idx].min(axis=0)
-            cmax = centroids[idx].max(axis=0)
-            if hi - lo <= LEAF_SIZE or not np.any(cmax > cmin):
-                node_child[ni] = (-(lo + 1), hi - lo)
-                continue
-            axis = int(np.argmax(cmax - cmin))
-            half = (hi - lo) // 2
-            part = np.argpartition(centroids[idx, axis], half)
-            order[lo:hi] = idx[part]
-            left = len(node_min)
-            right = left + 1
-            node_child[ni] = (left, right)
-            node_min += [None, None]
-            node_max += [None, None]
-            node_child += [None, None]
-            stack.append((lo, lo + half, left))
-            stack.append((lo + half, hi, right))
-
-        self.node_min = np.asarray(node_min)
-        self.node_max = np.asarray(node_max)
-        child = np.asarray(node_child, dtype=np.int64)
-        self.left = child[:, 0]
-        self.count = child[:, 1]
-        self.order = order
-        self._centroid_tree = cKDTree(centroids)
+        reach = np.sqrt(np.max([
+            np.einsum("ij,ij->i", corner - centroids, corner - centroids)
+            for corner in (self.tri_a, self.tri_b, self.tri_c)
+        ], axis=0))
+        positive = reach[reach > 0]
+        base = positive.min() if len(positive) else 1.0
+        level = np.floor(np.log2(np.maximum(reach, base) / base))
+        self.groups = []  # (triangle ids, centroid tree, largest reach)
+        for lv in np.unique(level):
+            ids = np.flatnonzero(level == lv)
+            self.groups.append((ids, cKDTree(centroids[ids]), reach[ids].max()))
 
     def query(self, points: np.ndarray):
-        """Exact closest surface points. Returns (points, distances, tri ids)."""
+        """Exact closest surface points. Returns (points, distances, tri ids).
+
+        Ties go to the lowest triangle id.
+        """
         q = np.atleast_2d(np.asarray(points, dtype=np.float64))
         nq = len(q)
+        rows = np.arange(nq)
 
-        # initial achieved upper bound: exact distance to the triangle with
-        # the nearest centroid
-        _, seed_tri = self._centroid_tree.query(q)
-        best_pt = closest_point_on_triangles(
-            q, self.tri_a[seed_tri], self.tri_b[seed_tri], self.tri_c[seed_tri]
+        # achieved upper bound: exact distance to each group's triangle with
+        # the nearest centroid, taken over all groups
+        seed_q = np.tile(rows, len(self.groups))
+        seeds = np.concatenate([ids[tree.query(q)[1]] for ids, tree, _ in self.groups])
+        seed_pt, seed_d2 = self._score(q, seed_q, seeds)
+        bound = np.sqrt(seed_d2.reshape(-1, nq).min(axis=0))
+
+        # a triangle at most `bound` away has its centroid within
+        # bound + reach; the slack covers rounding in both distances
+        ball_q, ball_t = [], []
+        for ids, tree, reach in self.groups:
+            hits = tree.query_ball_point(
+                q, (bound + reach) * (1.0 + _SLACK), return_sorted=False
+            )
+            counts = np.fromiter(map(len, hits), np.int64, nq)
+            flat = np.fromiter(chain.from_iterable(hits), np.int64, counts.sum())
+            ball_q.append(np.repeat(rows, counts))
+            ball_t.append(ids[flat])
+        ball_q = np.concatenate(ball_q)
+        ball_t = np.concatenate(ball_t)
+        ball_pt, ball_d2 = self._score(q, ball_q, ball_t)
+
+        # the seeds stay candidates, so no query is left without one
+        qidx = np.concatenate([seed_q, ball_q])
+        tris = np.concatenate([seeds, ball_t])
+        d2 = np.concatenate([seed_d2, ball_d2])
+        sel = np.lexsort((tris, d2, qidx))
+        first = sel[np.flatnonzero(np.diff(qidx[sel], prepend=-1))]
+        pts = np.concatenate([seed_pt, ball_pt])[first]
+        return pts, np.sqrt(d2[first]), tris[first]
+
+    def _score(self, q, qidx, tris):
+        """Closest points of triangles tris to queries q[qidx], and their
+        squared distances."""
+        pts = closest_point_on_triangles(
+            q[qidx], self.tri_a[tris], self.tri_b[tris], self.tri_c[tris]
         )
-        best_d2 = np.einsum("ij,ij->i", q - best_pt, q - best_pt)
-        best_tri = seed_tri.astype(np.int64)
-
-        pq = np.arange(nq, dtype=np.int64)
-        pn = np.zeros(nq, dtype=np.int64)
-        while len(pq):
-            is_leaf = self.left[pn] < 0
-            if is_leaf.any():
-                lq = pq[is_leaf]
-                ln = pn[is_leaf]
-                starts = -self.left[ln] - 1
-                counts = self.count[ln]
-                reps = np.repeat(np.arange(len(lq)), counts)
-                # each leaf's run starts..starts + counts, laid end to end
-                runs = np.cumsum(counts) - counts
-                tri_pos = np.repeat(starts - runs, counts) + np.arange(counts.sum())
-                tris = self.order[tri_pos]
-                qidx = lq[reps]
-                cand_pt = closest_point_on_triangles(
-                    q[qidx], self.tri_a[tris], self.tri_b[tris], self.tri_c[tris]
-                )
-                diff = q[qidx] - cand_pt
-                cand_d2 = np.einsum("ij,ij->i", diff, diff)
-                sel = np.lexsort((tris, cand_d2, qidx))
-                uq, first = np.unique(qidx[sel], return_index=True)
-                pick = sel[first]
-                better = cand_d2[pick] < best_d2[uq]
-                upd = uq[better]
-                best_d2[upd] = cand_d2[pick[better]]
-                best_pt[upd] = cand_pt[pick[better]]
-                best_tri[upd] = tris[pick[better]]
-
-            iq = pq[~is_leaf]
-            inn = pn[~is_leaf]
-            if not len(iq):
-                break
-            kids = np.concatenate([self.left[inn], self.left[inn] + 1])
-            kq = np.concatenate([iq, iq])
-            lo = self.node_min[kids] - q[kq]
-            hi = q[kq] - self.node_max[kids]
-            gap = np.maximum(np.maximum(lo, hi), 0.0)
-            lb2 = np.einsum("ij,ij->i", gap, gap)
-            keep = lb2 < best_d2[kq]
-            pq = kq[keep]
-            pn = kids[keep]
-
-        return best_pt, np.sqrt(best_d2), best_tri
+        diff = q[qidx] - pts
+        return pts, np.einsum("ij,ij->i", diff, diff)
 
 
 def _bvh(mesh: Mesh) -> TriangleBvh:

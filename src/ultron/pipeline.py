@@ -268,7 +268,6 @@ def run_pipeline(
         matches = match_frames(
             current.state, frame, descriptor, max_residual,
             source_normals=source_normals,
-            source_frame=current.frame_ids[-1], target_frame=idx,
         )
         deformed, _field, report = register(
             current.source, frame, matches, registration_cfg

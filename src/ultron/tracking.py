@@ -81,8 +81,6 @@ class CorrespondenceSet:
     source_indices: np.ndarray
     target_indices: np.ndarray
     residuals: np.ndarray
-    source_frame: int = -1
-    target_frame: int = -1
 
     def __post_init__(self):
         si = np.array(self.source_indices, dtype=np.int64, copy=True)
@@ -103,10 +101,9 @@ class CorrespondenceSet:
         return len(self.source_indices)
 
     @classmethod
-    def identity(cls, n: int, *, source_frame=-1, target_frame=-1):
+    def identity(cls, n: int):
         idx = np.arange(n)
-        return cls(idx, idx, np.zeros(n),
-                   source_frame=source_frame, target_frame=target_frame)
+        return cls(idx, idx, np.zeros(n))
 
 
 def predict(state: MotionState, dt: float) -> MotionState:
@@ -128,8 +125,6 @@ def match_frames(
     max_residual: float | None = None,
     *,
     source_normals: np.ndarray | None = None,
-    source_frame: int = -1,
-    target_frame: int = -1,
 ) -> CorrespondenceSet:
     """Greedy mutual-nearest-neighbor matching on one-frame-ahead predictions.
 
@@ -170,8 +165,6 @@ def match_frames(
         source_indices=si,
         target_indices=nearest_tgt[keep],
         residuals=dist_fwd[keep],
-        source_frame=source_frame,
-        target_frame=target_frame,
     )
 
 

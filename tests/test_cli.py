@@ -2,13 +2,18 @@ import csv
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ultron.cli import main
+from ultron.cli import _encode_configs, build_parser, main
+from ultron.codec import QuantizationParams
 from ultron.mesh import load_mesh, save_mesh
+from ultron.pipeline import QualityThresholds
+from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_slab, synth_frames
+from ultron.tracking import DescriptorConfig
 
 
 def run_cli(*args):
@@ -26,6 +31,19 @@ def static_sequence(tmp_path):
         save_mesh(mesh, p)
         paths.append(p)
     return tmp_path, paths
+
+
+def test_parser_defaults_are_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["encode", "a.obj", "--output", "o"])
+    assert _encode_configs(args) == (
+        QualityThresholds(), DescriptorConfig(), RegistrationConfig(),
+        QuantizationParams(),
+    )
+    args = parser.parse_args(["synth", "sphere", "--output-dir", "d"])
+    synth_cfg = SynthConfig()
+    for f in fields(SynthConfig):
+        assert getattr(args, f.name) == getattr(synth_cfg, f.name), f.name
 
 
 def test_synth_writes_frames_and_truth(tmp_path):

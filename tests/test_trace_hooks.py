@@ -10,6 +10,8 @@ from pathlib import Path
 
 import ultron.mesh.closest
 import ultron.registration
+from ultron.mesh import closest_points
+from ultron.synth import make_icosphere
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -25,3 +27,22 @@ def test_patched_attributes_exist(monkeypatch):
     missing = [f"{module.__name__}.{attr}" for module, attr in targets
                if not callable(getattr(module, attr, None))]
     assert not missing
+
+
+def test_index_built_once_per_mesh(monkeypatch):
+    """The bench counts index builds by wrapping TriangleBvh; each mesh must
+    build through that name exactly once, however often it is queried."""
+    builds = []
+
+    class Counting(ultron.mesh.closest.TriangleBvh):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ultron.mesh.closest, "TriangleBvh", Counting)
+    first, second = make_icosphere(1), make_icosphere(1)
+    closest_points(first, first.vertices)
+    closest_points(first, first.vertices * 2.0)
+    assert len(builds) == 1
+    closest_points(second, second.vertices)
+    assert len(builds) == 2
