@@ -17,7 +17,7 @@ from .quantization import QuantizationParams
 from .segments import KNOWN_FLAGS, decode_segment, encode_segment, segment_flags
 
 MAGIC = b"ULTR"
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<4sHHI")
 

@@ -16,6 +16,8 @@ bit-exact and ascii round-trips (shortest round-trip decimals) are too.
 from __future__ import annotations
 
 import logging
+import re
+from itertools import islice
 
 import numpy as np
 
@@ -171,47 +173,65 @@ def _fan_triangulate(sizes, flat):
 
 
 class _AsciiBody:
-    """Whitespace-separated tokens. Errors name the line the body starts on."""
+    """Whitespace-separated tokens. Errors name the line of the failing token."""
 
     def __init__(self, data, start):
+        self.data, self.start = data, start
         self.tokens = data[start:].decode("ascii", errors="replace").split()
         self.pos = 0
-        self.line = data[:start].count(b"\n") + 1
 
-    def error(self, message, cls=MeshParseError):
-        return cls(message, line=self.line)
+    def error(self, message, token, cls=MeshParseError):
+        """token indexes self.tokens; past the end means the last token."""
+        line = self.data[:self.start].count(b"\n") + 1
+        if self.tokens:
+            text = self.data[self.start:].decode("ascii", errors="replace")
+            index = min(token, len(self.tokens) - 1)
+            match = next(islice(re.finditer(r"\S+", text), index, None))
+            line += text.count("\n", 0, match.start())
+        return cls(message, line=line)
+
+    def _first_refused(self, start, parse):
+        """Index of the first token from start on that parse refuses."""
+        for i in range(start, len(self.tokens)):
+            try:
+                parse(self.tokens[i])
+            except (ValueError, OverflowError):
+                return i
+        return start
 
     def rows(self, count, props, wanted):
         """count rows of len(props) numbers, as one float64 column each."""
-        end = self.pos + count * len(props)
+        start, end = self.pos, self.pos + count * len(props)
         if end > len(self.tokens):
-            raise self.error("truncated ascii body while reading an element")
-        raw = self.tokens[self.pos:end]
+            raise self.error("truncated ascii body while reading an element", end)
+        raw = self.tokens[start:end]
         self.pos = end
         if not wanted:
             return None
         try:
             grid = np.asarray(raw, dtype=np.float64).reshape(count, len(props))
         except ValueError as exc:
-            raise self.error(f"bad vertex number: {exc}")
+            bad = self._first_refused(start, lambda t: np.asarray(t, dtype=np.float64))
+            raise self.error(f"bad vertex number: {exc}", bad)
         return grid.T
 
     def lists(self, count, count_t, index_t):
         """count index lists, as (sizes, concatenated int64 indices)."""
-        tokens, pos = self.tokens, self.pos
+        tokens, start = self.tokens, self.pos
+        pos = start
         sizes, flat = [], []
         for _ in range(count):
             if pos >= len(tokens):
-                raise self.error("truncated ascii body while reading face size")
+                raise self.error("truncated ascii body while reading face size", pos)
             try:
                 k = int(tokens[pos])
             except ValueError:
-                raise self.error(f"bad face size {tokens[pos]!r}")
+                raise self.error(f"bad face size {tokens[pos]!r}", pos)
             if k < 3:
-                raise self.error(f"face with {k} corners")
+                raise self.error(f"face with {k} corners", pos)
             end = pos + 1 + k
             if end > len(tokens):
-                raise self.error("truncated ascii body while reading face indices")
+                raise self.error("truncated ascii body while reading face indices", end)
             flat += tokens[pos + 1:end]
             sizes.append(k)
             pos = end
@@ -219,9 +239,11 @@ class _AsciiBody:
         try:
             flat = np.array(list(map(int, flat)), dtype=np.int64)
         except ValueError as exc:
-            raise self.error(f"bad face index: {exc}")
+            raise self.error(f"bad face index: {exc}", self._first_refused(start, int))
         except OverflowError:
-            raise self.error("face index out of range", IndexOutOfRangeError)
+            raise self.error("face index out of range",
+                             self._first_refused(start, lambda t: np.int64(int(t))),
+                             IndexOutOfRangeError)
         return np.array(sizes, dtype=np.int64), flat
 
     def end(self):

@@ -284,6 +284,28 @@ def test_malformed_files_raise_parse_errors(fmt, data):
         parse_mesh(data, fmt)
 
 
+
+def _ply_ascii_two_faces(body):
+    """An ascii PLY of 3 vertices and 2 faces; body starts on line 10."""
+    return _PLY_ASCII_TRIANGLE.replace(b"element face 1", b"element face 2")[
+        :-len(b"0 0 0\n1 0 0\n0 1 0\n")] + body
+
+
+@pytest.mark.parametrize("body,line,match", [
+    (b"0 0 0\n1 0 0\n0 1 zz\n3 0 1 2\n3 0 2 1\n", 12, "vertex number"),
+    (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\nx 0 2 1\n", 14, "face size"),
+    (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n2 0 2\n", 14, "2 corners"),
+    (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 y 1\n", 14, "face index"),
+    (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n3 0 2 1\n", 13,
+     "out of range"),
+    (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\n\n3 0 2\n", 16, "truncated"),
+], ids=["vertex_number", "face_size", "face_corners", "face_index",
+        "index_above_2_63", "truncated_face"])
+def test_ply_ascii_errors_name_the_failing_line(body, line, match):
+    with pytest.raises(MeshParseError, match=match) as err:
+        parse_mesh(_ply_ascii_two_faces(body), "ply-ascii")
+    assert err.value.line == line
+
 @st.composite
 def mutated_files(draw):
     """A serialized mesh with one to three bit flips, truncations, inserted

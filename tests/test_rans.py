@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,14 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultron.codec.rans import (
+    LANE_SYMBOLS,
+    NUMPY_LANES,
     PROB_TOTAL,
     SymbolStream,
+    _decode_numpy,
+    _decode_scalar,
+    _encode_numpy,
+    _encode_scalar,
     build_frequency_table,
     cross_entropy_bytes,
     decode_block,
     encode_block,
     rans_decode,
     rans_encode,
+    read_uvarint,
     write_uvarint,
 )
 from ultron.errors import CorruptStreamError
@@ -66,6 +74,32 @@ def test_entropy_bound_on_large_streams(rng):
         payload = rans_encode(stream)
         bound = cross_entropy_bytes(symbols, stream.frequencies)
         assert len(payload) <= bound * 1.05 + 8
+        # each interleaved lane flushes its own 4-byte final state
+        lanes = len(symbols) // LANE_SYMBOLS
+        assert len(payload) <= bound + 4 * lanes + 8
+
+
+def reference_frequency_table(counts):
+    """build_frequency_table with its leftover units handed out one by one."""
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    scaled = counts * (PROB_TOTAL / total)
+    freqs = np.floor(scaled).astype(np.int64)
+    freqs[(counts > 0) & (freqs == 0)] = 1
+    diff = PROB_TOTAL - int(freqs.sum())
+    if diff > 0:
+        remainders = scaled - np.floor(scaled)
+        order = np.lexsort((np.arange(len(counts)), -remainders))
+        order = order[counts[order] > 0]
+        for i in range(diff):
+            freqs[order[i % len(order)]] += 1
+    while diff < 0:
+        candidates = np.flatnonzero(freqs > 1)
+        victim = candidates[np.argmax(freqs[candidates])]
+        take = min(-diff, int(freqs[victim]) - 1)
+        freqs[victim] -= take
+        diff += take
+    return freqs
 
 
 def test_frequency_table_sums_and_keeps_occurring_symbols(rng):
@@ -74,6 +108,8 @@ def test_frequency_table_sums_and_keeps_occurring_symbols(rng):
         table = build_frequency_table(counts)
         assert table.sum() == PROB_TOTAL
         assert np.all(table[counts > 0] >= 1)
+        if counts.sum():
+            assert np.array_equal(table, reference_frequency_table(counts))
 
 
 def test_frequency_table_many_rare_symbols():
@@ -82,6 +118,99 @@ def test_frequency_table_many_rare_symbols():
     table = build_frequency_table(counts)
     assert table.sum() == PROB_TOTAL
     assert np.all(table[1:] == 1)
+    assert np.array_equal(table, reference_frequency_table(counts))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       alphabet=st.integers(min_value=2, max_value=300),
+       n=st.sampled_from([k * LANE_SYMBOLS + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+                         + [5 * LANE_SYMBOLS + 1]),
+       skewed=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_across_lane_boundaries(seed, alphabet, n, skewed):
+    r = np.random.default_rng(seed)
+    draw = r.random(n) ** 2 if skewed else r.random(n)
+    roundtrip((draw * alphabet).astype(np.int64))
+
+
+@pytest.mark.parametrize("n", [NUMPY_LANES * LANE_SYMBOLS + d for d in (-1, 0, 1)])
+@pytest.mark.parametrize("skewed", [False, True])
+def test_roundtrip_where_numpy_lanes_start(rng, n, skewed):
+    draw = rng.random(n) ** 2 if skewed else rng.random(n)
+    roundtrip((draw * 200).astype(np.int64))
+
+
+@pytest.mark.parametrize("n,lanes", [(1, 1), (2, 1), (2047, 1), (5000, 1),
+                                     (2, 2), (5000, 4), (30_000, 29),
+                                     (41_000, 41), (41_000, 64)])
+def test_numpy_lanes_match_scalar_loop(rng, n, lanes):
+    stream = SymbolStream.from_symbols(rng.geometric(0.2, n) % 40)
+    scalar = np.asarray(_encode_scalar(stream.symbols, stream.frequencies, lanes))
+    vector = _encode_numpy(stream.symbols, stream.frequencies, lanes)
+    assert np.array_equal(vector, scalar)
+    words = scalar.astype("<u2")
+    back = _decode_numpy(words, n, stream.frequencies, lanes)
+    assert np.array_equal(back, _decode_scalar(words, n, stream.frequencies, lanes))
+    assert np.array_equal(back, stream.symbols)
+
+
+def test_single_lane_bytes_pinned():
+    # a 2,047-symbol block is the largest that stays on one lane; its bytes
+    # are the single-state coder's from before lanes existed
+    i = np.arange(2047, dtype=np.int64)
+    s = i * 40503 % 65536
+    blob = encode_block((s * s) >> 26)
+    assert len(blob) == 1511
+    assert hashlib.sha256(blob).hexdigest() == (
+        "0e1f330753f4cfd5665ec7ff758c653569f0c14f8afbbbab1eede10f6914a613"
+    )
+
+
+def _with_payload(blob, payload):
+    """blob, an encode_block output, with its payload replaced."""
+    _, off = read_uvarint(blob, 0)
+    alphabet, off = read_uvarint(blob, off)
+    for _ in range(alphabet):
+        _, off = read_uvarint(blob, off)
+    return blob[:off] + write_uvarint(len(payload)) + payload
+
+
+def _hostile_payloads(payload, lanes):
+    words = np.frombuffer(payload, dtype="<u2").copy()
+    head = words.copy()
+    head[2 * (lanes // 2)] ^= 0x0100  # the high word of one lane's state
+    body = np.flatnonzero(words[2 * lanes:-1] != words[2 * lanes + 1:])
+    swapped = words.copy()
+    i = 2 * lanes + body[0]
+    swapped[[i, i + 1]] = swapped[[i + 1, i]]
+    return {
+        "short_head": payload[:4 * lanes - 2],
+        "flipped_head": head.tobytes(),
+        "dropped_last": payload[:-2],
+        "extra_word": payload + b"\x00\x00",
+        "swapped_words": swapped.tobytes(),
+    }
+
+
+@pytest.mark.parametrize("case", ["short_head", "flipped_head", "dropped_last",
+                                  "extra_word", "swapped_words"])
+# 4,096 symbols run the scalar loop on 4 lanes, the larger block numpy lanes
+@pytest.mark.parametrize("n", [4096, NUMPY_LANES * LANE_SYMBOLS + 5000])
+def test_hostile_multi_lane_payloads_refused(rng, n, case):
+    symbols = rng.geometric(0.2, n) % 60
+    blob = encode_block(symbols)
+    stream = SymbolStream.from_symbols(symbols)
+    lanes = n // LANE_SYMBOLS
+    hostile = _with_payload(blob, _hostile_payloads(rans_encode(stream), lanes)[case])
+    assert np.array_equal(decode_block(blob)[0], symbols)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            decode_block(hostile, 0, max_count=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 8 + (1 << 20)
 
 
 def test_decode_rejects_wrong_count(rng):

@@ -21,10 +21,11 @@ from ultron.codec import (
     segment_flags,
     widen_to_f32,
 )
+from ultron.codec import rans
 from ultron.codec.connectivity import encode_connectivity
 from ultron.codec.rans import PROB_TOTAL, encode_block, write_uvarint
 from ultron.codec.segments import _HEADER
-from ultron.synth import make_icosphere
+from ultron.synth import SynthConfig, make_icosphere, synth_frames
 
 
 def moving_segment(rng, n_frames=10, subdiv=2, with_attrs=True, step=0.002):
@@ -215,7 +216,7 @@ def test_bad_magic_and_version(rng):
     bad_magic = bytes(b"XLTR" + data[4:])
     with pytest.raises(ContainerError, match="magic"):
         decode_container(bad_magic)
-    for version in (1, VERSION + 1):
+    for version in (1, 2, VERSION + 1):
         bad_version = bytes(data[:4] + struct.pack("<H", version) + data[6:])
         with pytest.raises(ContainerError, match="version"):
             decode_container(bad_version)
@@ -337,3 +338,45 @@ def test_huge_plane_count_refused(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_multi_lane_container_roundtrip(monkeypatch):
+    # 10,242 vertices x 3 coordinates: every position and normal plane holds
+    # 30,726 symbols, so its entropy block runs on 30 interleaved lanes
+    meshes = synth_frames(SynthConfig(shape="sphere", frames=3, motion="bend",
+                                      amplitude=0.4, resolution=5, colors=True))
+    frames = np.stack([m.vertices for m in meshes])
+    normals = np.stack([vertex_normals(m) for m in meshes])
+    key = Mesh(vertices=frames[0], triangles=meshes[0].triangles,
+               normals=normals[0], colors=meshes[0].colors)
+    seg = Segment(key=key, frames=frames, frame_ids=(0, 1, 2),
+                  normal_frames=normals)
+    qp = QuantizationParams()
+    data = encode_container([seg], qp)
+    assert encode_container([seg], qp) == data
+
+    lane_blocks = []
+
+    def counting(count):
+        lanes = lane_count(count)
+        lane_blocks.append(lanes)
+        return lanes
+
+    lane_count = rans._lane_count
+    monkeypatch.setattr(rans, "_lane_count", counting)
+    (back,), _ = decode_container(data)
+    assert 30 in lane_blocks
+
+    grid = widen_to_f32(Aabb.of_points(frames.reshape(-1, 3)))
+    assert np.array_equal(quantize_array(back.frames, grid.min, grid.max, qp.qp),
+                          quantize_array(frames, grid.min, grid.max, qp.qp))
+    unit = (-1.0,) * 3, (1.0,) * 3
+    assert np.array_equal(quantize_array(back.normal_frames, *unit, qp.qn),
+                          quantize_array(normals, *unit, qp.qn))
+    assert np.array_equal(np.round(back.key.colors * 255),
+                          np.round(seg.key.colors * 255))
+    assert np.array_equal(canonical_triangles(back.key.triangles),
+                          canonical_triangles(seg.key.triangles))
+    (again,), _ = decode_container(data)
+    assert np.array_equal(again.frames, back.frames)
+    assert np.array_equal(again.normal_frames, back.normal_frames)
