@@ -30,7 +30,8 @@ from scipy.sparse.csgraph import connected_components
 from ..errors import CorruptStreamError, EdgebreakerUnsupported
 from ..mesh import BOUNDARY, CornerTable, NonManifoldReport
 from ..mesh.corner_table import corner_table_from_triangles
-from .rans import decode_block, encode_block, read_uvarint, write_uvarint
+from .rans import (CodedBlock, decode_block, decode_blocks, encode_block,
+                   encode_blocks, read_block, read_uvarint, write_uvarint)
 
 C, L, E, R, S = range(5)
 
@@ -52,7 +53,7 @@ def unzigzag(values: np.ndarray) -> np.ndarray:
 
 def split_planes(values: np.ndarray, nplanes: int) -> list[np.ndarray]:
     v = np.asarray(values, dtype=np.int64)
-    return [(v >> (8 * p)) & 0xFF for p in range(nplanes)]
+    return [((v >> (8 * p)) & 0xFF).astype(np.uint8) for p in range(nplanes)]
 
 
 def join_planes(planes: list[np.ndarray]) -> np.ndarray:
@@ -64,24 +65,30 @@ def join_planes(planes: list[np.ndarray]) -> np.ndarray:
 
 def encode_planes(values: np.ndarray, nplanes: int) -> bytes:
     """One 256-symbol entropy block per byte plane, low plane first."""
-    return b"".join(encode_block(p, 256) for p in split_planes(values, nplanes))
+    return b"".join(encode_blocks(split_planes(values, nplanes), 256))
 
 
-def decode_planes(data: bytes, offset: int, count: int,
-                  nplanes: int) -> np.ndarray:
-    """Inverse of encode_planes for the blocks from offset to the end of data;
-    every plane must hold exactly count symbols."""
+def read_planes(data: bytes, offset: int, count: int,
+                nplanes: int) -> list[CodedBlock]:
+    """Parse the blocks encode_planes wrote from offset to the end of data,
+    without decoding them; every plane must hold exactly count symbols."""
     if not 1 <= nplanes <= 8:
         raise CorruptStreamError(f"plane count {nplanes} out of range")
     planes = []
     for _ in range(nplanes):
-        plane, offset = decode_block(data, offset, max_count=count)
-        if len(plane) != count:
+        plane, offset = read_block(data, offset, max_count=count)
+        if plane.count != count:
             raise CorruptStreamError("plane symbol count mismatch")
         planes.append(plane)
     if offset != len(data):
         raise CorruptStreamError("trailing bytes after byte planes")
-    return join_planes(planes)
+    return planes
+
+
+def decode_planes(data: bytes, offset: int, count: int,
+                  nplanes: int) -> np.ndarray:
+    """Inverse of encode_planes for the blocks from offset to the end of data."""
+    return join_planes(decode_blocks(read_planes(data, offset, count, nplanes)))
 
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:

@@ -16,11 +16,19 @@ before it. A frame's blob is one entropy block per byte plane (the plane
 count follows from the bit depth). Positions are quantized on a
 per-segment f32 grid covering every frame; UVs on [0, 1], colors on
 [0, 1] and normals on [-1, 1].
+
+The byte planes of every frame and attribute are entropy-coded in one
+batch, so equal-count blocks advance in one lockstep run (see rans.py);
+the bytes are those of each block coded alone. The decoder checks every
+block header of the segment (count, table, payload length, plane count,
+trailing bytes) before it decodes any payload, and decodes every payload
+before it joins planes and rebuilds frames.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import islice
 
 import numpy as np
 
@@ -32,9 +40,10 @@ from .connectivity import (
     MODE_EDGEBREAKER,
     MODE_RAW,
     decode_connectivity,
-    decode_planes,
     encode_connectivity,
-    encode_planes,
+    join_planes,
+    read_planes,
+    split_planes,
     unzigzag,
     zigzag,
 )
@@ -44,8 +53,10 @@ from .quantization import (
     quantize_array,
     widen_to_f32,
 )
-# not called here: the streams reach rANS through encode_planes/decode_planes,
-# but perfbench/tracing.py wraps these names as this layer's entry points
+from .rans import decode_blocks, encode_blocks
+# not called here: segment streams reach rANS through encode_blocks and
+# decode_blocks, but perfbench/tracing.py wraps these names as this layer's
+# entry points
 from .rans import decode_block, encode_block  # noqa: F401
 
 FLAG_UV = 1
@@ -80,27 +91,25 @@ def _delta_planes(bits: int) -> int:
     return (bits + 8) // 8
 
 
-def _encode_stream(q: np.ndarray, bits: int) -> bytes:
-    """Code an (F, n, w) lattice-index array: frame 0 as absolute byte
-    planes, frame k > 0 as zigzag deltas against frame k - 1, each frame
-    written as u64 length + blob."""
+def _stream_planes(q: np.ndarray, bits: int) -> list[list[np.ndarray]]:
+    """The byte planes of an (F, n, w) lattice-index array, one list per
+    frame: frame 0 absolute, frame k > 0 zigzag deltas against frame k - 1."""
     q = np.asarray(q, dtype=np.int64).reshape(len(q), -1)
-    blobs = [encode_planes(q[0], _abs_planes(bits))]
-    blobs += [encode_planes(d, _delta_planes(bits))
-              for d in zigzag(np.diff(q, axis=0))]
-    return b"".join(_prefixed(blob) for blob in blobs)
+    frames = [split_planes(q[0], _abs_planes(bits))]
+    frames += [split_planes(d, _delta_planes(bits))
+               for d in zigzag(np.diff(q, axis=0))]
+    return frames
 
 
-def _decode_stream(reader: _Reader, frame_count: int, count: int,
-                   width: int, bits: int, what: str) -> np.ndarray:
-    """Read what _encode_stream wrote; returns (frame_count, count, width)."""
-    frames = []
+def _join_stream(planes, frame_count: int, count: int, width: int,
+                 bits: int, what: str) -> np.ndarray:
+    """Inverse of _stream_planes, taking each frame's planes from the
+    iterator planes; returns (frame_count, count, width)."""
+    vals = np.empty((frame_count, count * width), dtype=np.int64)
     for k in range(frame_count):
-        blob = reader.take_prefixed(what)
         nplanes = _delta_planes(bits) if k else _abs_planes(bits)
-        vals = decode_planes(blob, 0, count * width, nplanes)
-        frames.append(unzigzag(vals) if k else vals)
-    vals = np.stack(frames)
+        frame = join_planes(list(islice(planes, nplanes)))
+        vals[k] = unzigzag(frame) if k else frame
     np.cumsum(vals, axis=0, out=vals)
     if vals.min() < 0 or vals.max() > (1 << bits) - 1:
         raise CorruptStreamError(f"{what}: quantized value out of range")
@@ -158,23 +167,27 @@ def encode_segment(seg: Segment, qparams: QuantizationParams) -> bytes:
     parts = [header, conn]
 
     q_pos = quantize_array(seg.frames, grid.min, grid.max, qparams.qp)
-    parts.append(_encode_stream(q_pos, qparams.qp))
+    frames = _stream_planes(q_pos, qparams.qp)
 
     if seg.key.uvs is not None:
         q_uv = quantize_array(seg.key.uvs, (0.0, 0.0), (1.0, 1.0), qparams.qt)
-        parts.append(_encode_stream(q_uv[None], qparams.qt))
+        frames += _stream_planes(q_uv[None], qparams.qt)
 
     if seg.key.colors is not None:
         q_col = quantize_array(
             seg.key.colors, (0.0,) * 3, (1.0,) * 3, COLOR_BITS
         )
-        parts.append(_encode_stream(q_col[None], COLOR_BITS))
+        frames += _stream_planes(q_col[None], COLOR_BITS)
 
     if seg.normal_frames is not None:
         q_n = quantize_array(seg.normal_frames, (-1.0,) * 3, (1.0,) * 3,
                              qparams.qn)
-        parts.append(_encode_stream(q_n, qparams.qn))
+        frames += _stream_planes(q_n, qparams.qn)
 
+    # every plane of every frame and attribute is coded in one batch
+    blocks = iter(encode_blocks([p for planes in frames for p in planes], 256))
+    parts += [_prefixed(b"".join(islice(blocks, len(planes))))
+              for planes in frames]
     return b"".join(parts)
 
 
@@ -205,26 +218,35 @@ def decode_segment(
     if len(triangles) and triangles.max() >= vertex_count:
         raise CorruptStreamError("triangle index exceeds vertex count")
 
-    frames_q = _decode_stream(reader, frame_count, vertex_count, 3, qp,
-                              "position blob")
-    frames = dequantize_array(frames_q, gmin, gmax, qp)
-
-    uvs = None
+    # name: frame count, values per vertex, bits, lattice range
+    streams = {"position blob": (frame_count, 3, qp, gmin, gmax)}
     if flags & FLAG_UV:
-        q_uv = _decode_stream(reader, 1, vertex_count, 2, qt, "uv blob")
-        uvs = dequantize_array(q_uv[0], (0.0, 0.0), (1.0, 1.0), qt)
-
-    colors = None
+        streams["uv blob"] = (1, 2, qt, (0.0, 0.0), (1.0, 1.0))
     if flags & FLAG_COLORS:
-        q_col = _decode_stream(reader, 1, vertex_count, 3, COLOR_BITS,
-                               "color blob")
-        colors = dequantize_array(q_col[0], (0.0,) * 3, (1.0,) * 3, COLOR_BITS)
-
-    normal_frames = None
+        streams["color blob"] = (1, 3, COLOR_BITS, (0.0,) * 3, (1.0,) * 3)
     if flags & FLAG_STORED_NORMALS:
-        q_n = _decode_stream(reader, frame_count, vertex_count, 3, qn,
-                             "normal blob")
-        normal_frames = dequantize_array(q_n, (-1.0,) * 3, (1.0,) * 3, qn)
+        streams["normal blob"] = (frame_count, 3, qn, (-1.0,) * 3, (1.0,) * 3)
+    # every block header is checked before any payload is decoded, and
+    # every payload is decoded, in one batch, before any value is built
+    coded = [
+        block
+        for what, (nframes, width, bits, _, _) in streams.items()
+        for k in range(nframes)
+        for block in read_planes(reader.take_prefixed(what), 0,
+                                 vertex_count * width,
+                                 _delta_planes(bits) if k else _abs_planes(bits))
+    ]
+    planes = iter(decode_blocks(coded))
+    values = {
+        what: dequantize_array(
+            _join_stream(planes, nframes, vertex_count, width, bits, what),
+            lo, hi, bits)
+        for what, (nframes, width, bits, lo, hi) in streams.items()
+    }
+    frames = values["position blob"]
+    uvs = values["uv blob"][0] if flags & FLAG_UV else None
+    colors = values["color blob"][0] if flags & FLAG_COLORS else None
+    normal_frames = values.get("normal blob")
 
     try:
         key = Mesh(

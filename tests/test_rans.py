@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultron.codec.rans import (
@@ -11,16 +11,19 @@ from ultron.codec.rans import (
     NUMPY_LANES,
     PROB_TOTAL,
     SymbolStream,
-    _decode_numpy,
+    _decode_lockstep,
     _decode_scalar,
-    _encode_numpy,
+    _encode_lockstep,
     _encode_scalar,
     build_frequency_table,
     cross_entropy_bytes,
     decode_block,
+    decode_blocks,
     encode_block,
+    encode_blocks,
     rans_decode,
     rans_encode,
+    read_block,
     read_uvarint,
     write_uvarint,
 )
@@ -144,14 +147,65 @@ def test_roundtrip_where_numpy_lanes_start(rng, n, skewed):
                                      (2, 2), (5000, 4), (30_000, 29),
                                      (41_000, 41), (41_000, 64)])
 def test_numpy_lanes_match_scalar_loop(rng, n, lanes):
+    # the lockstep kernel, on the stream alone and on a batch of three
+    # copies, gives the scalar loop's words and symbols for every copy
     stream = SymbolStream.from_symbols(rng.geometric(0.2, n) % 40)
     scalar = np.asarray(_encode_scalar(stream.symbols, stream.frequencies, lanes))
-    vector = _encode_numpy(stream.symbols, stream.frequencies, lanes)
-    assert np.array_equal(vector, scalar)
     words = scalar.astype("<u2")
-    back = _decode_numpy(words, n, stream.frequencies, lanes)
-    assert np.array_equal(back, _decode_scalar(words, n, stream.frequencies, lanes))
-    assert np.array_equal(back, stream.symbols)
+    assert np.array_equal(_decode_scalar(words, n, stream.frequencies, lanes),
+                          stream.symbols)
+    for batch in (1, 3):
+        for vector in _encode_lockstep([stream] * batch, lanes):
+            assert np.array_equal(vector, scalar)
+        back = _decode_lockstep([words] * batch, n, [stream.frequencies] * batch,
+                                lanes)
+        assert len(back) == batch
+        assert all(np.array_equal(b, stream.symbols) for b in back)
+
+
+# block sizes: empty, one symbol, one lane, the largest single lane, four
+# lanes (ten such blocks make a lockstep batch) and numpy lanes on its own
+_BATCH_COUNTS = [0, 1, 300, 2047, 4100, NUMPY_LANES * LANE_SYMBOLS + 40]
+
+
+@given(members=st.lists(st.tuples(st.sampled_from(_BATCH_COUNTS),
+                                  st.integers(min_value=1, max_value=10),
+                                  st.sampled_from(["zeros", "constant", "skewed",
+                                                   "wide"])),
+                        min_size=1, max_size=4),
+       seed=st.integers(min_value=0, max_value=2**31))
+@example(members=[(4100, 10, "skewed"), (_BATCH_COUNTS[-1], 3, "wide"),
+                  (0, 2, "zeros"), (1, 2, "constant"), (2047, 2, "skewed")],
+         seed=7)
+@settings(max_examples=25, deadline=None)
+def test_batch_matches_single_blocks(members, seed):
+    """encode_blocks gives every block encode_block's bytes, and one
+    decode_blocks call gives every block its symbols back, whatever the
+    mix of sizes, trivial and empty blocks and their order."""
+    r = np.random.default_rng(seed)
+    blocks = []
+    for count, copies, kind in members:
+        copies = min(copies, 3) if count > 10_000 else copies
+        for _ in range(copies):
+            if kind == "zeros":
+                blocks.append(np.zeros(count, dtype=np.int64))
+            elif kind == "constant":
+                blocks.append(np.full(count, r.integers(1, 256)))
+            elif kind == "skewed":
+                blocks.append((r.random(count) ** 3 * 256).astype(np.int64))
+            else:  # tables past 256 symbols are coded as uint16
+                blocks.append(r.integers(0, 300, count))
+    blocks = [blocks[i] for i in r.permutation(len(blocks))]
+    coded = encode_blocks(blocks)
+    assert coded == [encode_block(b) for b in blocks]
+    data = b"".join(coded)
+    parsed, offset = [], 0
+    for b in blocks:
+        block, offset = read_block(data, offset, max_count=len(b))
+        parsed.append(block)
+    assert offset == len(data)
+    for got, want in zip(decode_blocks(parsed), blocks):
+        assert np.array_equal(got, want)
 
 
 def test_single_lane_bytes_pinned():
@@ -211,6 +265,33 @@ def test_hostile_multi_lane_payloads_refused(rng, n, case):
     finally:
         tracemalloc.stop()
     assert peak < 2 * n * 8 + (1 << 20)
+
+
+@pytest.mark.parametrize("case", ["short_head", "flipped_head", "dropped_last",
+                                  "extra_word", "swapped_words"])
+# three 4,096-symbol blocks run the scalar loop (12 lanes in all), three of
+# the larger size advance their lanes together in numpy lockstep
+@pytest.mark.parametrize("n", [4096, NUMPY_LANES * LANE_SYMBOLS + 5000])
+def test_hostile_batch_member_refused(rng, n, case):
+    blocks = [rng.geometric(0.2, n) % 60 for _ in range(3)]
+    blobs = encode_blocks(blocks)
+    stream = SymbolStream.from_symbols(blocks[1])
+    lanes = n // LANE_SYMBOLS
+    blobs[1] = _with_payload(blobs[1],
+                             _hostile_payloads(rans_encode(stream), lanes)[case])
+    data = b"".join(blobs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            parsed, offset = [], 0
+            for _ in blocks:
+                block, offset = read_block(data, offset, max_count=n)
+                parsed.append(block)
+            decode_blocks(parsed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 3 * n * 8 + (1 << 20)
 
 
 def test_decode_rejects_wrong_count(rng):

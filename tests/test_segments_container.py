@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 import tracemalloc
@@ -340,17 +341,87 @@ def test_huge_plane_count_refused(rng):
     assert peak < 1 << 20
 
 
-def test_multi_lane_container_roundtrip(monkeypatch):
+def synth_segment(frames, resolution, normals=False):
+    """One segment of a bending sphere with colors, built directly."""
+    meshes = synth_frames(SynthConfig(shape="sphere", frames=frames, motion="bend",
+                                      amplitude=0.4, resolution=resolution,
+                                      colors=True))
+    positions = np.stack([m.vertices for m in meshes])
+    stored = np.stack([vertex_normals(m) for m in meshes]) if normals else None
+    key = Mesh(vertices=positions[0], triangles=meshes[0].triangles,
+               normals=None if stored is None else stored[0],
+               colors=meshes[0].colors)
+    return Segment(key=key, frames=positions, frame_ids=tuple(range(frames)),
+                   normal_frames=stored)
+
+
+def multi_lane_segment():
     # 10,242 vertices x 3 coordinates: every position and normal plane holds
     # 30,726 symbols, so its entropy block runs on 30 interleaved lanes
-    meshes = synth_frames(SynthConfig(shape="sphere", frames=3, motion="bend",
-                                      amplitude=0.4, resolution=5, colors=True))
-    frames = np.stack([m.vertices for m in meshes])
-    normals = np.stack([vertex_normals(m) for m in meshes])
-    key = Mesh(vertices=frames[0], triangles=meshes[0].triangles,
-               normals=normals[0], colors=meshes[0].colors)
-    seg = Segment(key=key, frames=frames, frame_ids=(0, 1, 2),
-                  normal_frames=normals)
+    return synth_segment(3, 5, normals=True)
+
+
+def raw_torus_segment():
+    """A 128 x 64 grid torus with shuffled vertex ids, two frames: genus 1,
+    so raw connectivity, whose two byte planes of 49,152 index deltas code
+    together on 96 lanes."""
+    i, j = np.meshgrid(np.arange(128), np.arange(64), indexing="ij")
+    u, v = 2 * np.pi * i.ravel() / 128, 2 * np.pi * j.ravel() / 64
+    verts = np.stack([(2 + np.cos(v)) * np.cos(u), (2 + np.cos(v)) * np.sin(u),
+                      np.sin(v)], axis=1)
+    a, b = (i * 64 + j).ravel(), ((i + 1) % 128 * 64 + j).ravel()
+    c, d = (i * 64 + (j + 1) % 64).ravel(), ((i + 1) % 128 * 64 + (j + 1) % 64).ravel()
+    tris = np.concatenate([np.stack([a, b, d], 1), np.stack([a, d, c], 1)])
+    ids = np.random.default_rng(3).permutation(len(verts))
+    order = np.argsort(ids)
+    key = Mesh(vertices=verts[order], triangles=ids[tris])
+    return Segment(key=key, frames=np.stack([key.vertices, key.vertices * 1.01]),
+                   frame_ids=(0, 1))
+
+
+@pytest.mark.parametrize("make,digest", [
+    (multi_lane_segment,
+     "0e876f8cfa21940163f6c595de1d8493987c7dd3efc09eeeff382afd712b143a"),
+    # 642 vertices, 60 frames: about 120 single-lane blocks in one batch
+    (lambda: synth_segment(60, 3),
+     "dff7e1ccdd8d9944e7968e3024c47fa0efbdd45521981510e68bc06622e27b6d"),
+    (raw_torus_segment,
+     "4bdbc48abdd3498f375d4fed7b0cfc6a103a8f1039f259314037f3e400bf1ed2"),
+], ids=["icosphere5_3_frames", "smooth_60_frames", "raw_torus"])
+def test_container_bytes_pinned(make, digest):
+    # these containers' bytes predate coding a segment's blocks in batches
+    data = encode_container([make()], QuantizationParams())
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_late_huge_plane_refused_before_decoding():
+    # a segment's block headers are all checked before any payload is
+    # decoded: a color plane declaring 2**40 symbols is refused without
+    # decoding the 150 position frames in front of it (2.3 MB as int64)
+    seg = synth_segment(150, 3)
+    blob = encode_segment(seg, QuantizationParams())
+    offset = _HEADER.size + _HEADER.unpack_from(blob)[-1]
+    while offset < len(blob):
+        last = offset
+        offset += 8 + struct.unpack_from("<Q", blob, offset)[0]
+    block = (
+        write_uvarint(1 << 40) + write_uvarint(1)
+        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
+    )
+    crafted = blob[:last] + struct.pack("<Q", len(block)) + block
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError, match="at most"):
+            decode_segment(crafted, segment_flags(seg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_multi_lane_container_roundtrip(monkeypatch):
+    seg = multi_lane_segment()
+    frames, normals = seg.frames, seg.normal_frames
     qp = QuantizationParams()
     data = encode_container([seg], qp)
     assert encode_container([seg], qp) == data
