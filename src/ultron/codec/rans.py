@@ -73,7 +73,7 @@ class SymbolStream:
         if len(syms) and (syms.min() < 0 or syms.max() >= len(freqs)):
             raise ValueError("symbol outside frequency table")
         syms = syms.astype(_symbol_dtype(len(freqs)), copy=False)
-        if len(syms) and np.any(freqs[syms] == 0):
+        if np.bincount(syms, minlength=len(freqs))[freqs == 0].any():
             raise ValueError("symbol with zero quantized frequency")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "frequencies", freqs)

@@ -13,7 +13,10 @@ parts. The data and correspondence terms give vertex i the block
 c_i I3 ⊗ u_i u_i^T, with u_i its homogeneous position and
 c_i = keep_i + beta [i matched]. The smoothness term is
 alpha L ⊗ diag(1,1,1,gamma^2) (tiled for the three rows), with L the edge
-Laplacian of the source mesh.
+Laplacian of the source mesh. The system's sparsity pattern is built once
+per registration; each outer iteration only rewrites the blocks' values.
+Each CG solve stops at relative residual 1e-5, because its targets move at
+the next iterate.
 
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,9 +40,10 @@ logger = logging.getLogger(__name__)
 
 # register stops once the total energy changes by less than _CONVERGENCE_TOL
 # (relative); each CG solve stops at relative residual _CG_TOL or after
-# _CG_MAX_ITERS iterations
+# _CG_MAX_ITERS iterations. The solve is inexact on purpose: the next iterate
+# moves its closest-point targets, so accuracy past 1e-5 is thrown away.
 _CONVERGENCE_TOL = 1e-5
-_CG_TOL = 1e-8
+_CG_TOL = 1e-5
 _CG_MAX_ITERS = 2000
 
 
@@ -156,19 +159,88 @@ class Quadratic:
         return 2.0 * (self.H @ x - self.b)
 
 
-@lru_cache(maxsize=1)
-def _smoothness(edge_bytes: bytes, n: int, gamma: float):
-    """kron(L, diag(1,1,1,gamma^2) tiled x3) for the edge Laplacian L.
-
-    Keyed by the edge array's bytes, so the outer iterations of one
-    registration build it once.
-    """
-    e = np.frombuffer(edge_bytes, dtype=np.int64).reshape(-1, 2)
+def _laplacian(edges, n: int):
+    """The edge Laplacian of a mesh with n vertices, in canonical CSR."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     A = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     A = (A + A.T).tocsr()
-    L = sp.diags(np.asarray(A.sum(axis=1)).ravel()) - A
-    w = np.tile([1.0, 1.0, 1.0, gamma * gamma], 3)
-    return sp.kron(L, sp.diags(w), format="csr")
+    return (sp.diags(np.asarray(A.sum(axis=1)).ravel()) - A).tocsr()
+
+
+class _SystemPattern:
+    """The normal matrix's CSR pattern, built once per registration.
+
+    The pattern is the union of the 3n diagonal 4x4 blocks, the smoothness
+    term alpha L ⊗ diag(1,1,1,gamma^2) (tiled x3) and the diagonal, with
+    sorted indices. Row 12i + m holds vertex i's neighbors below it, the row
+    of its 4x4 block, then its neighbors above it, at column 12j + m per
+    neighbor j. Only the blocks change between outer iterations, so an
+    assembly copies the smoothness values and adds the blocks in place;
+    the values equal those of summing the three sparse matrices.
+    """
+
+    def __init__(self, key_vertices, edges, alpha: float, gamma: float):
+        kv = np.asarray(key_vertices, dtype=np.float64)
+        n = len(kv)
+        self.u4 = np.concatenate([kv, np.ones((n, 1))], axis=1)
+        self.uu = np.einsum("ni,nj->nij", self.u4, self.u4)
+        L = _laplacian(edges, n) if alpha > 0 else sp.csr_matrix((n, n))
+        rows = np.repeat(np.arange(n), np.diff(L.indptr))
+        off = L.indices != rows
+        i, j, l_ij = rows[off], L.indices[off], L.data[off]
+        degree = np.bincount(i, minlength=n)
+        below = np.bincount(i[j < i], minlength=n)
+
+        m = np.arange(12)
+        size = 12 * n
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(4 + degree, 12))])
+        start = indptr[:-1].reshape(n, 12)
+        first = start + below[:, None]  # where each row's block entries begin
+        # (vertex, transform row g, entry a, entry b) of block 3i + g
+        self.block_pos = (first.reshape(n, 3, 4, 1) + np.arange(4)).reshape(-1)
+        self.diag_pos = (first + m % 4).reshape(-1)
+        slot = np.arange(len(i)) - np.repeat(np.cumsum(degree) - degree, degree)
+        smooth_pos = start[i] + (slot + 4 * (j > i))[:, None]
+
+        idx = np.int32 if max(indptr[-1], size) < 2**31 else np.int64
+        indices = np.empty(indptr[-1], dtype=idx)
+        block_row = np.arange(size) // 4
+        indices[self.block_pos] = (4 * block_row[:, None] + np.arange(4)).reshape(-1)
+        indices[smooth_pos] = 12 * j[:, None] + m
+        self.indices = indices
+        self.indptr = indptr.astype(idx)
+        self.shape = (size, size)
+        w = np.tile([1.0, 1.0, 1.0, gamma * gamma], 3)
+        self.base = np.zeros(indptr[-1])
+        self.base[smooth_pos] = alpha * (l_ij[:, None] * w)
+        self.base[self.diag_pos] = alpha * (L.diagonal()[:, None] * w).reshape(-1)
+
+    def quadratic(self, data_targets, data_weights, matches, target_vertices,
+                  beta: float) -> Quadratic:
+        """The unregularized objective for fixed closest points."""
+        keep = np.asarray(data_weights, dtype=bool)
+        c = keep.astype(np.float64)
+        q = np.where(keep[:, None], np.asarray(data_targets, dtype=np.float64), 0.0)
+        const = float(np.sum(q * q))
+        if matches is not None and len(matches):
+            t = np.asarray(target_vertices, dtype=np.float64)[matches.target_indices]
+            c[matches.source_indices] += beta
+            q[matches.source_indices] += beta * t
+            const += beta * float(np.sum(t * t))
+        # one 4x4 block c_i u_i u_i^T per (vertex, coordinate row)
+        blocks = np.repeat(c[:, None, None] * self.uu, 3, axis=0)
+        data = self.base.copy()
+        data[self.block_pos] += blocks.ravel()
+        H = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        b = (q[:, :, None] * self.u4[:, None, :]).reshape(-1)
+        return Quadratic(H, b, const)
+
+    def diagonal(self, quad: Quadratic) -> np.ndarray:
+        return quad.H.data[self.diag_pos]
+
+    def regularize(self, quad: Quadratic, lam: float) -> None:
+        """Add lam I to quad's matrix in place."""
+        quad.H.data[self.diag_pos] += lam
 
 
 def fixed_correspondence_quadratic(
@@ -190,32 +262,12 @@ def fixed_correspondence_quadratic(
     c_i I3 ⊗ u_i u_i^T with c_i = keep_i + beta [i matched] and right-hand
     side (keep_i q_i + beta t_i) ⊗ u_i, u_i being its homogeneous position.
     """
-    kv = np.asarray(key_vertices, dtype=np.float64)
-    n = len(kv)
-    u4 = np.concatenate([kv, np.ones((n, 1))], axis=1)
-
-    keep = np.asarray(data_weights, dtype=bool)
-    c = keep.astype(np.float64)
-    q = np.where(keep[:, None], np.asarray(data_targets, dtype=np.float64), 0.0)
-    const = float(np.sum(q * q))
-    if matches is not None and len(matches):
-        t = np.asarray(target_vertices, dtype=np.float64)[matches.target_indices]
-        c[matches.source_indices] += beta
-        q[matches.source_indices] += beta * t
-        const += beta * float(np.sum(t * t))
-    # one 4x4 block c_i u_i u_i^T per (vertex, coordinate row) on the diagonal
-    blocks = np.repeat(c[:, None, None] * np.einsum("ni,nj->nij", u4, u4), 3, axis=0)
-    H = sp.bsr_matrix(
-        (blocks, np.arange(3 * n), np.arange(3 * n + 1)), shape=(12 * n, 12 * n)
-    ).tocsr()
-    b = (q[:, :, None] * u4[:, None, :]).reshape(-1)
-    if alpha > 0:
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        H = H + alpha * _smoothness(e.tobytes(), n, float(gamma))
+    pattern = _SystemPattern(key_vertices, edges, alpha, gamma)
+    quad = pattern.quadratic(data_targets, data_weights, matches, target_vertices, beta)
     if regularization > 0:
-        H = H + regularization * sp.identity(12 * n, format="csr")
         # keep value/gradient consistent with the solved system
-    return Quadratic(H, b, const)
+        pattern.regularize(quad, regularization)
+    return quad
 
 
 def _solve(quad: Quadratic, x0):
@@ -284,6 +336,7 @@ def register(
         vertices=(target.vertices - center) * scale, triangles=target.triangles
     )
     edges = key.edges()
+    pattern = _SystemPattern(kv, edges, cfg.alpha, cfg.gamma)
     tv_n = target_n.vertices
     has_matches = matches is not None and len(matches) > 0
 
@@ -314,10 +367,8 @@ def register(
         mu = float(dists.mean())
         weights = dists <= 3.0 * mu if mu > 0 else np.ones(n, dtype=bool)
 
-        quad = fixed_correspondence_quadratic(
-            kv, edges, cpts, weights, matches, tv_n, cfg.alpha, beta, cfg.gamma
-        )
-        diag = quad.H.diagonal()
+        quad = pattern.quadratic(cpts, weights, matches, tv_n, beta)
+        diag = pattern.diagonal(quad)
         dmax = diag.max()
         if dmax <= 0:
             raise SolverError("registration system has an empty diagonal")
@@ -328,9 +379,7 @@ def register(
                 "degenerate registration system: %d unconstrained parameters; "
                 "regularized", zero_diag,
             )
-        quad = Quadratic(
-            quad.H + lam * sp.identity(12 * n, format="csr"), quad.b, quad.constant
-        )
+        pattern.regularize(quad, lam)
         x = _solve(quad, x)
 
         field_now = x.reshape(n, 3, 4)

@@ -358,3 +358,10 @@ def test_block_degenerate_is_tiny():
 def test_symbol_outside_declared_alphabet():
     with pytest.raises(ValueError):
         encode_block(np.array([0, 1, 7]), alphabet_size=4)
+
+
+def test_symbol_with_zero_frequency_refused():
+    freqs = np.array([PROB_TOTAL - 1, 0, 1])
+    SymbolStream(np.array([0, 2, 0]), freqs)
+    with pytest.raises(ValueError, match="symbol with zero quantized frequency"):
+        SymbolStream(np.array([0, 1, 2]), freqs)

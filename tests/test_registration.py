@@ -12,8 +12,8 @@ from ultron.registration import (
     fixed_correspondence_quadratic,
     register,
 )
-from ultron.registration import _solve
-from ultron.synth import make_cylinder
+from ultron.registration import _CG_TOL, _SystemPattern, _solve
+from ultron.synth import make_cylinder, make_icosphere
 from ultron.tracking import CorrespondenceSet
 
 
@@ -120,6 +120,74 @@ def random_quadratic(rng, n=10):
     return quad, kv, edges, targets, weights, m, tv
 
 
+def dense_normal_matrix(kv, edges, keep, matches, alpha, beta, gamma, lam=0.0):
+    """The normal matrix from its definition: blocks c_i I3 ⊗ u_i u_i^T,
+    plus alpha kron(L, diag(1,1,1,gamma^2) tiled x3), plus lam I."""
+    n = len(kv)
+    u4 = np.concatenate([kv, np.ones((n, 1))], axis=1)
+    matched = np.zeros(n, dtype=bool)
+    if matches is not None:
+        matched[matches.source_indices] = True
+    c = keep + beta * matched
+    H = np.zeros((12 * n, 12 * n))
+    for i in range(n):
+        for row in range(3):
+            r = 12 * i + 4 * row
+            H[r:r + 4, r:r + 4] = c[i] * np.outer(u4[i], u4[i])
+    adjacency = np.zeros((n, n))
+    for a, b in edges:
+        adjacency[a, b] += 1.0
+        adjacency[b, a] += 1.0
+    L = np.diag(adjacency.sum(axis=1)) - adjacency
+    w = np.tile([1.0, 1.0, 1.0, gamma * gamma], 3)
+    H += alpha * np.kron(L, np.diag(w))
+    return H + lam * np.eye(12 * n)
+
+
+class TestAssembly:
+    """The pattern-built matrix equals the definition exactly."""
+
+    @pytest.fixture
+    def mesh(self):
+        m = make_icosphere(1)
+        return m.vertices, m.edges()
+
+    @pytest.mark.parametrize("alpha", [3.0, 0.0])
+    def test_rejected_and_matched_vertices(self, mesh, rng, alpha):
+        kv, edges = mesh
+        n = len(kv)
+        keep = rng.random(n) > 0.3
+        # some rejected vertices stay unmatched, so their blocks are zero
+        matched = rng.permutation(n)[: n // 3]
+        matches = CorrespondenceSet(matched, matched, np.zeros(len(matched)))
+        assert np.any(~keep & ~np.isin(np.arange(n), matched))
+        for m in (None, matches):
+            quad = fixed_correspondence_quadratic(
+                kv, edges, kv, keep, m, kv, alpha=alpha, beta=0.4, gamma=0.7,
+                regularization=1e-9,
+            )
+            assert quad.H.has_canonical_format
+            assert np.array_equal(
+                quad.H.toarray(),
+                dense_normal_matrix(kv, edges, keep, m, alpha, 0.4, 0.7, 1e-9),
+            )
+
+    def test_successive_assemblies_share_nothing(self, mesh, rng):
+        kv, edges = mesh
+        n = len(kv)
+        pattern = _SystemPattern(kv, edges, 2.0, 1.3)
+        matched = rng.permutation(n)[:10]
+        matches = CorrespondenceSet(matched, matched, np.zeros(10))
+        for beta, keep in ((1.0, rng.random(n) > 0.5), (0.3, rng.random(n) > 0.2)):
+            quad = pattern.quadratic(kv, keep, matches, kv, beta)
+            lam = 1e-10 * pattern.diagonal(quad).max()
+            pattern.regularize(quad, lam)
+            assert np.array_equal(
+                quad.H.toarray(),
+                dense_normal_matrix(kv, edges, keep, matches, 2.0, beta, 1.3, lam),
+            )
+
+
 class TestQuadratic:
     def test_value_matches_energy_terms(self, rng):
         quad, kv, edges, targets, weights, m, tv = random_quadratic(rng)
@@ -161,6 +229,16 @@ class TestQuadratic:
             x1 = _solve(quad, x0)
             after = quad.value(x1)
             assert after <= before + 1e-9 * max(abs(before), 1.0)
+
+
+    def test_inner_solve_meets_cg_tolerance(self, rng):
+        # 10x headroom for drift between CG's recurrence residual and the
+        # true residual
+        for _ in range(10):
+            quad, *_ = random_quadratic(rng)
+            x = _solve(quad, rng.normal(size=quad.size))
+            residual = np.linalg.norm(quad.H @ x - quad.b)
+            assert residual <= 10 * _CG_TOL * np.linalg.norm(quad.b)
 
 
 class TestRegister:
@@ -258,6 +336,19 @@ class TestRegister:
             rel=1e-9,
         )
         assert report.E_d >= 0 and report.E_s >= 0 and report.E_m >= 0
+
+    def test_unconstrained_vertex_warns_and_is_regularized(self, caplog):
+        # an unreferenced vertex far from the target has no smoothness term
+        # and is rejected as an outlier, so its 12 parameters are free
+        sphere = make_icosphere(2)
+        key = Mesh(vertices=np.vstack([sphere.vertices, [[50.0, 0.0, 0.0]]]),
+                   triangles=sphere.triangles)
+        target = Mesh(vertices=sphere.vertices * 1.01, triangles=sphere.triangles)
+        with caplog.at_level("WARNING", logger="ultron.registration"):
+            _d, field, _r = register(key, target, None,
+                                     RegistrationConfig(outer_iterations=2))
+        assert "12 unconstrained parameters" in caplog.text
+        assert np.all(np.isfinite(field.transforms))
 
     def test_one_closest_point_query_per_iterate(self, sphere_162, rng,
                                                  monkeypatch):
