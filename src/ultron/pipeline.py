@@ -33,7 +33,8 @@ class QualityThresholds:
 
     geometry_tol bounds the symmetric RMS point-to-surface distance as a
     fraction of the original frame's bbox diagonal; color_tol bounds the
-    RMS per-vertex RGB distance over matched vertices.
+    RMS RGB distance between each deformed vertex's color and the original's
+    color interpolated at that vertex's closest point on the original.
     """
 
     geometry_tol: float = 0.002
@@ -117,41 +118,63 @@ class Segment:
         return mesh
 
 
+def _symmetric_rms(a: Mesh, b: Mesh):
+    """symmetric_rms_distance, plus the closest points on b to a's vertices
+    and their triangle ids."""
+    pts, d_ab, tris = closest_points(b, a.vertices)
+    _, d_ba, _ = closest_points(a, b.vertices)
+    rms = max(float(np.sqrt(np.mean(d * d))) for d in (d_ab, d_ba))
+    return rms, pts, tris
+
+
 def symmetric_rms_distance(a: Mesh, b: Mesh) -> float:
     """Max of the two directed RMS point-to-surface distances."""
-    _, d_ab, _ = closest_points(b, a.vertices)
-    _, d_ba, _ = closest_points(a, b.vertices)
-    rms_ab = float(np.sqrt(np.mean(d_ab * d_ab)))
-    rms_ba = float(np.sqrt(np.mean(d_ba * d_ba)))
-    return max(rms_ab, rms_ba)
+    return _symmetric_rms(a, b)[0]
+
+
+def _surface_colors(mesh: Mesh, points, tris) -> np.ndarray:
+    """mesh's colors interpolated barycentrically at points on triangles
+    tris; a zero-area triangle gives the mean of its corners."""
+    corners = mesh.triangles[tris]
+    a, b, c = (mesh.vertices[corners[:, k]] for k in range(3))
+    e0, e1, ep = b - a, c - a, points - a
+    d00 = np.einsum("ij,ij->i", e0, e0)
+    d01 = np.einsum("ij,ij->i", e0, e1)
+    d11 = np.einsum("ij,ij->i", e1, e1)
+    dp0 = np.einsum("ij,ij->i", ep, e0)
+    dp1 = np.einsum("ij,ij->i", ep, e1)
+    denom = d00 * d11 - d01 * d01
+    flat = denom == 0.0
+    safe = np.where(flat, 1.0, denom)
+    v = np.where(flat, 1.0 / 3.0, (d11 * dp0 - d01 * dp1) / safe)
+    w = np.where(flat, 1.0 / 3.0, (d00 * dp1 - d01 * dp0) / safe)
+    bary = np.stack([1.0 - v - w, v, w], axis=1)
+    return np.einsum("nk,nkc->nc", bary, mesh.colors[corners])
 
 
 def assess_quality(
     deformed: Mesh,
     original: Mesh,
-    matches: CorrespondenceSet | None,
     thresholds: QualityThresholds,
 ) -> QualityReport:
     """Geometric (and, when colors exist, color) fidelity of a deformed
-    frame relative to the original, normalized for the pass decision."""
+    frame relative to the original, normalized for the pass decision.
+
+    Colors are compared on the surface: each deformed vertex against the
+    original's color at that vertex's closest point on the original, found
+    by the geometry term's own query.
+    """
     if deformed.triangle_count == 0 or original.triangle_count == 0:
         raise InvalidMeshError("meshes must be nonempty")
     diag = original.bounds().diagonal
     if diag <= 0:
         raise InvalidMeshError("original mesh has a degenerate bounding box")
-    e_d = symmetric_rms_distance(deformed, original) / diag
+    rms, pts, tris = _symmetric_rms(deformed, original)
+    e_d = rms / diag
 
     e_c = None
-    if (
-        deformed.colors is not None
-        and original.colors is not None
-        and matches is not None
-        and len(matches)
-    ):
-        diff = (
-            deformed.colors[matches.source_indices]
-            - original.colors[matches.target_indices]
-        )
+    if deformed.colors is not None and original.colors is not None:
+        diff = deformed.colors - _surface_colors(original, pts, tris)
         e_c = float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
 
     passed = e_d <= thresholds.geometry_tol and (
@@ -272,7 +295,7 @@ def run_pipeline(
         deformed, _field, report = register(
             current.source, frame, matches, registration_cfg
         )
-        quality = assess_quality(deformed, frame, matches, thresholds)
+        quality = assess_quality(deformed, frame, thresholds)
 
         if quality.passed and not report.diverged:
             current.accept(deformed)

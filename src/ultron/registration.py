@@ -21,6 +21,8 @@ the next iterate.
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
 coordinates, while the returned field and mesh are in input coordinates.
+Closest points are queried on the target frame itself, in input coordinates,
+so a frame has one closest-point index, shared with the quality gate.
 """
 
 from __future__ import annotations
@@ -332,19 +334,16 @@ def register(
 
     center, scale = _normalization(key, target)
     kv = (key.vertices - center) * scale
-    target_n = Mesh(
-        vertices=(target.vertices - center) * scale, triangles=target.triangles
-    )
+    tv_n = (target.vertices - center) * scale
     edges = key.edges()
     pattern = _SystemPattern(kv, edges, cfg.alpha, cfg.gamma)
-    tv_n = target_n.vertices
     has_matches = matches is not None and len(matches) > 0
 
     def closest(x):
         field_now = x.reshape(n, 3, 4)
         p = np.einsum("nij,nj->ni", field_now[:, :, :3], kv) + field_now[:, :, 3]
-        cpts, dists, _ = closest_points(target_n, p)
-        return cpts, dists
+        cpts, dists, _ = closest_points(target, p / scale + center)
+        return (cpts - center) * scale, dists * scale
 
     x = AffineField.identity(n).transforms.reshape(-1)
     # one query per iterate: it scores the iterate (E_d) and gives the next

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+import ultron.mesh.closest
 from ultron.mesh import Mesh
 from ultron.pipeline import (
     QualityThresholds,
     Segment,
+    _surface_colors,
     assess_quality,
     run_pipeline,
     symmetric_rms_distance,
 )
 from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_icosphere, make_slab, synth_frames
-from ultron.tracking import CorrespondenceSet
 
 
 FAST_REG = RegistrationConfig(outer_iterations=10)
@@ -20,7 +21,7 @@ FAST_REG = RegistrationConfig(outer_iterations=10)
 class TestAssessQuality:
     def test_identity_passes_any_tolerance(self, sphere_162):
         report = assess_quality(
-            sphere_162, sphere_162, None, QualityThresholds(geometry_tol=0.0)
+            sphere_162, sphere_162, QualityThresholds(geometry_tol=0.0)
         )
         assert report.E_d_rms == 0.0
         assert report.passed
@@ -31,7 +32,7 @@ class TestAssessQuality:
         offset = 0.01 * diag
         moved = slab.with_vertices(slab.vertices + np.array([0, 0, offset]))
         report = assess_quality(
-            moved, slab, None, QualityThresholds(geometry_tol=1.0)
+            moved, slab, QualityThresholds(geometry_tol=1.0)
         )
         assert report.E_d_rms == pytest.approx(0.01, rel=1e-9)
 
@@ -53,15 +54,48 @@ class TestAssessQuality:
         a = Mesh(vertices=base.vertices, triangles=base.triangles, colors=colors)
         shifted = np.clip(colors + np.array([0.1, 0.0, 0.0]), 0, 1)
         b = Mesh(vertices=base.vertices, triangles=base.triangles, colors=shifted)
-        matches = CorrespondenceSet.identity(n)
-        report = assess_quality(b, a, matches, QualityThresholds())
+        report = assess_quality(b, a, QualityThresholds())
         assert report.E_c_rms == pytest.approx(0.1, rel=1e-9)
 
-    def test_color_absent_when_either_side_lacks_colors(self, sphere_162):
+    def test_linear_colors_interpolate_exactly(self):
+        # colors affine in position, sampled on another tessellation of the
+        # same plane, are reproduced exactly
+        def colored(mesh):
+            x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+            rgb = np.stack([x, y / 0.6, np.full_like(x, 0.5)], axis=1)
+            return Mesh(vertices=mesh.vertices, triangles=mesh.triangles,
+                        colors=rgb)
+
         report = assess_quality(
-            sphere_162, sphere_162, CorrespondenceSet.identity(162),
+            colored(make_slab(7, 5)), colored(make_slab(12, 8)),
             QualityThresholds(),
         )
+        assert report.E_d_rms < 1e-12
+        assert report.E_c_rms < 1e-12
+
+    def test_zero_area_triangle_gives_corner_mean(self):
+        colors = np.array([[0.0, 0.0, 0.0], [0.3, 0.6, 0.9], [0.6, 0.0, 0.3]])
+        line = Mesh(vertices=[[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]],
+                    triangles=[[0, 1, 2]], colors=colors)
+        sampled = _surface_colors(line, np.array([[0.5, 0.0, 0.0]]), np.array([0]))
+        assert np.allclose(sampled, colors.mean(axis=0), rtol=0, atol=1e-15)
+
+    def test_colors_compared_on_the_surface(self):
+        # a static colored sphere under a new tessellation: no vertex of
+        # frame 1 lies on a vertex of frame 0, but colors sampled on the
+        # surface still agree, so frame 1 joins segment 0
+        frames = synth_frames(SynthConfig(
+            shape="sphere", frames=2, amplitude=0.0, resolution=3,
+            remesh_every=1, colors=True, seed=5,
+        ))
+        assert not np.array_equal(frames[0].vertices, frames[1].vertices)
+        segments, stats = run_pipeline(frames)
+        assert stats.keyframes == [0]
+        assert len(segments) == 1
+        assert stats.records[1].E_c_rms < QualityThresholds().color_tol
+
+    def test_color_absent_when_either_side_lacks_colors(self, sphere_162):
+        report = assess_quality(sphere_162, sphere_162, QualityThresholds())
         assert report.E_c_rms is None
 
 
@@ -151,6 +185,25 @@ class TestRunPipeline:
             )
             counts.append(len(segments))
         assert counts == sorted(counts, reverse=True)
+
+    def test_one_index_per_registered_frame(self, sphere_162, monkeypatch):
+        # registration and the quality gate query the frame through one
+        # index; the deformed mesh gets the other
+        builds = []
+
+        class Counting(ultron.mesh.closest.TriangleBvh):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ultron.mesh.closest, "TriangleBvh", Counting)
+        shift = 0.01 * sphere_162.bounds().diagonal
+        moved = sphere_162.with_vertices(sphere_162.vertices + shift)
+        segments, stats = run_pipeline(
+            [sphere_162, moved], registration_cfg=FAST_REG
+        )
+        assert stats.keyframes == [0]
+        assert len(builds) == 2
 
     def test_stats_csv_shape(self, sphere_162):
         _, stats = run_pipeline([sphere_162] * 3, registration_cfg=FAST_REG)

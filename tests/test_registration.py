@@ -300,7 +300,13 @@ class TestRegister:
         deformed, _f, _r = register(sphere_162, target, None, cfg)
         assert np.array_equal(deformed.triangles, sphere_162.triangles)
 
-    def test_translation_equivariance(self, sphere_162, rng):
+    @pytest.mark.parametrize("shift, scale", [
+        pytest.param((3.0, -7.0, 11.0), 1.0, id="scale1"),
+        pytest.param((3.0, -7.0, 11.0), 250.0, id="scale250"),
+    ])
+    def test_translation_equivariance(self, sphere_162, rng, shift, scale):
+        # energies are normalized, so moving and uniformly scaling both
+        # inputs changes only the returned mesh, by the same map
         target = Mesh(
             vertices=sphere_162.vertices + rng.normal(scale=0.01, size=(162, 3)),
             triangles=sphere_162.triangles,
@@ -308,21 +314,24 @@ class TestRegister:
         anchors = rng.choice(162, 10, replace=False)
         matches = CorrespondenceSet(anchors, anchors, np.zeros(10))
         cfg = RegistrationConfig(outer_iterations=8)
-        shift = np.array([3.0, -7.0, 11.0])
+        shift = np.array(shift)
 
         d1, f1, r1 = register(sphere_162, target, matches, cfg)
         d2, f2, r2 = register(
-            Mesh(vertices=sphere_162.vertices + shift,
+            Mesh(vertices=scale * sphere_162.vertices + shift,
                  triangles=sphere_162.triangles),
-            Mesh(vertices=target.vertices + shift, triangles=target.triangles),
+            Mesh(vertices=scale * target.vertices + shift,
+                 triangles=target.triangles),
             matches, cfg,
         )
         assert r1.E_d == pytest.approx(r2.E_d, rel=1e-6, abs=1e-12)
         assert r1.E_s == pytest.approx(r2.E_s, rel=1e-6, abs=1e-12)
+        assert r1.E_m == pytest.approx(r2.E_m, rel=1e-6, abs=1e-12)
         assert np.allclose(
             f1.transforms[:, :, :3], f2.transforms[:, :, :3], atol=1e-8
         )
-        assert np.allclose(d1.vertices + shift, d2.vertices, atol=1e-7)
+        assert np.allclose(scale * d1.vertices + shift, d2.vertices,
+                           atol=1e-7 * scale)
 
     def test_report_total_identity(self, sphere_162, rng):
         target = Mesh(
