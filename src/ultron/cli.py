@@ -29,7 +29,12 @@ from .errors import (
     UltronError,
 )
 from .mesh import Mesh, load_mesh, save_mesh, serialize_mesh
-from .pipeline import QualityThresholds, run_pipeline, symmetric_rms_distance
+from .pipeline import (
+    QualityThresholds,
+    run_pipeline,
+    surface_errors,
+    symmetric_rms_distance,
+)
 from .registration import RegistrationConfig
 from .synth import MOTIONS, SHAPES, SynthConfig, generate_sequence
 from .tracking import DescriptorConfig
@@ -144,25 +149,15 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _geometry_psnr(original: Mesh, decoded: Mesh) -> float:
-    rms = symmetric_rms_distance(original, decoded)
+def _psnr(rms: float, original: Mesh, decoded: Mesh) -> float:
     peak = max(original.bounds().diagonal, decoded.bounds().diagonal)
     if rms == 0.0:
         return math.inf
     return 20.0 * math.log10(peak / rms)
 
 
-def _color_rms(original: Mesh, decoded: Mesh) -> float | None:
-    if original.colors is None or decoded.colors is None:
-        return None
-    if decoded.vertex_count == original.vertex_count:
-        diff = decoded.colors - original.colors
-    else:
-        from scipy.spatial import cKDTree
-
-        _, nearest = cKDTree(original.vertices).query(decoded.vertices)
-        diff = decoded.colors - original.colors[nearest]
-    return float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
+def _geometry_psnr(original: Mesh, decoded: Mesh) -> float:
+    return _psnr(symmetric_rms_distance(original, decoded), original, decoded)
 
 
 def cmd_eval(args) -> int:
@@ -194,8 +189,8 @@ def cmd_eval(args) -> int:
     color_rms_values = []
     for path, dec in zip(orig_paths, decoded):
         orig = load_mesh(path)
-        psnrs.append(_geometry_psnr(orig, dec))
-        c = _color_rms(orig, dec)
+        rms, c = surface_errors(dec, orig)
+        psnrs.append(_psnr(rms, orig, dec))
         if c is not None:
             color_rms_values.append(c)
 

@@ -161,7 +161,11 @@ class TriangleBvh:
         qidx = np.concatenate([seed_q, ball_q])
         tris = np.concatenate([seeds, ball_t])
         d2 = np.concatenate([seed_d2, ball_d2])
-        sel = np.lexsort((tris, d2, qidx))
+        # each query's nearest candidates; of those, the lowest triangle id
+        best = np.full(nq, np.inf)
+        np.minimum.at(best, qidx, d2)
+        tied = np.flatnonzero(d2 == best[qidx])
+        sel = tied[np.lexsort((tris[tied], qidx[tied]))]
         first = sel[np.flatnonzero(np.diff(qidx[sel], prepend=-1))]
         pts = np.concatenate([seed_pt, ball_pt])[first]
         return pts, np.sqrt(d2[first]), tris[first]

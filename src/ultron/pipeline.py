@@ -152,30 +152,34 @@ def _surface_colors(mesh: Mesh, points, tris) -> np.ndarray:
     return np.einsum("nk,nkc->nc", bary, mesh.colors[corners])
 
 
+def surface_errors(deformed: Mesh, original: Mesh):
+    """symmetric_rms_distance, and, when both meshes carry colors, the RMS
+    RGB distance between each deformed vertex's color and the original's
+    color at that vertex's closest point on the original, interpolated over
+    the closest triangle (None otherwise). That point comes from the
+    geometry term's own query, so vertex indices are never paired."""
+    rms, pts, tris = _symmetric_rms(deformed, original)
+    if deformed.colors is None or original.colors is None:
+        return rms, None
+    diff = deformed.colors - _surface_colors(original, pts, tris)
+    return rms, float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
+
+
 def assess_quality(
     deformed: Mesh,
     original: Mesh,
     thresholds: QualityThresholds,
 ) -> QualityReport:
     """Geometric (and, when colors exist, color) fidelity of a deformed
-    frame relative to the original, normalized for the pass decision.
-
-    Colors are compared on the surface: each deformed vertex against the
-    original's color at that vertex's closest point on the original, found
-    by the geometry term's own query.
-    """
+    frame relative to the original (surface_errors), normalized for the
+    pass decision."""
     if deformed.triangle_count == 0 or original.triangle_count == 0:
         raise InvalidMeshError("meshes must be nonempty")
     diag = original.bounds().diagonal
     if diag <= 0:
         raise InvalidMeshError("original mesh has a degenerate bounding box")
-    rms, pts, tris = _symmetric_rms(deformed, original)
+    rms, e_c = surface_errors(deformed, original)
     e_d = rms / diag
-
-    e_c = None
-    if deformed.colors is not None and original.colors is not None:
-        diff = deformed.colors - _surface_colors(original, pts, tris)
-        e_c = float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
 
     passed = e_d <= thresholds.geometry_tol and (
         e_c is None or e_c <= thresholds.color_tol

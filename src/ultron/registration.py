@@ -18,6 +18,19 @@ per registration; each outer iteration only rewrites the blocks' values.
 Each CG solve stops at relative residual 1e-5, because its targets move at
 the next iterate.
 
+CG is preconditioned on two levels, M^-1 r = D^-1 r + P H_c^-1 P^T r: the
+Jacobi diagonal D plus a coarse correction over vertex aggregates (the
+coarse space of Vanek, Mandel & Brezina, Computing 1996, without their
+prolongator smoothing). Jacobi alone cannot fix the conditioning, which
+comes from the alpha-weighted Laplacian. Each vertex joins its nearest seed
+by hop count over the source mesh's edges, so the aggregates depend on
+connectivity alone. P copies an aggregate's 4 entries to each of its
+vertices. The three transform rows decouple (H is I3 ⊗ H4 up to a
+permutation), so H_c = P^T H4 P is one matrix of order 4 x aggregates,
+factored once per outer iteration and solved for the three rows at once.
+The aggregates and the map from the matrix's values into H_c are built
+once per registration.
+
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
 coordinates, while the returned field and mesh are in input coordinates.
@@ -32,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import InvalidMeshError, SolverError
@@ -47,6 +62,12 @@ logger = logging.getLogger(__name__)
 _CONVERGENCE_TOL = 1e-5
 _CG_TOL = 1e-5
 _CG_MAX_ITERS = 2000
+# the coarse level seeds every s-th vertex, s = max(_AGGREGATE,
+# ceil(n / _MAX_AGGREGATES)), which bounds the coarse matrix's order to
+# 4 * _MAX_AGGREGATES (+4 for vertices no seed reaches); the cap only acts
+# above 4,096 vertices and is not tuned on benchmark traffic
+_AGGREGATE = 16
+_MAX_AGGREGATES = 256
 
 
 @dataclass(frozen=True)
@@ -143,12 +164,14 @@ def energy_match(field, matches: CorrespondenceSet, key_vertices, target_vertice
 
 
 class Quadratic:
-    """x^T H x - 2 b^T x + c; the fixed-correspondence objective."""
+    """x^T H x - 2 b^T x + c; the fixed-correspondence objective, with the
+    pattern it was assembled on."""
 
-    def __init__(self, H, b, constant):
-        self.H = H.tocsr()
+    def __init__(self, H, b, constant, pattern: _SystemPattern):
+        self.H = H
         self.b = b
         self.constant = constant
+        self.pattern = pattern
 
     @property
     def size(self):
@@ -161,12 +184,31 @@ class Quadratic:
         return 2.0 * (self.H @ x - self.b)
 
 
-def _laplacian(edges, n: int):
-    """The edge Laplacian of a mesh with n vertices, in canonical CSR."""
+def _adjacency(edges, n: int):
+    """The symmetric edge-count matrix of a mesh with n vertices, in
+    canonical CSR."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     A = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
-    A = (A + A.T).tocsr()
-    return (sp.diags(np.asarray(A.sum(axis=1)).ravel()) - A).tocsr()
+    return (A + A.T).tocsr()
+
+
+def _laplacian(adjacency):
+    """The graph Laplacian of an adjacency matrix, in canonical CSR."""
+    return (sp.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
+
+
+def _aggregates(adjacency) -> np.ndarray:
+    """Each vertex's aggregate: the nearest seed by hop count, seeds being
+    every s-th vertex. Vertices no seed reaches (a component holding no
+    seed) share one last aggregate."""
+    n = adjacency.shape[0]
+    s = max(_AGGREGATE, -(-n // _MAX_AGGREGATES))
+    seeds = np.arange(0, n, s)
+    _, _, source = dijkstra(
+        adjacency, directed=False, indices=seeds, unweighted=True,
+        return_predecessors=True, min_only=True,
+    )
+    return np.where(source >= 0, source // s, len(seeds))
 
 
 class _SystemPattern:
@@ -179,6 +221,10 @@ class _SystemPattern:
     neighbor j. Only the blocks change between outer iterations, so an
     assembly copies the smoothness values and adds the blocks in place;
     the values equal those of summing the three sparse matrices.
+
+    It also holds the preconditioner's coarse level: the vertex aggregates
+    and, for each entry in the rows of transform row 0, its flat position in
+    the coarse matrix.
     """
 
     def __init__(self, key_vertices, edges, alpha: float, gamma: float):
@@ -186,7 +232,8 @@ class _SystemPattern:
         n = len(kv)
         self.u4 = np.concatenate([kv, np.ones((n, 1))], axis=1)
         self.uu = np.einsum("ni,nj->nij", self.u4, self.u4)
-        L = _laplacian(edges, n) if alpha > 0 else sp.csr_matrix((n, n))
+        adjacency = _adjacency(edges, n)
+        L = _laplacian(adjacency) if alpha > 0 else sp.csr_matrix((n, n))
         rows = np.repeat(np.arange(n), np.diff(L.indptr))
         off = L.indices != rows
         i, j, l_ij = rows[off], L.indices[off], L.data[off]
@@ -217,6 +264,19 @@ class _SystemPattern:
         self.base[smooth_pos] = alpha * (l_ij[:, None] * w)
         self.base[self.diag_pos] = alpha * (L.diagonal()[:, None] * w).reshape(-1)
 
+        agg = _aggregates(adjacency)
+        self.aggregates = agg
+        self.coarse_count = int(agg.max()) + 1
+        self.order = np.argsort(agg, kind="stable")
+        self.starts = np.searchsorted(agg[self.order], np.arange(self.coarse_count))
+        # H4 is the matrix of transform row 0: rows and columns 12i + a, a < 4
+        row = np.repeat(np.arange(size), np.diff(indptr))
+        self.coarse_entries = np.flatnonzero(row % 12 < 4)
+        r = row[self.coarse_entries]
+        c = indices[self.coarse_entries]
+        self.coarse_pos = ((4 * agg[r // 12] + r % 4) * (4 * self.coarse_count)
+                           + 4 * agg[c // 12] + c % 4)
+
     def quadratic(self, data_targets, data_weights, matches, target_vertices,
                   beta: float) -> Quadratic:
         """The unregularized objective for fixed closest points."""
@@ -235,7 +295,7 @@ class _SystemPattern:
         data[self.block_pos] += blocks.ravel()
         H = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         b = (q[:, :, None] * self.u4[:, None, :]).reshape(-1)
-        return Quadratic(H, b, const)
+        return Quadratic(H, b, const, self)
 
     def diagonal(self, quad: Quadratic) -> np.ndarray:
         return quad.H.data[self.diag_pos]
@@ -243,6 +303,34 @@ class _SystemPattern:
     def regularize(self, quad: Quadratic, lam: float) -> None:
         """Add lam I to quad's matrix in place."""
         quad.H.data[self.diag_pos] += lam
+
+    def coarse_matrix(self, quad: Quadratic) -> np.ndarray:
+        """H_c = P^T H4 P, dense, of order 4 x aggregates."""
+        size = 4 * self.coarse_count
+        return np.bincount(
+            self.coarse_pos, weights=quad.H.data[self.coarse_entries],
+            minlength=size * size,
+        ).reshape(size, size)
+
+    def preconditioner(self, quad: Quadratic) -> LinearOperator:
+        """M^-1 r = D^-1 r + P H_c^-1 P^T r, with H_c factored once here."""
+        d = self.diagonal(quad)
+        inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
+        factor, info = dpotrf(self.coarse_matrix(quad), overwrite_a=True)
+        if info != 0:
+            raise SolverError(f"coarse registration system is not positive "
+                              f"definite (info={info})")
+        nc = self.coarse_count
+
+        def apply(r):
+            # restrict all three transform rows at once: column g of the
+            # coarse right-hand side holds transform row g's (nc, 4) sums
+            rc = np.add.reduceat(r.reshape(-1, 12)[self.order], self.starts, axis=0)
+            rhs = rc.reshape(nc, 3, 4).transpose(0, 2, 1).reshape(-1, 3)
+            y = dpotrs(factor, rhs)[0].reshape(nc, 4, 3).transpose(0, 2, 1)
+            return inv * r + y.reshape(nc, 12)[self.aggregates].reshape(-1)
+
+        return LinearOperator(quad.H.shape, matvec=apply, dtype=np.float64)
 
 
 def fixed_correspondence_quadratic(
@@ -273,12 +361,9 @@ def fixed_correspondence_quadratic(
 
 
 def _solve(quad: Quadratic, x0):
-    d = quad.H.diagonal()
-    inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
-    M = LinearOperator(quad.H.shape, matvec=lambda r: inv * r)
     x, info = cg(
         quad.H, quad.b, x0=x0, rtol=_CG_TOL, atol=0.0,
-        maxiter=_CG_MAX_ITERS, M=M,
+        maxiter=_CG_MAX_ITERS, M=quad.pattern.preconditioner(quad),
     )
     if info < 0:
         raise SolverError(f"conjugate gradient failed (info={info})")

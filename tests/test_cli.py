@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from ultron.cli import _encode_configs, build_parser, main
-from ultron.codec import QuantizationParams
+from ultron.codec import (
+    QuantizationParams,
+    container_frames,
+    decode_container,
+    encode_container,
+)
 from ultron.mesh import load_mesh, save_mesh
-from ultron.pipeline import QualityThresholds
+from ultron.pipeline import QualityThresholds, run_pipeline
 from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_slab, synth_frames
 from ultron.tracking import DescriptorConfig
@@ -173,6 +178,31 @@ def test_eval_is_symmetric(tmp_path, rng):
     v1 = list(csv.DictReader(open(r1)))[0]["geometry-psnr-db"]
     v2 = list(csv.DictReader(open(r2)))[0]["geometry-psnr-db"]
     assert v1 == v2
+
+
+def test_eval_color_rms_is_measured_on_the_surface(tmp_path):
+    """Every frame is a new 642-vertex tessellation, so a frame carried on
+    its keyframe's connectivity has as many vertices as its original but
+    no vertex in common with it: colors must not be paired by index."""
+    frames = list(synth_frames(SynthConfig(shape="sphere", frames=6,
+                                           resolution=3, remesh_every=1,
+                                           colors=True, seed=5)))
+    segments, stats = run_pipeline(iter(frames))
+    carried = [r.frame_id for r in stats.records if not r.is_keyframe]
+    assert carried
+    decoded = list(container_frames(*decode_container(encode_container(segments))))
+    tol = QualityThresholds().color_tol
+    for i, (orig, dec) in enumerate(zip(frames, decoded)):
+        assert dec.vertex_count == orig.vertex_count
+        a, b, report = (tmp_path / f"{name}{i}.{ext}" for name, ext in
+                        (("orig", "obj"), ("dec", "obj"), ("r", "csv")))
+        save_mesh(orig, a)
+        save_mesh(dec, b)
+        assert run_cli("eval", "--original", a, "--decoded", b,
+                       "--output", report) == 0
+        with open(report) as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert float(row["color-rms"]) <= tol, i
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -19,6 +19,21 @@ def test_query_on_vertex_returns_zero(sphere_162):
     assert np.array_equal(point, target)
 
 
+def test_vertex_query_ties_go_to_lowest_fan_triangle(rng):
+    """Every triangle of a vertex's fan is at distance 0 from it; whatever
+    order the triangles come in, the lowest id among them wins."""
+    sphere = make_icosphere(2)
+    for _ in range(3):
+        tris = sphere.triangles[rng.permutation(sphere.triangle_count)]
+        mesh = Mesh(vertices=sphere.vertices, triangles=tris)
+        pts, dists, ids = closest_points(mesh, sphere.vertices)
+        lowest = np.full(sphere.vertex_count, len(tris))
+        np.minimum.at(lowest, tris.ravel(), np.repeat(np.arange(len(tris)), 3))
+        assert np.array_equal(ids, lowest)
+        assert np.array_equal(pts, sphere.vertices)
+        assert not dists.any()
+
+
 def test_orthogonal_projection_onto_triangle():
     mesh = Mesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0]], triangles=[[0, 1, 2]])
     point, dist, tri = closest_point_on_mesh(mesh, [0.25, 0.25, 1.0])

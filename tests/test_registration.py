@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator, cg
 
 import ultron.registration
+from ultron.errors import SolverError
 from ultron.mesh import Mesh
 from ultron.registration import (
     AffineField,
@@ -12,7 +15,13 @@ from ultron.registration import (
     fixed_correspondence_quadratic,
     register,
 )
-from ultron.registration import _CG_TOL, _SystemPattern, _solve
+from ultron.registration import (
+    _CG_TOL,
+    _SystemPattern,
+    _adjacency,
+    _aggregates,
+    _solve,
+)
 from ultron.synth import make_cylinder, make_icosphere
 from ultron.tracking import CorrespondenceSet
 
@@ -186,6 +195,126 @@ class TestAssembly:
                 quad.H.toarray(),
                 dense_normal_matrix(kv, edges, keep, matches, 2.0, beta, 1.3, lam),
             )
+
+
+def coarse_space(pattern, n):
+    """P: vertex i's entry a maps to its aggregate's entry a."""
+    P = np.zeros((4 * n, 4 * pattern.coarse_count))
+    for i, k in enumerate(pattern.aggregates):
+        P[4 * i:4 * i + 4, 4 * k:4 * k + 4] = np.eye(4)
+    return P
+
+
+def assert_connected_aggregates(agg, adjacency, skip=()):
+    for k in np.unique(agg):
+        if k in skip:
+            continue
+        members = np.flatnonzero(agg == k)
+        sub = adjacency[members][:, members]
+        assert connected_components(sub, directed=False)[0] == 1, k
+
+
+class TestPreconditioner:
+    """M^-1 = D^-1 + P H_c^-1 P^T over edge-connected vertex aggregates."""
+
+    def test_coarse_matrix_is_galerkin_product(self, rng):
+        sphere = make_icosphere(2)
+        kv, edges = sphere.vertices, sphere.edges()
+        n = len(kv)
+        keep = rng.random(n) > 0.3
+        matched = rng.permutation(n)[: n // 3]
+        matches = CorrespondenceSet(matched, matched, np.zeros(len(matched)))
+        pattern = _SystemPattern(kv, edges, 3.0, 0.7)
+        assert pattern.coarse_count > 1
+        quad = pattern.quadratic(kv, keep, matches, kv, 0.4)
+        pattern.regularize(quad, 1e-9)
+        H = dense_normal_matrix(kv, edges, keep, matches, 3.0, 0.4, 0.7, 1e-9)
+        row0 = (12 * np.arange(n)[:, None] + np.arange(4)).reshape(-1)
+        H4 = H[np.ix_(row0, row0)]
+        # the three transform rows decouple into copies of H4
+        for g in range(3):
+            for h in range(3):
+                block = H[np.ix_(row0 + 4 * g, row0 + 4 * h)]
+                assert np.array_equal(block, H4 if g == h else 0 * H4)
+        P = coarse_space(pattern, n)
+        assert np.allclose(pattern.coarse_matrix(quad), P.T @ H4 @ P,
+                           rtol=1e-12, atol=1e-12 * np.abs(H4).max())
+
+    def test_preconditioner_is_symmetric_positive_definite(self, rng):
+        for _ in range(5):
+            quad, *_ = random_quadratic(rng, n=40)
+            assert quad.pattern.coarse_count > 1
+            M = quad.pattern.preconditioner(quad)
+            Minv = np.column_stack([M.matvec(e) for e in np.eye(quad.size)])
+            scale = np.abs(Minv).max()
+            assert np.allclose(Minv, Minv.T, rtol=0.0, atol=1e-12 * scale)
+            assert np.linalg.eigvalsh(0.5 * (Minv + Minv.T)).min() > 0.0
+
+    def test_indefinite_coarse_matrix_raises(self, rng):
+        quad, *_ = random_quadratic(rng)
+        quad.H.data[quad.pattern.diag_pos] = -1.0
+        with pytest.raises(SolverError, match="coarse"):
+            _solve(quad, np.zeros(quad.size))
+
+    def test_aggregates_cover_and_are_edge_connected(self):
+        # two 162-vertex spheres: seeds (every 16th vertex) fall in both
+        sphere = make_icosphere(2)
+        n = 2 * sphere.vertex_count
+        edges = np.concatenate([sphere.edges(), sphere.edges() + sphere.vertex_count])
+        adjacency = _adjacency(edges, n)
+        agg = _aggregates(adjacency)
+        assert agg.shape == (n,)
+        assert np.array_equal(np.unique(agg), np.arange(len(range(0, n, 16))))
+        assert_connected_aggregates(agg, adjacency)
+
+    def test_unseeded_vertices_share_one_last_aggregate(self):
+        # a 12-vertex component and an isolated vertex after the 162 sphere
+        # hold no seed
+        big, small = make_icosphere(2), make_icosphere(0)
+        n = big.vertex_count + small.vertex_count + 1
+        edges = np.concatenate([big.edges(), small.edges() + big.vertex_count])
+        adjacency = _adjacency(edges, n)
+        agg = _aggregates(adjacency)
+        seeds = len(range(0, n, 16))
+        assert np.array_equal(np.unique(agg), np.arange(seeds + 1))
+        assert np.array_equal(np.flatnonzero(agg == seeds),
+                              np.arange(big.vertex_count, n))
+        assert_connected_aggregates(agg, adjacency, skip=(seeds,))
+        # the shared aggregate spans components, yet H_c stays positive
+        # definite and the preconditioned solve converges
+        kv = np.concatenate([big.vertices, small.vertices + 3.0, [[5.0, 0.0, 0.0]]])
+        quad = fixed_correspondence_quadratic(
+            kv, edges, kv + 0.1, np.ones(n), None, kv,
+            alpha=3.0, beta=0.5, gamma=0.8, regularization=1e-9,
+        )
+        x = _solve(quad, np.zeros(quad.size))
+        residual = np.linalg.norm(quad.H @ x - quad.b)
+        assert residual <= 10 * _CG_TOL * np.linalg.norm(quad.b)
+
+    def test_fewer_cg_iterations_than_jacobi(self, sphere_642, rng, monkeypatch):
+        """A registration at alpha = 10 needs at least 3x fewer CG iterations
+        than with a Jacobi preconditioner alone."""
+        v = sphere_642.vertices
+        target = Mesh(vertices=v * 1.05 + rng.normal(scale=0.005, size=v.shape),
+                      triangles=sphere_642.triangles)
+        cfg = RegistrationConfig(alpha=10.0, outer_iterations=10)
+
+        def iterations(jacobi):
+            count = [0]
+
+            def counting(A, b, M=None, **kwargs):
+                if jacobi:
+                    inv = 1.0 / A.diagonal()
+                    M = LinearOperator(A.shape, matvec=lambda r: inv * r)
+                def step(xk):
+                    count[0] += 1
+                return cg(A, b, M=M, callback=step, **kwargs)
+
+            monkeypatch.setattr(ultron.registration, "cg", counting)
+            register(sphere_642, target, None, cfg)
+            return count[0]
+
+        assert 3 * iterations(jacobi=False) <= iterations(jacobi=True)
 
 
 class TestQuadratic:
