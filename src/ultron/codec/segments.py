@@ -15,7 +15,8 @@ frame 0 absolute, each later frame as zigzagged deltas against the frame
 before it. A frame's blob is one entropy block per byte plane (the plane
 count follows from the bit depth). Positions are quantized on a
 per-segment f32 grid covering every frame; UVs on [0, 1], colors on
-[0, 1] and normals on [-1, 1].
+[0, 1] and normals on [-1, 1]. One table, _streams, gives each stream's
+frames, bits and lattice range to both the encoder and the decoder.
 
 The byte planes of every frame and attribute are entropy-coded in one
 batch, so equal-count blocks advance in one lockstep run (see rans.py);
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +118,33 @@ def _join_stream(planes, frame_count: int, count: int, width: int,
     return vals.reshape(frame_count, count, width)
 
 
+class _Stream(NamedTuple):
+    what: str        # names the stream in errors
+    attr: str        # the Segment attribute, or the key's when from_key
+    from_key: bool   # one frame taken from the key, else one per frame
+    frames: int
+    width: int       # values per vertex
+    bits: int
+    lo: tuple        # lattice range
+    hi: tuple
+
+
+def _streams(flags: int, frame_count: int, qp: int, qt: int, qn: int,
+             grid: tuple) -> list[_Stream]:
+    """The segment's attribute streams in coding order; grid is the
+    positions' (min, max)."""
+    streams = [_Stream("position blob", "frames", False, frame_count, 3, qp, *grid)]
+    if flags & FLAG_UV:
+        streams.append(_Stream("uv blob", "uvs", True, 1, 2, qt, (0.0, 0.0), (1.0, 1.0)))
+    if flags & FLAG_COLORS:
+        streams.append(_Stream("color blob", "colors", True, 1, 3, COLOR_BITS,
+                               (0.0,) * 3, (1.0,) * 3))
+    if flags & FLAG_STORED_NORMALS:
+        streams.append(_Stream("normal blob", "normal_frames", False, frame_count, 3,
+                               qn, (-1.0,) * 3, (1.0,) * 3))
+    return streams
+
+
 def _pick_connectivity(key: Mesh) -> tuple[int, bytes]:
     table = build_corner_table(key)
     if isinstance(table, CornerTable):
@@ -166,23 +195,12 @@ def encode_segment(seg: Segment, qparams: QuantizationParams) -> bytes:
     )
     parts = [header, conn]
 
-    q_pos = quantize_array(seg.frames, grid.min, grid.max, qparams.qp)
-    frames = _stream_planes(q_pos, qparams.qp)
-
-    if seg.key.uvs is not None:
-        q_uv = quantize_array(seg.key.uvs, (0.0, 0.0), (1.0, 1.0), qparams.qt)
-        frames += _stream_planes(q_uv[None], qparams.qt)
-
-    if seg.key.colors is not None:
-        q_col = quantize_array(
-            seg.key.colors, (0.0,) * 3, (1.0,) * 3, COLOR_BITS
-        )
-        frames += _stream_planes(q_col[None], COLOR_BITS)
-
-    if seg.normal_frames is not None:
-        q_n = quantize_array(seg.normal_frames, (-1.0,) * 3, (1.0,) * 3,
-                             qparams.qn)
-        frames += _stream_planes(q_n, qparams.qn)
+    frames = []
+    for s in _streams(segment_flags(seg), seg.frame_count, qparams.qp,
+                      qparams.qt, qparams.qn, (grid.min, grid.max)):
+        values = getattr(seg.key if s.from_key else seg, s.attr)
+        q = quantize_array(values, s.lo, s.hi, s.bits)
+        frames += _stream_planes(q.reshape(s.frames, -1), s.bits)
 
     # every plane of every frame and attribute is coded in one batch
     blocks = iter(encode_blocks([p for planes in frames for p in planes], 256))
@@ -218,43 +236,34 @@ def decode_segment(
     if len(triangles) and triangles.max() >= vertex_count:
         raise CorruptStreamError("triangle index exceeds vertex count")
 
-    # name: frame count, values per vertex, bits, lattice range
-    streams = {"position blob": (frame_count, 3, qp, gmin, gmax)}
-    if flags & FLAG_UV:
-        streams["uv blob"] = (1, 2, qt, (0.0, 0.0), (1.0, 1.0))
-    if flags & FLAG_COLORS:
-        streams["color blob"] = (1, 3, COLOR_BITS, (0.0,) * 3, (1.0,) * 3)
-    if flags & FLAG_STORED_NORMALS:
-        streams["normal blob"] = (frame_count, 3, qn, (-1.0,) * 3, (1.0,) * 3)
+    streams = _streams(flags, frame_count, qp, qt, qn, (gmin, gmax))
     # every block header is checked before any payload is decoded, and
     # every payload is decoded, in one batch, before any value is built
     coded = [
         block
-        for what, (nframes, width, bits, _, _) in streams.items()
-        for k in range(nframes)
-        for block in read_planes(reader.take_prefixed(what), 0,
-                                 vertex_count * width,
-                                 _delta_planes(bits) if k else _abs_planes(bits))
+        for s in streams
+        for k in range(s.frames)
+        for block in read_planes(reader.take_prefixed(s.what), 0,
+                                 vertex_count * s.width,
+                                 _delta_planes(s.bits) if k else _abs_planes(s.bits))
     ]
     planes = iter(decode_blocks(coded))
-    values = {
-        what: dequantize_array(
-            _join_stream(planes, nframes, vertex_count, width, bits, what),
-            lo, hi, bits)
-        for what, (nframes, width, bits, lo, hi) in streams.items()
-    }
-    frames = values["position blob"]
-    uvs = values["uv blob"][0] if flags & FLAG_UV else None
-    colors = values["color blob"][0] if flags & FLAG_COLORS else None
-    normal_frames = values.get("normal blob")
+    values = {}
+    for s in streams:
+        v = dequantize_array(
+            _join_stream(planes, s.frames, vertex_count, s.width, s.bits, s.what),
+            s.lo, s.hi, s.bits)
+        values[s.attr] = v[0] if s.from_key else v
+    frames = values["frames"]
+    normal_frames = values.get("normal_frames")
 
     try:
         key = Mesh(
             vertices=frames[0],
             triangles=triangles,
             normals=normal_frames[0] if normal_frames is not None else None,
-            uvs=uvs,
-            colors=colors,
+            uvs=values.get("uvs"),
+            colors=values.get("colors"),
         )
         seg = Segment(
             key=key,

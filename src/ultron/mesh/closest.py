@@ -133,6 +133,8 @@ class TriangleBvh:
         """
         q = np.atleast_2d(np.asarray(points, dtype=np.float64))
         nq = len(q)
+        if nq == 0:
+            return np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.intp)
         rows = np.arange(nq)
 
         # achieved upper bound: exact distance to each group's triangle with

@@ -7,7 +7,9 @@ property; polygons with more than 3 corners are fan-triangulated.
 
 parse_ply walks the elements once for both encodings. An encoding's body
 reader supplies two primitives, rows of scalar properties and
-variable-length index lists; the walker does the rest.
+variable-length index lists; the walker does the rest. Both encodings
+refuse a property named twice in one element and data after the last
+element (binary tolerates a trailing line break).
 
 The writer emits double-precision properties so binary round-trips are
 bit-exact and ascii round-trips (shortest round-trip decimals) are too.
@@ -90,9 +92,11 @@ def _parse_header(data: bytes):
                 if t not in _SCALAR_TYPES:
                     raise MeshParseError(f"unknown type {t!r}", line=lineno)
             types = [_SCALAR_TYPES[t] for t in types]
-            elements[-1][2].append(
-                ("__list__", parts[4], *types) if is_list else (parts[2], *types)
-            )
+            name = parts[-1]
+            props = elements[-1][2]
+            if name in [p[1] if p[0] == "__list__" else p[0] for p in props]:
+                raise MeshParseError(f"property {name!r} declared twice", line=lineno)
+            props.append(("__list__", name, *types) if is_list else (name, *types))
         else:
             raise MeshParseError(f"unknown header keyword {parts[0]!r}", line=lineno)
     if fmt is None:
@@ -247,7 +251,9 @@ class _AsciiBody:
         return np.array(sizes, dtype=np.int64), flat
 
     def end(self):
-        pass  # tokens after the last element are ignored
+        if self.pos < len(self.tokens):
+            raise self.error(f"{len(self.tokens) - self.pos} unexpected trailing "
+                             "tokens", self.pos)
 
 
 class _BinaryBody:
@@ -272,10 +278,7 @@ class _BinaryBody:
             return None
         if not props:
             return []
-        try:
-            dtype = np.dtype([(name, "<" + t) for name, t in props])
-        except ValueError as exc:  # a property named twice
-            raise self.error(f"bad element properties: {exc}")
+        dtype = np.dtype([(name, "<" + t) for name, t in props])
         start = self.offset
         self._advance(dtype.itemsize * count)
         block = np.frombuffer(self.data, dtype=dtype, count=count, offset=start)

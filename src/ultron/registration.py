@@ -8,13 +8,14 @@ equations by preconditioned conjugate gradient and decays the
 correspondence weight. One closest-point query per iterate both scores it
 (E_d) and gives the next system its targets.
 
-The normal matrix, over the transforms flattened vertex by vertex, has two
-parts. The data and correspondence terms give vertex i the block
-c_i I3 ⊗ u_i u_i^T, with u_i its homogeneous position and
+The three transform rows decouple: over the transforms flattened vertex by
+vertex, the normal matrix is I3 ⊗ H4 up to a permutation. H4, of order 4n,
+has two parts. The data and correspondence terms give vertex i the block
+c_i u_i u_i^T, with u_i its homogeneous position and
 c_i = keep_i + beta [i matched]. The smoothness term is
-alpha L ⊗ diag(1,1,1,gamma^2) (tiled for the three rows), with L the edge
-Laplacian of the source mesh. The system's sparsity pattern is built once
-per registration; each outer iteration only rewrites the blocks' values.
+alpha L ⊗ diag(1,1,1,gamma^2), with L the edge Laplacian of the source
+mesh. Assembly writes H4 only, into a sparsity pattern built once per
+registration; the CG operator's values are one fixed gather of H4's.
 Each CG solve stops at relative residual 1e-5, because its targets move at
 the next iterate.
 
@@ -25,11 +26,10 @@ prolongator smoothing). Jacobi alone cannot fix the conditioning, which
 comes from the alpha-weighted Laplacian. Each vertex joins its nearest seed
 by hop count over the source mesh's edges, so the aggregates depend on
 connectivity alone. P copies an aggregate's 4 entries to each of its
-vertices. The three transform rows decouple (H is I3 ⊗ H4 up to a
-permutation), so H_c = P^T H4 P is one matrix of order 4 x aggregates,
-factored once per outer iteration and solved for the three rows at once.
-The aggregates and the map from the matrix's values into H_c are built
-once per registration.
+vertices. The Jacobi diagonal and H_c = P^T H4 P, one matrix of order
+4 x aggregates, are read from H4; H_c is factored once per outer iteration
+and solved for the three rows at once. The aggregates and the map from H4's
+values into H_c are built once per registration.
 
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
@@ -163,15 +163,16 @@ def energy_match(field, matches: CorrespondenceSet, key_vertices, target_vertice
     return float(np.sum(diff * diff))
 
 
+@dataclass(eq=False)
 class Quadratic:
-    """x^T H x - 2 b^T x + c; the fixed-correspondence objective, with the
-    pattern it was assembled on."""
+    """x^T H x - 2 b^T x + c; the fixed-correspondence objective. H, the CG
+    operator, is gathered from h4, the 4n x 4n matrix the pattern assembled."""
 
-    def __init__(self, H, b, constant, pattern: _SystemPattern):
-        self.H = H
-        self.b = b
-        self.constant = constant
-        self.pattern = pattern
+    H: sp.csr_matrix
+    h4: sp.csr_matrix
+    b: np.ndarray
+    constant: float
+    pattern: _SystemPattern
 
     @property
     def size(self):
@@ -212,19 +213,23 @@ def _aggregates(adjacency) -> np.ndarray:
 
 
 class _SystemPattern:
-    """The normal matrix's CSR pattern, built once per registration.
+    """The CSR patterns of H4 and of the CG operator, built once per
+    registration.
 
-    The pattern is the union of the 3n diagonal 4x4 blocks, the smoothness
-    term alpha L ⊗ diag(1,1,1,gamma^2) (tiled x3) and the diagonal, with
-    sorted indices. Row 12i + m holds vertex i's neighbors below it, the row
-    of its 4x4 block, then its neighbors above it, at column 12j + m per
-    neighbor j. Only the blocks change between outer iterations, so an
-    assembly copies the smoothness values and adds the blocks in place;
-    the values equal those of summing the three sparse matrices.
+    H4's pattern is the union of the n diagonal 4x4 blocks, the smoothness
+    term alpha L ⊗ diag(1,1,1,gamma^2) and the diagonal, with sorted indices.
+    Row 4i + a holds vertex i's neighbors below it, the row of its 4x4
+    block, then its neighbors above it, at column 4j + a per neighbor j.
+    Only the blocks change between outer iterations, so an assembly copies
+    the smoothness values and adds the blocks in place; the values equal
+    those of summing the sparse matrices.
+
+    The operator's row 12i + 4g + a is H4's row 4i + a for each transform
+    row g, with H4's column 4j + b moved to 12j + 4g + b, so its values are
+    one fixed gather of H4's.
 
     It also holds the preconditioner's coarse level: the vertex aggregates
-    and, for each entry in the rows of transform row 0, its flat position in
-    the coarse matrix.
+    and, for each entry of H4, its flat position in the coarse matrix.
     """
 
     def __init__(self, key_vertices, edges, alpha: float, gamma: float):
@@ -240,46 +245,48 @@ class _SystemPattern:
         degree = np.bincount(i, minlength=n)
         below = np.bincount(i[j < i], minlength=n)
 
-        m = np.arange(12)
-        size = 12 * n
-        indptr = np.concatenate([[0], np.cumsum(np.repeat(4 + degree, 12))])
-        start = indptr[:-1].reshape(n, 12)
+        a = np.arange(4)
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(4 + degree, 4))])
+        start = indptr[:-1].reshape(n, 4)
         first = start + below[:, None]  # where each row's block entries begin
-        # (vertex, transform row g, entry a, entry b) of block 3i + g
-        self.block_pos = (first.reshape(n, 3, 4, 1) + np.arange(4)).reshape(-1)
-        self.diag_pos = (first + m % 4).reshape(-1)
+        self.block_pos = (first[:, :, None] + a).reshape(-1)  # (vertex, a, b)
+        self.diag_pos = (first + a).reshape(-1)
         slot = np.arange(len(i)) - np.repeat(np.cumsum(degree) - degree, degree)
         smooth_pos = start[i] + (slot + 4 * (j > i))[:, None]
-
-        idx = np.int32 if max(indptr[-1], size) < 2**31 else np.int64
-        indices = np.empty(indptr[-1], dtype=idx)
-        block_row = np.arange(size) // 4
-        indices[self.block_pos] = (4 * block_row[:, None] + np.arange(4)).reshape(-1)
-        indices[smooth_pos] = 12 * j[:, None] + m
-        self.indices = indices
-        self.indptr = indptr.astype(idx)
-        self.shape = (size, size)
-        w = np.tile([1.0, 1.0, 1.0, gamma * gamma], 3)
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        indices[self.block_pos] = np.repeat(4 * np.arange(n), 16) + np.tile(a, 4 * n)
+        indices[smooth_pos] = 4 * j[:, None] + a
+        w = np.array([1.0, 1.0, 1.0, gamma * gamma])
         self.base = np.zeros(indptr[-1])
         self.base[smooth_pos] = alpha * (l_ij[:, None] * w)
         self.base[self.diag_pos] = alpha * (L.diagonal()[:, None] * w).reshape(-1)
+
+        # operator row 12i + 4g + a gathers H4's row 4i + a
+        length = np.repeat(4 + degree, 12)
+        op_indptr = np.concatenate([[0], np.cumsum(length)])
+        self.gather = (np.repeat(np.tile(start, 3).ravel() - op_indptr[:-1], length)
+                       + np.arange(op_indptr[-1]))
+        col = indices[self.gather]
+        g = np.repeat(np.arange(12 * n) // 4 % 3, length)
+        op_indices = 12 * (col // 4) + 4 * g + col % 4
+        idx = np.int32 if op_indptr[-1] < 2**31 else np.int64
+        self.h4_pattern = (indices.astype(idx), indptr.astype(idx))
+        self.op_pattern = (op_indices.astype(idx), op_indptr.astype(idx))
 
         agg = _aggregates(adjacency)
         self.aggregates = agg
         self.coarse_count = int(agg.max()) + 1
         self.order = np.argsort(agg, kind="stable")
         self.starts = np.searchsorted(agg[self.order], np.arange(self.coarse_count))
-        # H4 is the matrix of transform row 0: rows and columns 12i + a, a < 4
-        row = np.repeat(np.arange(size), np.diff(indptr))
-        self.coarse_entries = np.flatnonzero(row % 12 < 4)
-        r = row[self.coarse_entries]
-        c = indices[self.coarse_entries]
-        self.coarse_pos = ((4 * agg[r // 12] + r % 4) * (4 * self.coarse_count)
-                           + 4 * agg[c // 12] + c % 4)
+        r = np.repeat(np.arange(4 * n), np.diff(indptr))
+        self.coarse_pos = ((4 * agg[r // 4] + r % 4) * (4 * self.coarse_count)
+                           + 4 * agg[indices // 4] + indices % 4)
 
     def quadratic(self, data_targets, data_weights, matches, target_vertices,
-                  beta: float) -> Quadratic:
-        """The unregularized objective for fixed closest points."""
+                  beta: float, regularization: float | None = None) -> Quadratic:
+        """The objective for fixed closest points, plus regularization * I;
+        by default 1e-10 times the largest diagonal entry, warning about
+        unconstrained parameters and refusing an empty diagonal."""
         keep = np.asarray(data_weights, dtype=bool)
         c = keep.astype(np.float64)
         q = np.where(keep[:, None], np.asarray(data_targets, dtype=np.float64), 0.0)
@@ -289,33 +296,38 @@ class _SystemPattern:
             c[matches.source_indices] += beta
             q[matches.source_indices] += beta * t
             const += beta * float(np.sum(t * t))
-        # one 4x4 block c_i u_i u_i^T per (vertex, coordinate row)
-        blocks = np.repeat(c[:, None, None] * self.uu, 3, axis=0)
-        data = self.base.copy()
-        data[self.block_pos] += blocks.ravel()
-        H = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        # one 4x4 block c_i u_i u_i^T per vertex
+        h4 = self.base.copy()
+        h4[self.block_pos] += (c[:, None, None] * self.uu).ravel()
+        if regularization is None:
+            diag = h4[self.diag_pos]
+            if diag.max() <= 0:
+                raise SolverError("registration system has an empty diagonal")
+            regularization = 1e-10 * diag.max()
+            # a zero on H4's diagonal frees one parameter per transform row
+            zero_diag = 3 * int(np.count_nonzero(diag == 0.0))
+            if zero_diag:
+                logger.warning("degenerate registration system: %d unconstrained "
+                               "parameters; regularized", zero_diag)
+        h4[self.diag_pos] += regularization
+        m = len(self.diag_pos)
+        H = sp.csr_matrix((h4[self.gather], *self.op_pattern), shape=(3 * m, 3 * m))
+        H4 = sp.csr_matrix((h4, *self.h4_pattern), shape=(m, m))
         b = (q[:, :, None] * self.u4[:, None, :]).reshape(-1)
-        return Quadratic(H, b, const, self)
-
-    def diagonal(self, quad: Quadratic) -> np.ndarray:
-        return quad.H.data[self.diag_pos]
-
-    def regularize(self, quad: Quadratic, lam: float) -> None:
-        """Add lam I to quad's matrix in place."""
-        quad.H.data[self.diag_pos] += lam
+        return Quadratic(H, H4, b, const, self)
 
     def coarse_matrix(self, quad: Quadratic) -> np.ndarray:
         """H_c = P^T H4 P, dense, of order 4 x aggregates."""
         size = 4 * self.coarse_count
         return np.bincount(
-            self.coarse_pos, weights=quad.H.data[self.coarse_entries],
-            minlength=size * size,
+            self.coarse_pos, weights=quad.h4.data, minlength=size * size,
         ).reshape(size, size)
 
     def preconditioner(self, quad: Quadratic) -> LinearOperator:
         """M^-1 r = D^-1 r + P H_c^-1 P^T r, with H_c factored once here."""
-        d = self.diagonal(quad)
+        d = quad.h4.data[self.diag_pos].reshape(-1, 1, 4)
         inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
+        inv = inv.repeat(3, axis=1).ravel()  # one copy per transform row
         factor, info = dpotrf(self.coarse_matrix(quad), overwrite_a=True)
         if info != 0:
             raise SolverError(f"coarse registration system is not positive "
@@ -353,11 +365,8 @@ def fixed_correspondence_quadratic(
     side (keep_i q_i + beta t_i) ⊗ u_i, u_i being its homogeneous position.
     """
     pattern = _SystemPattern(key_vertices, edges, alpha, gamma)
-    quad = pattern.quadratic(data_targets, data_weights, matches, target_vertices, beta)
-    if regularization > 0:
-        # keep value/gradient consistent with the solved system
-        pattern.regularize(quad, regularization)
-    return quad
+    return pattern.quadratic(data_targets, data_weights, matches,
+                             target_vertices, beta, regularization)
 
 
 def _solve(quad: Quadratic, x0):
@@ -452,18 +461,6 @@ def register(
         weights = dists <= 3.0 * mu if mu > 0 else np.ones(n, dtype=bool)
 
         quad = pattern.quadratic(cpts, weights, matches, tv_n, beta)
-        diag = pattern.diagonal(quad)
-        dmax = diag.max()
-        if dmax <= 0:
-            raise SolverError("registration system has an empty diagonal")
-        lam = 1e-10 * dmax
-        zero_diag = int(np.count_nonzero(diag == 0.0))
-        if zero_diag:
-            logger.warning(
-                "degenerate registration system: %d unconstrained parameters; "
-                "regularized", zero_diag,
-            )
-        pattern.regularize(quad, lam)
         x = _solve(quad, x)
 
         field_now = x.reshape(n, 3, 4)

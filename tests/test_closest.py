@@ -48,6 +48,12 @@ def test_empty_mesh_raises():
         closest_points(mesh, [[0.0, 0.0, 0.0]])
 
 
+def test_no_queries_give_empty_results(sphere_162):
+    pts, dists, tris = closest_points(sphere_162, np.empty((0, 3)))
+    assert pts.shape == (0, 3) and dists.shape == (0,) and tris.shape == (0,)
+    assert np.issubdtype(tris.dtype, np.integer)
+
+
 def test_matches_bruteforce_on_random_soup(rng):
     verts = rng.normal(size=(200, 3))
     cand = rng.integers(0, 200, (700, 3))

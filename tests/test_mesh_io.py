@@ -277,8 +277,14 @@ _PLY_ASCII_TRIANGLE = (
     ("ply-ascii",
      b"ply\nformat ascii 1.0\nelement vertex -2\n"
      b"property double x\nproperty double y\nproperty double z\nend_header\n"),
+    ("ply-ascii",
+     b"ply\nformat ascii 1.0\nelement vertex 1\n"
+     b"property double x\nproperty double x\nproperty double z\nend_header\n"
+     b"0 0 0\n"),
+    ("ply-ascii", _PLY_ASCII_TRIANGLE + b"3 0 1 2\n7 7 7\n"),
 ], ids=["property_without_type", "property_named_twice", "index_above_2_63",
-        "corner_without_vertex", "negative_element_count"])
+        "corner_without_vertex", "negative_element_count",
+        "ascii_property_named_twice", "ascii_trailing_tokens"])
 def test_malformed_files_raise_parse_errors(fmt, data):
     with pytest.raises(MeshParseError):
         parse_mesh(data, fmt)
@@ -299,8 +305,9 @@ def _ply_ascii_two_faces(body):
     (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n3 0 2 1\n", 13,
      "out of range"),
     (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\n\n3 0 2\n", 16, "truncated"),
+    (b"0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n\n7 7 7\n", 16, "trailing"),
 ], ids=["vertex_number", "face_size", "face_corners", "face_index",
-        "index_above_2_63", "truncated_face"])
+        "index_above_2_63", "truncated_face", "trailing_tokens"])
 def test_ply_ascii_errors_name_the_failing_line(body, line, match):
     with pytest.raises(MeshParseError, match=match) as err:
         parse_mesh(_ply_ascii_two_faces(body), "ply-ascii")

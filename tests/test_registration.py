@@ -189,12 +189,35 @@ class TestAssembly:
         matches = CorrespondenceSet(matched, matched, np.zeros(10))
         for beta, keep in ((1.0, rng.random(n) > 0.5), (0.3, rng.random(n) > 0.2)):
             quad = pattern.quadratic(kv, keep, matches, kv, beta)
-            lam = 1e-10 * pattern.diagonal(quad).max()
-            pattern.regularize(quad, lam)
-            assert np.array_equal(
-                quad.H.toarray(),
-                dense_normal_matrix(kv, edges, keep, matches, 2.0, beta, 1.3, lam),
-            )
+            H = dense_normal_matrix(kv, edges, keep, matches, 2.0, beta, 1.3)
+            lam = 1e-10 * H.diagonal().max()
+            assert np.array_equal(quad.H.toarray(), H + lam * np.eye(len(H)))
+
+    def test_operator_is_kron_of_h4(self, mesh, rng):
+        """Entry (12i + 4g + a, 12j + 4h + b) of H is H4[4i + a, 4j + b]
+        when g == h and 0 otherwise."""
+        kv, edges = mesh
+        n = len(kv)
+        keep = rng.random(n) > 0.3
+        quad = fixed_correspondence_quadratic(
+            kv, edges, kv, keep, None, kv, alpha=2.0, beta=0.4, gamma=0.7,
+            regularization=1e-9,
+        )
+        assert quad.h4.shape == (4 * n, 4 * n) and quad.h4.has_canonical_format
+        H4 = quad.h4.toarray()
+        # H[(i, g, a), (j, h, b)] as a 6-axis array
+        H = quad.H.toarray().reshape(n, 3, 4, n, 3, 4)
+        for g in range(3):
+            for h in range(3):
+                block = H[:, g, :, :, h, :].reshape(4 * n, 4 * n)
+                assert np.array_equal(block, H4 if g == h else 0 * H4)
+
+    def test_empty_diagonal_raises(self, mesh):
+        # no smoothness, every data term rejected and no matches: H4 is zero
+        kv, edges = mesh
+        pattern = _SystemPattern(kv, edges, 0.0, 1.0)
+        with pytest.raises(SolverError, match="empty diagonal"):
+            pattern.quadratic(kv, np.zeros(len(kv)), None, kv, 1.0)
 
 
 def coarse_space(pattern, n):
@@ -226,8 +249,7 @@ class TestPreconditioner:
         matches = CorrespondenceSet(matched, matched, np.zeros(len(matched)))
         pattern = _SystemPattern(kv, edges, 3.0, 0.7)
         assert pattern.coarse_count > 1
-        quad = pattern.quadratic(kv, keep, matches, kv, 0.4)
-        pattern.regularize(quad, 1e-9)
+        quad = pattern.quadratic(kv, keep, matches, kv, 0.4, regularization=1e-9)
         H = dense_normal_matrix(kv, edges, keep, matches, 3.0, 0.4, 0.7, 1e-9)
         row0 = (12 * np.arange(n)[:, None] + np.arange(4)).reshape(-1)
         H4 = H[np.ix_(row0, row0)]
@@ -252,7 +274,7 @@ class TestPreconditioner:
 
     def test_indefinite_coarse_matrix_raises(self, rng):
         quad, *_ = random_quadratic(rng)
-        quad.H.data[quad.pattern.diag_pos] = -1.0
+        quad.h4.data[quad.pattern.diag_pos] = -1.0
         with pytest.raises(SolverError, match="coarse"):
             _solve(quad, np.zeros(quad.size))
 
