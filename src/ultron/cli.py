@@ -46,13 +46,14 @@ EXIT_SOLVER = 4
 EXIT_CONTAINER = 5
 
 
-def resolve_inputs(inputs: list[str], manifest: str | None) -> list[Path]:
+def resolve_inputs(inputs: list[str], manifest: str | None = None) -> list[Path]:
     """Input frames from an explicit list, a printf pattern, or a manifest."""
     if manifest:
         if inputs:
             raise MeshParseError("give either input paths or --manifest, not both")
         lines = Path(manifest).read_text().splitlines()
-        paths = [Path(l.strip()) for l in lines if l.strip() and not l.startswith("#")]
+        stripped = (l.strip() for l in lines)
+        paths = [Path(l) for l in stripped if l and not l.startswith("#")]
     elif len(inputs) == 1 and "%" in inputs[0]:
         paths = []
         i = 0
@@ -161,7 +162,7 @@ def _geometry_psnr(original: Mesh, decoded: Mesh) -> float:
 
 
 def cmd_eval(args) -> int:
-    orig_paths = resolve_inputs(args.original, args.original_manifest)
+    orig_paths = resolve_inputs(args.original)
     orig_bytes = sum(p.stat().st_size for p in orig_paths)
 
     segment_count = ""
@@ -297,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="fidelity and rate report")
     ev.add_argument("--original", nargs="+", required=True)
-    ev.add_argument("--original-manifest", default=None)
     ev.add_argument("--decoded", nargs="+", required=True,
                     help="decoded frames or a .ultn file")
     ev.add_argument("--output", help="CSV output path (default stdout)")

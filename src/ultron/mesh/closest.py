@@ -131,7 +131,8 @@ class TriangleBvh:
 
         Ties go to the lowest triangle id.
         """
-        q = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        q = np.asarray(points, dtype=np.float64)
+        q = q.reshape(-1, 3) if q.ndim < 2 else q  # [] and one 3-vector
         nq = len(q)
         if nq == 0:
             return np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.intp)

@@ -8,16 +8,16 @@ equations by preconditioned conjugate gradient and decays the
 correspondence weight. One closest-point query per iterate both scores it
 (E_d) and gives the next system its targets.
 
-The three transform rows decouple: over the transforms flattened vertex by
-vertex, the normal matrix is I3 ⊗ H4 up to a permutation. H4, of order 4n,
-has two parts. The data and correspondence terms give vertex i the block
-c_i u_i u_i^T, with u_i its homogeneous position and
-c_i = keep_i + beta [i matched]. The smoothness term is
-alpha L ⊗ diag(1,1,1,gamma^2), with L the edge Laplacian of the source
-mesh. Assembly writes H4 only, into a sparsity pattern built once per
-registration; the CG operator's values are one fixed gather of H4's.
-Each CG solve stops at relative residual 1e-5, because its targets move at
-the next iterate.
+The three transform rows decouple, so the system is one matrix H4 of order
+4n with three right-hand sides, H4 X = B. X is (4n, 3): row 4i + a, column g
+holds entry a of transform row g of vertex i. H4 has two parts. The data and
+correspondence terms give vertex i the block c_i u_i u_i^T, with u_i its
+homogeneous position and c_i = keep_i + beta [i matched]. The smoothness
+term is alpha L ⊗ diag(1,1,1,gamma^2), with L the edge Laplacian of the
+source mesh. Assembly writes H4 into a sparsity pattern built once per
+registration, and CG runs on X flattened row by row, one product H4 X per
+iteration. Each CG solve stops at relative residual 1e-5, because its
+targets move at the next iterate.
 
 CG is preconditioned on two levels, M^-1 r = D^-1 r + P H_c^-1 P^T r: the
 Jacobi diagonal D plus a coarse correction over vertex aggregates (the
@@ -28,8 +28,8 @@ by hop count over the source mesh's edges, so the aggregates depend on
 connectivity alone. P copies an aggregate's 4 entries to each of its
 vertices. The Jacobi diagonal and H_c = P^T H4 P, one matrix of order
 4 x aggregates, are read from H4; H_c is factored once per outer iteration
-and solved for the three rows at once. The aggregates and the map from H4's
-values into H_c are built once per registration.
+and solved for the three columns of X at once. The aggregates and the map
+from H4's values into H_c are built once per registration.
 
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
@@ -165,10 +165,13 @@ def energy_match(field, matches: CorrespondenceSet, key_vertices, target_vertice
 
 @dataclass(eq=False)
 class Quadratic:
-    """x^T H x - 2 b^T x + c; the fixed-correspondence objective. H, the CG
-    operator, is gathered from h4, the 4n x 4n matrix the pattern assembled."""
+    """x^T H x - 2 b^T x + c; the fixed-correspondence objective.
 
-    H: sp.csr_matrix
+    x is X, of shape (4n, 3), flattened row by row: entry 3(4i + a) + g is
+    entry a of transform row g of vertex i. H x is h4 X, h4 being the
+    4n x 4n matrix the pattern assembled, and b is B flattened the same way.
+    """
+
     h4: sp.csr_matrix
     b: np.ndarray
     constant: float
@@ -178,11 +181,15 @@ class Quadratic:
     def size(self):
         return len(self.b)
 
+    def matvec(self, x) -> np.ndarray:
+        """H x, as one product of h4 with the three columns of X."""
+        return (self.h4 @ x.reshape(-1, 3)).ravel()
+
     def value(self, x) -> float:
-        return float(x @ (self.H @ x) - 2.0 * (self.b @ x) + self.constant)
+        return float(x @ self.matvec(x) - 2.0 * (self.b @ x) + self.constant)
 
     def gradient(self, x) -> np.ndarray:
-        return 2.0 * (self.H @ x - self.b)
+        return 2.0 * (self.matvec(x) - self.b)
 
 
 def _adjacency(edges, n: int):
@@ -213,8 +220,7 @@ def _aggregates(adjacency) -> np.ndarray:
 
 
 class _SystemPattern:
-    """The CSR patterns of H4 and of the CG operator, built once per
-    registration.
+    """The CSR pattern of H4, built once per registration.
 
     H4's pattern is the union of the n diagonal 4x4 blocks, the smoothness
     term alpha L ⊗ diag(1,1,1,gamma^2) and the diagonal, with sorted indices.
@@ -223,10 +229,6 @@ class _SystemPattern:
     Only the blocks change between outer iterations, so an assembly copies
     the smoothness values and adds the blocks in place; the values equal
     those of summing the sparse matrices.
-
-    The operator's row 12i + 4g + a is H4's row 4i + a for each transform
-    row g, with H4's column 4j + b moved to 12j + 4g + b, so its values are
-    one fixed gather of H4's.
 
     It also holds the preconditioner's coarse level: the vertex aggregates
     and, for each entry of H4, its flat position in the coarse matrix.
@@ -260,18 +262,8 @@ class _SystemPattern:
         self.base = np.zeros(indptr[-1])
         self.base[smooth_pos] = alpha * (l_ij[:, None] * w)
         self.base[self.diag_pos] = alpha * (L.diagonal()[:, None] * w).reshape(-1)
-
-        # operator row 12i + 4g + a gathers H4's row 4i + a
-        length = np.repeat(4 + degree, 12)
-        op_indptr = np.concatenate([[0], np.cumsum(length)])
-        self.gather = (np.repeat(np.tile(start, 3).ravel() - op_indptr[:-1], length)
-                       + np.arange(op_indptr[-1]))
-        col = indices[self.gather]
-        g = np.repeat(np.arange(12 * n) // 4 % 3, length)
-        op_indices = 12 * (col // 4) + 4 * g + col % 4
-        idx = np.int32 if op_indptr[-1] < 2**31 else np.int64
+        idx = np.int32 if indptr[-1] < 2**31 else np.int64
         self.h4_pattern = (indices.astype(idx), indptr.astype(idx))
-        self.op_pattern = (op_indices.astype(idx), op_indptr.astype(idx))
 
         agg = _aggregates(adjacency)
         self.aggregates = agg
@@ -311,10 +303,9 @@ class _SystemPattern:
                                "parameters; regularized", zero_diag)
         h4[self.diag_pos] += regularization
         m = len(self.diag_pos)
-        H = sp.csr_matrix((h4[self.gather], *self.op_pattern), shape=(3 * m, 3 * m))
         H4 = sp.csr_matrix((h4, *self.h4_pattern), shape=(m, m))
-        b = (q[:, :, None] * self.u4[:, None, :]).reshape(-1)
-        return Quadratic(H, H4, b, const, self)
+        b = (self.u4[:, :, None] * q[:, None, :]).ravel()
+        return Quadratic(H4, b, const, self)
 
     def coarse_matrix(self, quad: Quadratic) -> np.ndarray:
         """H_c = P^T H4 P, dense, of order 4 x aggregates."""
@@ -325,9 +316,8 @@ class _SystemPattern:
 
     def preconditioner(self, quad: Quadratic) -> LinearOperator:
         """M^-1 r = D^-1 r + P H_c^-1 P^T r, with H_c factored once here."""
-        d = quad.h4.data[self.diag_pos].reshape(-1, 1, 4)
+        d = quad.h4.data[self.diag_pos][:, None]
         inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
-        inv = inv.repeat(3, axis=1).ravel()  # one copy per transform row
         factor, info = dpotrf(self.coarse_matrix(quad), overwrite_a=True)
         if info != 0:
             raise SolverError(f"coarse registration system is not positive "
@@ -335,14 +325,13 @@ class _SystemPattern:
         nc = self.coarse_count
 
         def apply(r):
-            # restrict all three transform rows at once: column g of the
-            # coarse right-hand side holds transform row g's (nc, 4) sums
+            # restrict the three columns of R at once: an aggregate's rows
+            # sum to its (4, 3) block of the coarse right-hand side
             rc = np.add.reduceat(r.reshape(-1, 12)[self.order], self.starts, axis=0)
-            rhs = rc.reshape(nc, 3, 4).transpose(0, 2, 1).reshape(-1, 3)
-            y = dpotrs(factor, rhs)[0].reshape(nc, 4, 3).transpose(0, 2, 1)
-            return inv * r + y.reshape(nc, 12)[self.aggregates].reshape(-1)
+            y = dpotrs(factor, rc.reshape(4 * nc, 3))[0].reshape(nc, 12)
+            return (inv * r.reshape(-1, 3)).ravel() + y[self.aggregates].ravel()
 
-        return LinearOperator(quad.H.shape, matvec=apply, dtype=np.float64)
+        return LinearOperator((quad.size, quad.size), matvec=apply, dtype=np.float64)
 
 
 def fixed_correspondence_quadratic(
@@ -361,8 +350,9 @@ def fixed_correspondence_quadratic(
 
     data_targets holds one closest point per source vertex and data_weights
     a 0/1 keep mask; matches may be None or empty. Vertex i contributes
-    c_i I3 ⊗ u_i u_i^T with c_i = keep_i + beta [i matched] and right-hand
-    side (keep_i q_i + beta t_i) ⊗ u_i, u_i being its homogeneous position.
+    the block c_i u_i u_i^T to H4, with c_i = keep_i + beta [i matched], and
+    the block u_i (keep_i q_i + beta t_i)^T to rows 4i to 4i + 3 of B, u_i
+    being its homogeneous position.
     """
     pattern = _SystemPattern(key_vertices, edges, alpha, gamma)
     return pattern.quadratic(data_targets, data_weights, matches,
@@ -370,8 +360,9 @@ def fixed_correspondence_quadratic(
 
 
 def _solve(quad: Quadratic, x0):
+    H = LinearOperator((quad.size, quad.size), matvec=quad.matvec, dtype=np.float64)
     x, info = cg(
-        quad.H, quad.b, x0=x0, rtol=_CG_TOL, atol=0.0,
+        H, quad.b, x0=x0, rtol=_CG_TOL, atol=0.0,
         maxiter=_CG_MAX_ITERS, M=quad.pattern.preconditioner(quad),
     )
     if info < 0:
@@ -433,13 +424,16 @@ def register(
     pattern = _SystemPattern(kv, edges, cfg.alpha, cfg.gamma)
     has_matches = matches is not None and len(matches) > 0
 
+    def transforms(x):
+        return x.reshape(n, 4, 3).transpose(0, 2, 1)
+
     def closest(x):
-        field_now = x.reshape(n, 3, 4)
+        field_now = transforms(x)
         p = np.einsum("nij,nj->ni", field_now[:, :, :3], kv) + field_now[:, :, 3]
         cpts, dists, _ = closest_points(target, p / scale + center)
         return (cpts - center) * scale, dists * scale
 
-    x = AffineField.identity(n).transforms.reshape(-1)
+    x = AffineField.identity(n).transforms.transpose(0, 2, 1).ravel()
     # one query per iterate: it scores the iterate (E_d) and gives the next
     # system its targets
     cpts, dists = closest(x)
@@ -463,7 +457,7 @@ def register(
         quad = pattern.quadratic(cpts, weights, matches, tv_n, beta)
         x = _solve(quad, x)
 
-        field_now = x.reshape(n, 3, 4)
+        field_now = transforms(x)
         cpts, dists = closest(x)
         E_d = float(np.dot(dists, dists))
         E_s = energy_smooth(field_now, edges, cfg.gamma)
@@ -492,8 +486,8 @@ def register(
         converged = False
 
     # back to input coordinates: p = B v + (center - B center + t / scale)
-    B = x.reshape(n, 3, 4)[:, :, :3]
-    t = x.reshape(n, 3, 4)[:, :, 3]
+    A = transforms(x)
+    B, t = A[:, :, :3], A[:, :, 3]
     t_orig = center - np.einsum("nij,j->ni", B, center) + t / scale
     field = AffineField(np.concatenate([B, t_orig[:, :, None]], axis=2))
     deformed = key.with_vertices(field.apply(key.vertices))

@@ -127,7 +127,9 @@ def test_zero_tolerance_gives_per_frame_segments(tmp_path):
 def test_manifest_input(static_sequence, tmp_path):
     seq_dir, paths = static_sequence
     manifest = tmp_path / "list.txt"
-    manifest.write_text("\n".join(str(p) for p in paths[:3]) + "\n")
+    # blank and comment lines are skipped, indented comments too
+    manifest.write_text("# frames\n\n  # first three\n"
+                        + "\n".join(str(p) for p in paths[:3]) + "\n")
     out = tmp_path / "m.ultn"
     code = run_cli("encode", "--manifest", manifest, "--output", out)
     assert code == 0

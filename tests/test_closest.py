@@ -49,9 +49,10 @@ def test_empty_mesh_raises():
 
 
 def test_no_queries_give_empty_results(sphere_162):
-    pts, dists, tris = closest_points(sphere_162, np.empty((0, 3)))
-    assert pts.shape == (0, 3) and dists.shape == (0,) and tris.shape == (0,)
-    assert np.issubdtype(tris.dtype, np.integer)
+    for queries in (np.empty((0, 3)), np.empty(0), []):
+        pts, dists, tris = closest_points(sphere_162, queries)
+        assert pts.shape == (0, 3) and dists.shape == (0,) and tris.shape == (0,)
+        assert np.issubdtype(tris.dtype, np.integer)
 
 
 def test_matches_bruteforce_on_random_soup(rng):
