@@ -46,19 +46,29 @@ EXIT_SOLVER = 4
 EXIT_CONTAINER = 5
 
 
+def _fill(pattern: str, index: int) -> str:
+    """A printf pattern filled with a frame number."""
+    try:
+        return pattern % index
+    except (TypeError, ValueError) as exc:
+        raise MeshParseError(f"cannot fill {pattern!r}: {exc}") from None
+
+
 def resolve_inputs(inputs: list[str], manifest: str | None = None) -> list[Path]:
-    """Input frames from an explicit list, a printf pattern, or a manifest."""
+    """Input frames from an explicit list, a printf pattern, or a manifest.
+    A single input that names an existing file is that file, even if it
+    holds a '%'."""
     if manifest:
         if inputs:
             raise MeshParseError("give either input paths or --manifest, not both")
         lines = Path(manifest).read_text().splitlines()
         stripped = (l.strip() for l in lines)
         paths = [Path(l) for l in stripped if l and not l.startswith("#")]
-    elif len(inputs) == 1 and "%" in inputs[0]:
+    elif len(inputs) == 1 and "%" in inputs[0] and not Path(inputs[0]).is_file():
         paths = []
         i = 0
         while True:
-            p = Path(inputs[0] % i)
+            p = Path(_fill(inputs[0], i))
             if not p.exists():
                 break
             paths.append(p)
@@ -123,7 +133,7 @@ def cmd_encode(args) -> int:
 def _output_path(pattern: str, index: int, fmt: str) -> Path:
     ext = "obj" if fmt == "obj" else "ply"
     if "%" in pattern:
-        return Path(pattern % index)
+        return Path(_fill(pattern, index))
     p = Path(pattern)
     return p / f"frame_{index:06d}.{ext}"
 
@@ -328,6 +338,12 @@ def main(argv=None) -> int:
     # normalize cli format names to internal ones ("ply" means ascii)
     if getattr(args, "format", None) == "ply":
         args.format = "ply-ascii"
+
+    if args.command == "decode" and "%" in args.output:
+        try:
+            _fill(args.output, 0)  # refused before anything is decoded
+        except MeshParseError as exc:
+            parser.error(str(exc))
 
     try:
         return args.func(args)

@@ -154,7 +154,6 @@ def _close_holes(table: CornerTable) -> tuple[np.ndarray, int]:
 
 def _check_genus_zero(tris: np.ndarray, n_vertices: int) -> None:
     """Every closed component must satisfy V - E + F = 2."""
-    flat = tris.reshape(-1)
     rows = np.concatenate([tris[:, 0], tris[:, 1], tris[:, 2]])
     cols = np.concatenate([tris[:, 1], tris[:, 2], tris[:, 0]])
     adj = coo_matrix(
@@ -162,16 +161,15 @@ def _check_genus_zero(tris: np.ndarray, n_vertices: int) -> None:
         shape=(n_vertices, n_vertices),
     )
     n_comp, labels = connected_components(adj, directed=False)
-    tri_label = labels[tris[:, 0]]
     used = np.zeros(n_vertices, dtype=bool)
-    used[flat] = True
-    for comp in np.unique(tri_label):
-        v = int(np.count_nonzero(used & (labels == comp)))
-        f = int(np.count_nonzero(tri_label == comp))
-        if 2 * v - f != 4:  # V - 3F/2 + F == 2
-            raise EdgebreakerUnsupported(
-                f"component has genus > 0 (V={v}, F={f})"
-            )
+    used[tris.reshape(-1)] = True
+    v = np.bincount(labels[used], minlength=n_comp)
+    f = np.bincount(labels[tris[:, 0]], minlength=n_comp)
+    bad = np.flatnonzero((f > 0) & (2 * v - f != 4))  # V - 3F/2 + F == 2
+    if len(bad):
+        raise EdgebreakerUnsupported(
+            f"component has genus > 0 (V={v[bad[0]]}, F={f[bad[0]]})"
+        )
 
 
 # --- the conquest -----------------------------------------------------------

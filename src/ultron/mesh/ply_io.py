@@ -46,11 +46,13 @@ _VERTEX_KEYS.update(u="u", v="v", s="u", t="v", texture_u="u", texture_v="v")
 
 
 def _parse_header(data: bytes):
-    end = data.find(b"end_header\n")
-    if end < 0:
+    # the header ends at the first line that is exactly end_header, ended by
+    # LF or CRLF; the body starts after that line's terminator
+    end = re.search(rb"^end_header\r?\n", data, re.MULTILINE)
+    if end is None:
         raise MeshParseError("missing end_header", offset=len(data))
-    body_start = end + len(b"end_header\n")
-    header_lines = data[:end].decode("ascii", errors="replace").splitlines()
+    body_start = end.end()
+    header_lines = data[:end.start()].decode("ascii", errors="replace").splitlines()
     if not header_lines or header_lines[0].strip() != "ply":
         raise MeshParseError("not a PLY file (missing 'ply' magic)", line=1)
 

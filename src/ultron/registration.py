@@ -14,8 +14,9 @@ holds entry a of transform row g of vertex i. H4 has two parts. The data and
 correspondence terms give vertex i the block c_i u_i u_i^T, with u_i its
 homogeneous position and c_i = keep_i + beta [i matched]. The smoothness
 term is alpha L ⊗ diag(1,1,1,gamma^2), with L the edge Laplacian of the
-source mesh. Assembly writes H4 into a sparsity pattern built once per
-registration, and CG runs on X flattened row by row, one product H4 X per
+source mesh. H4's sparsity pattern, built once per registration, is the
+union of L ⊗ diag(1,1,1,gamma^2) and I_n ⊗ ones(4,4); assembly writes H4
+into it, and CG runs on X flattened row by row, one product H4 X per
 iteration. Each CG solve stops at relative residual 1e-5, because its
 targets move at the next iterate.
 
@@ -26,10 +27,12 @@ prolongator smoothing). Jacobi alone cannot fix the conditioning, which
 comes from the alpha-weighted Laplacian. Each vertex joins its nearest seed
 by hop count over the source mesh's edges, so the aggregates depend on
 connectivity alone. P copies an aggregate's 4 entries to each of its
-vertices. The Jacobi diagonal and H_c = P^T H4 P, one matrix of order
-4 x aggregates, are read from H4; H_c is factored once per outer iteration
-and solved for the three columns of X at once. The aggregates and the map
-from H4's values into H_c are built once per registration.
+vertices, so P^T sums its vertices' rows: one sparse product of the
+aggregates x n restriction matrix with R viewed as (n, 12). The Jacobi
+diagonal and H_c = P^T H4 P, one matrix of order 4 x aggregates, are read
+from H4; H_c is factored once per outer iteration and solved for the three
+columns of X at once. The aggregates, the restriction and the map from H4's
+values into H_c are built once per registration.
 
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
@@ -200,11 +203,6 @@ def _adjacency(edges, n: int):
     return (A + A.T).tocsr()
 
 
-def _laplacian(adjacency):
-    """The graph Laplacian of an adjacency matrix, in canonical CSR."""
-    return (sp.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency).tocsr()
-
-
 def _aggregates(adjacency) -> np.ndarray:
     """Each vertex's aggregate: the nearest seed by hop count, seeds being
     every s-th vertex. Vertices no seed reaches (a component holding no
@@ -222,16 +220,17 @@ def _aggregates(adjacency) -> np.ndarray:
 class _SystemPattern:
     """The CSR pattern of H4, built once per registration.
 
-    H4's pattern is the union of the n diagonal 4x4 blocks, the smoothness
-    term alpha L ⊗ diag(1,1,1,gamma^2) and the diagonal, with sorted indices.
-    Row 4i + a holds vertex i's neighbors below it, the row of its 4x4
-    block, then its neighbors above it, at column 4j + a per neighbor j.
-    Only the blocks change between outer iterations, so an assembly copies
-    the smoothness values and adds the blocks in place; the values equal
-    those of summing the sparse matrices.
+    H4's pattern is the union of the smoothness term's, alpha L ⊗
+    diag(1,1,1,gamma^2), and the vertex blocks', I_n ⊗ ones(4,4), in
+    canonical CSR. An entry is found in it by binary search of its key,
+    row * 4n + column, since the keys of a canonical pattern ascend. Only
+    the blocks change between outer iterations, so an assembly copies the
+    smoothness values and adds the blocks in place; the values equal those
+    of summing the sparse matrices.
 
-    It also holds the preconditioner's coarse level: the vertex aggregates
-    and, for each entry of H4, its flat position in the coarse matrix.
+    It also holds the preconditioner's coarse level: the vertex aggregates,
+    the restriction (aggregates x n, a 1 at (aggregate of i, i)) and, for
+    each entry of H4, its flat position in the coarse matrix.
     """
 
     def __init__(self, key_vertices, edges, alpha: float, gamma: float):
@@ -240,45 +239,46 @@ class _SystemPattern:
         self.u4 = np.concatenate([kv, np.ones((n, 1))], axis=1)
         self.uu = np.einsum("ni,nj->nij", self.u4, self.u4)
         adjacency = _adjacency(edges, n)
-        L = _laplacian(adjacency) if alpha > 0 else sp.csr_matrix((n, n))
-        rows = np.repeat(np.arange(n), np.diff(L.indptr))
-        off = L.indices != rows
-        i, j, l_ij = rows[off], L.indices[off], L.data[off]
-        degree = np.bincount(i, minlength=n)
-        below = np.bincount(i[j < i], minlength=n)
+        L = (sp.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency
+             if alpha > 0 else sp.csr_matrix((n, n)))
+        w = np.diag([1.0, 1.0, 1.0, gamma * gamma])
+        smooth = alpha * sp.kron(L, w, format="coo")
+        # kron lists the blocks' entries in (vertex, a, b) order, as uu does
+        blocks = sp.kron(sp.identity(n), np.ones((4, 4)), format="coo")
+        m = 4 * n
+        # the union of both patterns, from ones so that no entry cancels
+        pattern = sp.csr_matrix((
+            np.ones(smooth.nnz + blocks.nnz),
+            (np.concatenate([smooth.row, blocks.row]),
+             np.concatenate([smooth.col, blocks.col])),
+        ), shape=(m, m))
+        rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
+        keys = rows * m + pattern.indices
 
-        a = np.arange(4)
-        indptr = np.concatenate([[0], np.cumsum(np.repeat(4 + degree, 4))])
-        start = indptr[:-1].reshape(n, 4)
-        first = start + below[:, None]  # where each row's block entries begin
-        self.block_pos = (first[:, :, None] + a).reshape(-1)  # (vertex, a, b)
-        self.diag_pos = (first + a).reshape(-1)
-        slot = np.arange(len(i)) - np.repeat(np.cumsum(degree) - degree, degree)
-        smooth_pos = start[i] + (slot + 4 * (j > i))[:, None]
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        indices[self.block_pos] = np.repeat(4 * np.arange(n), 16) + np.tile(a, 4 * n)
-        indices[smooth_pos] = 4 * j[:, None] + a
-        w = np.array([1.0, 1.0, 1.0, gamma * gamma])
-        self.base = np.zeros(indptr[-1])
-        self.base[smooth_pos] = alpha * (l_ij[:, None] * w)
-        self.base[self.diag_pos] = alpha * (L.diagonal()[:, None] * w).reshape(-1)
-        idx = np.int32 if indptr[-1] < 2**31 else np.int64
-        self.h4_pattern = (indices.astype(idx), indptr.astype(idx))
+        def find(r, c):
+            return np.searchsorted(keys, r.astype(np.int64) * m + c)
+
+        self.h4_pattern = (pattern.indices, pattern.indptr)
+        self.block_pos = find(blocks.row, blocks.col)
+        self.diag_pos = find(np.arange(m), np.arange(m))
+        self.base = np.zeros(pattern.nnz)
+        self.base[find(smooth.row, smooth.col)] = smooth.data
 
         agg = _aggregates(adjacency)
         self.aggregates = agg
         self.coarse_count = int(agg.max()) + 1
-        self.order = np.argsort(agg, kind="stable")
-        self.starts = np.searchsorted(agg[self.order], np.arange(self.coarse_count))
-        r = np.repeat(np.arange(4 * n), np.diff(indptr))
-        self.coarse_pos = ((4 * agg[r // 4] + r % 4) * (4 * self.coarse_count)
-                           + 4 * agg[indices // 4] + indices % 4)
+        self.restrict = sp.csr_matrix((np.ones(n), (agg, np.arange(n))),
+                                      shape=(self.coarse_count, n))
+        coarse = 4 * np.repeat(agg, 4) + np.tile(np.arange(4), n)  # fine -> coarse
+        self.coarse_pos = coarse[rows] * (4 * self.coarse_count) + coarse[pattern.indices]
 
     def quadratic(self, data_targets, data_weights, matches, target_vertices,
                   beta: float, regularization: float | None = None) -> Quadratic:
-        """The objective for fixed closest points, plus regularization * I;
-        by default 1e-10 times the largest diagonal entry, warning about
-        unconstrained parameters and refusing an empty diagonal."""
+        """The objective for fixed closest points q (data_targets, kept where
+        data_weights is 1) and matches (None or empty allowed), plus
+        regularization * I: by default 1e-10 times the largest diagonal
+        entry, warning about unconstrained parameters and refusing an empty
+        diagonal. Rows 4i to 4i + 3 of B are u_i (keep_i q_i + beta t_i)^T."""
         keep = np.asarray(data_weights, dtype=bool)
         c = keep.astype(np.float64)
         q = np.where(keep[:, None], np.asarray(data_targets, dtype=np.float64), 0.0)
@@ -327,36 +327,11 @@ class _SystemPattern:
         def apply(r):
             # restrict the three columns of R at once: an aggregate's rows
             # sum to its (4, 3) block of the coarse right-hand side
-            rc = np.add.reduceat(r.reshape(-1, 12)[self.order], self.starts, axis=0)
+            rc = self.restrict @ r.reshape(-1, 12)
             y = dpotrs(factor, rc.reshape(4 * nc, 3))[0].reshape(nc, 12)
             return (inv * r.reshape(-1, 3)).ravel() + y[self.aggregates].ravel()
 
         return LinearOperator((quad.size, quad.size), matvec=apply, dtype=np.float64)
-
-
-def fixed_correspondence_quadratic(
-    key_vertices,
-    edges,
-    data_targets,
-    data_weights,
-    matches: CorrespondenceSet | None,
-    target_vertices,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    regularization: float = 0.0,
-) -> Quadratic:
-    """Assemble the quadratic objective for fixed closest points.
-
-    data_targets holds one closest point per source vertex and data_weights
-    a 0/1 keep mask; matches may be None or empty. Vertex i contributes
-    the block c_i u_i u_i^T to H4, with c_i = keep_i + beta [i matched], and
-    the block u_i (keep_i q_i + beta t_i)^T to rows 4i to 4i + 3 of B, u_i
-    being its homogeneous position.
-    """
-    pattern = _SystemPattern(key_vertices, edges, alpha, gamma)
-    return pattern.quadratic(data_targets, data_weights, matches,
-                             target_vertices, beta, regularization)
 
 
 def _solve(quad: Quadratic, x0):

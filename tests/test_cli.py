@@ -250,3 +250,28 @@ def test_cli_runs_as_subprocess(static_sequence, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_existing_input_with_percent_is_a_file(tmp_path):
+    save_mesh(make_slab(4, 3), tmp_path / "scan 100%.obj")
+    out = tmp_path / "one.ultn"
+    assert run_cli("encode", tmp_path / "scan 100%.obj", "--output", out) == 0
+    segments, flags = decode_container(out.read_bytes())
+    assert len(list(container_frames(segments, flags))) == 1
+
+
+def test_unfillable_input_pattern_is_a_parse_error(tmp_path, capsys):
+    code = run_cli("encode", tmp_path / "f_%d_%d.obj", "--output", tmp_path / "x.ultn")
+    assert code == 3
+    assert "cannot fill" in capsys.readouterr().err
+
+
+def test_unfillable_output_pattern_is_refused_before_decoding(tmp_path):
+    frames = synth_frames(SynthConfig(shape="sphere", frames=2, resolution=1))
+    segments, _ = run_pipeline(iter(frames))
+    ultn = tmp_path / "in.ultn"
+    ultn.write_bytes(encode_container(segments))
+    with pytest.raises(SystemExit) as err:
+        run_cli("decode", ultn, "--output", tmp_path / "o_%d_%d.obj")
+    assert err.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ultn"]

@@ -174,6 +174,29 @@ def test_ply_polygons_fan_triangulated(fmt, caplog):
     assert "fan-triangulated 2 polygonal faces" in caplog.text
 
 
+def assert_same_mesh(a, b):
+    for attr in ("vertices", "triangles", "uvs", "normals", "colors"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
+@pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary"])
+def test_ply_crlf_header(fmt):
+    mesh = pinned_mesh(True)
+    head, body = serialize_mesh(mesh, fmt).split(b"end_header\n")
+    if fmt == "ply-ascii":
+        body = body.replace(b"\n", b"\r\n")
+    data = (head + b"end_header\n").replace(b"\n", b"\r\n") + body
+    assert_same_mesh(parse_mesh(data, fmt), mesh)
+
+
+@pytest.mark.parametrize("fmt", ["ply-ascii", "ply-binary"])
+def test_ply_end_header_in_a_comment_does_not_end_the_header(fmt):
+    mesh = pinned_mesh(True)
+    data = serialize_mesh(mesh, fmt).replace(
+        b"ply\n", b"ply\ncomment written up to end_header\n", 1)
+    assert_same_mesh(parse_mesh(data, fmt), mesh)
+
+
 @st.composite
 def random_meshes(draw):
     n = draw(st.integers(min_value=3, max_value=40))

@@ -12,7 +12,6 @@ from ultron.registration import (
     energy_data,
     energy_match,
     energy_smooth,
-    fixed_correspondence_quadratic,
     register,
 )
 from ultron.registration import (
@@ -122,9 +121,8 @@ def random_quadratic(rng, n=10):
         rng.permutation(n)[:k], rng.permutation(n)[:k], np.zeros(k)
     )
     tv = rng.normal(size=(n, 3))
-    quad = fixed_correspondence_quadratic(
-        kv, edges, targets, weights, m, tv,
-        alpha=3.0, beta=0.5, gamma=0.8, regularization=1e-9,
+    quad = _SystemPattern(kv, edges, alpha=3.0, gamma=0.8).quadratic(
+        targets, weights, m, tv, beta=0.5, regularization=1e-9,
     )
     return quad, kv, edges, targets, weights, m, tv
 
@@ -182,11 +180,9 @@ class TestAssembly:
         matched = rng.permutation(n)[: n // 3]
         matches = CorrespondenceSet(matched, matched, np.zeros(len(matched)))
         assert np.any(~keep & ~np.isin(np.arange(n), matched))
+        pattern = _SystemPattern(kv, edges, alpha=alpha, gamma=0.7)
         for m in (None, matches):
-            quad = fixed_correspondence_quadratic(
-                kv, edges, kv, keep, m, kv, alpha=alpha, beta=0.4, gamma=0.7,
-                regularization=1e-9,
-            )
+            quad = pattern.quadratic(kv, keep, m, kv, beta=0.4, regularization=1e-9)
             assert quad.h4.shape == (4 * n, 4 * n) and quad.h4.has_canonical_format
             assert np.array_equal(
                 quad.h4.toarray(),
@@ -265,6 +261,21 @@ class TestPreconditioner:
             assert np.allclose(Minv, Minv.T, rtol=0.0, atol=1e-12 * scale)
             assert np.linalg.eigvalsh(0.5 * (Minv + Minv.T)).min() > 0.0
 
+    def test_preconditioner_applies_both_levels(self, rng):
+        """M^-1 R equals D^-1 R + P H_c^-1 P^T R, formed densely from the
+        definition, for the three columns of R at once."""
+        for _ in range(5):
+            quad, kv, *_ = random_quadratic(rng, n=40)
+            pattern = quad.pattern
+            assert pattern.coarse_count > 1
+            H4 = quad.h4.toarray()
+            P = coarse_space(pattern, len(kv))
+            R = rng.normal(size=(len(H4), 3))
+            expected = (R / np.diag(H4)[:, None]
+                        + P @ np.linalg.solve(P.T @ H4 @ P, P.T @ R))
+            got = pattern.preconditioner(quad).matvec(R.ravel())
+            assert np.allclose(got, expected.ravel(), rtol=1e-9, atol=0.0)
+
     def test_indefinite_coarse_matrix_raises(self, rng):
         quad, *_ = random_quadratic(rng)
         quad.h4.data[quad.pattern.diag_pos] = -1.0
@@ -298,9 +309,8 @@ class TestPreconditioner:
         # the shared aggregate spans components, yet H_c stays positive
         # definite and the preconditioned solve converges
         kv = np.concatenate([big.vertices, small.vertices + 3.0, [[5.0, 0.0, 0.0]]])
-        quad = fixed_correspondence_quadratic(
-            kv, edges, kv + 0.1, np.ones(n), None, kv,
-            alpha=3.0, beta=0.5, gamma=0.8, regularization=1e-9,
+        quad = _SystemPattern(kv, edges, alpha=3.0, gamma=0.8).quadratic(
+            kv + 0.1, np.ones(n), None, kv, beta=0.5, regularization=1e-9,
         )
         x = _solve(quad, np.zeros(quad.size))
         assert residual_norm(quad, x) <= 10 * _CG_TOL * np.linalg.norm(quad.b)
