@@ -130,9 +130,15 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _is_output_pattern(output: str) -> bool:
+    """A decode --output that holds a '%' is a printf pattern, unless it
+    names an existing directory."""
+    return "%" in output and not Path(output).is_dir()
+
+
 def _output_path(pattern: str, index: int, fmt: str) -> Path:
     ext = "obj" if fmt == "obj" else "ply"
-    if "%" in pattern:
+    if _is_output_pattern(pattern):
         return Path(_fill(pattern, index))
     p = Path(pattern)
     return p / f"frame_{index:06d}.{ext}"
@@ -142,7 +148,7 @@ def cmd_decode(args) -> int:
     data = Path(args.input).read_bytes()
     segments, flags = decode_container(data)
     out_pattern = args.output
-    if "%" not in out_pattern:
+    if not _is_output_pattern(out_pattern):
         Path(out_pattern).mkdir(parents=True, exist_ok=True)
     written = []
     try:
@@ -339,7 +345,7 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) == "ply":
         args.format = "ply-ascii"
 
-    if args.command == "decode" and "%" in args.output:
+    if args.command == "decode" and _is_output_pattern(args.output):
         try:
             _fill(args.output, 0)  # refused before anything is decoded
         except MeshParseError as exc:

@@ -28,11 +28,12 @@ comes from the alpha-weighted Laplacian. Each vertex joins its nearest seed
 by hop count over the source mesh's edges, so the aggregates depend on
 connectivity alone. P copies an aggregate's 4 entries to each of its
 vertices, so P^T sums its vertices' rows: one sparse product of the
-aggregates x n restriction matrix with R viewed as (n, 12). The Jacobi
-diagonal and H_c = P^T H4 P, one matrix of order 4 x aggregates, are read
-from H4; H_c is factored once per outer iteration and solved for the three
-columns of X at once. The aggregates, the restriction and the map from H4's
-values into H_c are built once per registration.
+aggregates x n restriction matrix with R viewed as (n, 12). M is built once
+per registration from H_ref, H4 with every vertex kept and no matches: D is
+its diagonal and H_c = P^T H_ref P, of order 4 x aggregates, factored once
+by SuperLU. A preconditioner only has to be SPD, so one frozen M serves
+every outer iteration (Knoll & Keyes, J. Comput. Phys. 193, 2004); it calls
+no threaded BLAS, so it does not depend on the BLAS thread count.
 
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
@@ -48,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .errors import InvalidMeshError, SolverError
 from .mesh import Mesh, closest_points
@@ -228,9 +228,8 @@ class _SystemPattern:
     smoothness values and adds the blocks in place; the values equal those
     of summing the sparse matrices.
 
-    It also holds the preconditioner's coarse level: the vertex aggregates,
-    the restriction (aggregates x n, a 1 at (aggregate of i, i)) and, for
-    each entry of H4, its flat position in the coarse matrix.
+    It also holds CG's preconditioner M (see the module docstring), built
+    and factored once here; an outer iteration only assembles H4.
     """
 
     def __init__(self, key_vertices, edges, alpha: float, gamma: float):
@@ -240,7 +239,7 @@ class _SystemPattern:
         self.uu = np.einsum("ni,nj->nij", self.u4, self.u4)
         adjacency = _adjacency(edges, n)
         L = (sp.diags(np.asarray(adjacency.sum(axis=1)).ravel()) - adjacency
-             if alpha > 0 else sp.csr_matrix((n, n)))
+             if alpha != 0 else sp.csr_matrix((n, n)))
         w = np.diag([1.0, 1.0, 1.0, gamma * gamma])
         smooth = alpha * sp.kron(L, w, format="coo")
         # kron lists the blocks' entries in (vertex, a, b) order, as uu does
@@ -269,8 +268,11 @@ class _SystemPattern:
         self.coarse_count = int(agg.max()) + 1
         self.restrict = sp.csr_matrix((np.ones(n), (agg, np.arange(n))),
                                       shape=(self.coarse_count, n))
-        coarse = 4 * np.repeat(agg, 4) + np.tile(np.arange(4), n)  # fine -> coarse
-        self.coarse_pos = coarse[rows] * (4 * self.coarse_count) + coarse[pattern.indices]
+        # H_ref: every vertex kept, no matches
+        h_ref = self.quadratic(kv, np.ones(n, dtype=bool), None, None, beta=0.0).h4
+        P = sp.kron(self.restrict.T, sp.identity(4), format="csr")
+        self.coarse = (P.T @ h_ref @ P).tocsc()
+        self.preconditioner = self._preconditioner(h_ref.diagonal())
 
     def quadratic(self, data_targets, data_weights, matches, target_vertices,
                   beta: float, regularization: float | None = None) -> Quadratic:
@@ -307,38 +309,33 @@ class _SystemPattern:
         b = (self.u4[:, :, None] * q[:, None, :]).ravel()
         return Quadratic(H4, b, const, self)
 
-    def coarse_matrix(self, quad: Quadratic) -> np.ndarray:
-        """H_c = P^T H4 P, dense, of order 4 x aggregates."""
-        size = 4 * self.coarse_count
-        return np.bincount(
-            self.coarse_pos, weights=quad.h4.data, minlength=size * size,
-        ).reshape(size, size)
-
-    def preconditioner(self, quad: Quadratic) -> LinearOperator:
-        """M^-1 r = D^-1 r + P H_c^-1 P^T r, with H_c factored once here."""
-        d = quad.h4.data[self.diag_pos][:, None]
-        inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
-        factor, info = dpotrf(self.coarse_matrix(quad), overwrite_a=True)
-        if info != 0:
-            raise SolverError(f"coarse registration system is not positive "
-                              f"definite (info={info})")
-        nc = self.coarse_count
+    def _preconditioner(self, d) -> LinearOperator:
+        """M^-1 r = D^-1 r + P H_c^-1 P^T r. Symmetric mode pivots on the
+        diagonal, leaving the pivots on U's: all positive iff H_c is SPD."""
+        lu = splu(self.coarse, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+            raise SolverError("coarse registration system is not positive definite")
+        inv = 1.0 / d[:, None]
+        # locals, not self: a closure over self would make a reference cycle
+        # that holds the factor until the cyclic garbage collector runs
+        restrict, aggregates, nc = self.restrict, self.aggregates, self.coarse_count
 
         def apply(r):
             # restrict the three columns of R at once: an aggregate's rows
             # sum to its (4, 3) block of the coarse right-hand side
-            rc = self.restrict @ r.reshape(-1, 12)
-            y = dpotrs(factor, rc.reshape(4 * nc, 3))[0].reshape(nc, 12)
-            return (inv * r.reshape(-1, 3)).ravel() + y[self.aggregates].ravel()
+            rc = restrict @ r.reshape(-1, 12)
+            y = lu.solve(rc.reshape(4 * nc, 3)).reshape(nc, 12)
+            return (inv * r.reshape(-1, 3)).ravel() + y[aggregates].ravel()
 
-        return LinearOperator((quad.size, quad.size), matvec=apply, dtype=np.float64)
+        return LinearOperator((3 * len(d),) * 2, matvec=apply, dtype=np.float64)
 
 
 def _solve(quad: Quadratic, x0):
     H = LinearOperator((quad.size, quad.size), matvec=quad.matvec, dtype=np.float64)
     x, info = cg(
         H, quad.b, x0=x0, rtol=_CG_TOL, atol=0.0,
-        maxiter=_CG_MAX_ITERS, M=quad.pattern.preconditioner(quad),
+        maxiter=_CG_MAX_ITERS, M=quad.pattern.preconditioner,
     )
     if info < 0:
         raise SolverError(f"conjugate gradient failed (info={info})")

@@ -275,3 +275,15 @@ def test_unfillable_output_pattern_is_refused_before_decoding(tmp_path):
         run_cli("decode", ultn, "--output", tmp_path / "o_%d_%d.obj")
     assert err.value.code == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ultn"]
+
+
+def test_existing_output_directory_with_percent_is_a_directory(tmp_path):
+    frames = synth_frames(SynthConfig(shape="sphere", frames=2, resolution=1))
+    segments, _ = run_pipeline(iter(frames))
+    ultn = tmp_path / "in.ultn"
+    ultn.write_bytes(encode_container(segments))
+    out = tmp_path / "out 100%"
+    out.mkdir()
+    assert run_cli("decode", ultn, "--output", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "frame_000000.obj", "frame_000001.obj"]

@@ -1,3 +1,10 @@
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -217,6 +224,14 @@ def coarse_space(pattern, n):
     return P
 
 
+def reference_matrix(kv, edges, alpha, gamma):
+    """H_ref from its definition: H4 with every vertex kept, no matches
+    (beta = 0) and the default regularization."""
+    keep = np.ones(len(kv))
+    H4 = h4_block(dense_normal_matrix(kv, edges, keep, None, alpha, 0.0, gamma))
+    return H4 + 1e-10 * H4.diagonal().max() * np.eye(len(H4))
+
+
 def assert_connected_aggregates(agg, adjacency, skip=()):
     for k in np.unique(agg):
         if k in skip:
@@ -227,19 +242,16 @@ def assert_connected_aggregates(agg, adjacency, skip=()):
 
 
 class TestPreconditioner:
-    """M^-1 = D^-1 + P H_c^-1 P^T over edge-connected vertex aggregates."""
+    """M^-1 = D^-1 + P H_c^-1 P^T over edge-connected vertex aggregates,
+    taken from the mesh's reference matrix H_ref."""
 
-    def test_coarse_matrix_is_galerkin_product(self, rng):
+    def test_coarse_matrix_is_galerkin_product(self):
         sphere = make_icosphere(2)
         kv, edges = sphere.vertices, sphere.edges()
         n = len(kv)
-        keep = rng.random(n) > 0.3
-        matched = rng.permutation(n)[: n // 3]
-        matches = CorrespondenceSet(matched, matched, np.zeros(len(matched)))
         pattern = _SystemPattern(kv, edges, 3.0, 0.7)
         assert pattern.coarse_count > 1
-        quad = pattern.quadratic(kv, keep, matches, kv, 0.4, regularization=1e-9)
-        H = dense_normal_matrix(kv, edges, keep, matches, 3.0, 0.4, 0.7, 1e-9)
+        H = dense_normal_matrix(kv, edges, np.ones(n), None, 3.0, 0.0, 0.7)
         row0 = (12 * np.arange(n)[:, None] + np.arange(4)).reshape(-1)
         H4 = H[np.ix_(row0, row0)]
         # the three transform rows decouple into copies of H4
@@ -247,40 +259,77 @@ class TestPreconditioner:
             for h in range(3):
                 block = H[np.ix_(row0 + 4 * g, row0 + 4 * h)]
                 assert np.array_equal(block, H4 if g == h else 0 * H4)
+        H_ref = reference_matrix(kv, edges, 3.0, 0.7)
         P = coarse_space(pattern, n)
-        assert np.allclose(pattern.coarse_matrix(quad), P.T @ H4 @ P,
-                           rtol=1e-12, atol=1e-12 * np.abs(H4).max())
+        assert np.allclose(pattern.coarse.toarray(), P.T @ H_ref @ P,
+                           rtol=1e-12, atol=1e-12 * np.abs(H_ref).max())
 
     def test_preconditioner_is_symmetric_positive_definite(self, rng):
         for _ in range(5):
             quad, *_ = random_quadratic(rng, n=40)
             assert quad.pattern.coarse_count > 1
-            M = quad.pattern.preconditioner(quad)
+            M = quad.pattern.preconditioner
             Minv = np.column_stack([M.matvec(e) for e in np.eye(quad.size)])
             scale = np.abs(Minv).max()
             assert np.allclose(Minv, Minv.T, rtol=0.0, atol=1e-12 * scale)
             assert np.linalg.eigvalsh(0.5 * (Minv + Minv.T)).min() > 0.0
 
     def test_preconditioner_applies_both_levels(self, rng):
-        """M^-1 R equals D^-1 R + P H_c^-1 P^T R, formed densely from the
-        definition, for the three columns of R at once."""
+        """M^-1 R equals D^-1 R + P H_c^-1 P^T R, with D and H_c formed
+        densely from H_ref, for the three columns of R at once."""
         for _ in range(5):
-            quad, kv, *_ = random_quadratic(rng, n=40)
+            quad, kv, edges, *_ = random_quadratic(rng, n=40)
             pattern = quad.pattern
             assert pattern.coarse_count > 1
-            H4 = quad.h4.toarray()
+            H_ref = reference_matrix(kv, edges, 3.0, 0.8)
             P = coarse_space(pattern, len(kv))
-            R = rng.normal(size=(len(H4), 3))
-            expected = (R / np.diag(H4)[:, None]
-                        + P @ np.linalg.solve(P.T @ H4 @ P, P.T @ R))
-            got = pattern.preconditioner(quad).matvec(R.ravel())
+            R = rng.normal(size=(len(H_ref), 3))
+            expected = (R / np.diag(H_ref)[:, None]
+                        + P @ np.linalg.solve(P.T @ H_ref @ P, P.T @ R))
+            got = pattern.preconditioner.matvec(R.ravel())
             assert np.allclose(got, expected.ravel(), rtol=1e-9, atol=0.0)
 
-    def test_indefinite_coarse_matrix_raises(self, rng):
-        quad, *_ = random_quadratic(rng)
-        quad.h4.data[quad.pattern.diag_pos] = -1.0
+    def test_indefinite_coarse_matrix_raises(self):
+        # a negative smoothness weight makes H_c indefinite, while H_ref's
+        # diagonal keeps positive entries
+        sphere = make_icosphere(2)
+        kv, edges = sphere.vertices, sphere.edges()
+        H_ref = reference_matrix(kv, edges, -0.05, 1.0)
+        assert H_ref.diagonal().max() > 0
         with pytest.raises(SolverError, match="coarse"):
-            _solve(quad, np.zeros(quad.size))
+            _SystemPattern(kv, edges, -0.05, 1.0)
+
+    def test_one_factorization_per_registration(self, sphere_162, rng,
+                                               monkeypatch):
+        calls = []
+        real = ultron.registration.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ultron.registration, "splu", counting)
+        target = Mesh(
+            vertices=sphere_162.vertices + rng.normal(scale=0.005, size=(162, 3)),
+            triangles=sphere_162.triangles,
+        )
+        _d, _f, report = register(sphere_162, target, None,
+                                  RegistrationConfig(outer_iterations=4))
+        assert report.iterations_used > 1
+        assert len(calls) == 1
+
+    def test_pattern_is_freed_without_the_cycle_collector(self):
+        # the preconditioner holds the coarse factor; a reference cycle
+        # through it would keep one factor alive per registration
+        sphere = make_icosphere(2)
+        pattern = _SystemPattern(sphere.vertices, sphere.edges(), 3.0, 1.0)
+        ref = weakref.ref(pattern)
+        gc.disable()
+        try:
+            del pattern
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_aggregates_cover_and_are_edge_connected(self):
         # two 162-vertex spheres: seeds (every 16th vertex) fall in both
@@ -330,16 +379,16 @@ class TestPreconditioner:
                 count[0] += 1
             return cg(*args, callback=step, **kwargs)
 
-        def jacobi(pattern, quad):
-            inv = 1.0 / quad.h4.diagonal()[:, None]
-            return LinearOperator((quad.size, quad.size),
+        def jacobi(pattern, d):
+            inv = 1.0 / d[:, None]
+            return LinearOperator((3 * len(d), 3 * len(d)),
                                   matvec=lambda r: (inv * r.reshape(-1, 3)).ravel())
 
         monkeypatch.setattr(ultron.registration, "cg", counting)
         register(sphere_642, target, None, cfg)
         two_level = count[0]
         count[0] = 0
-        monkeypatch.setattr(_SystemPattern, "preconditioner", jacobi)
+        monkeypatch.setattr(_SystemPattern, "_preconditioner", jacobi)
         register(sphere_642, target, None, cfg)
         assert 3 * two_level <= count[0]
 
@@ -537,3 +586,30 @@ class TestRegister:
         matches = CorrespondenceSet.identity(sphere_162.vertex_count)
         _d, _f, report = register(sphere_162, sphere_162, matches)
         assert report.iterations_used == 0 and calls == []
+
+
+# one register of the synth bend, frame 0 onto frame 1, printing the
+# transforms' bytes as hex
+_BEND_REGISTRATION = """
+from ultron.registration import RegistrationConfig, register
+from ultron.synth import SynthConfig, synth_frames
+from ultron.tracking import CorrespondenceSet
+key, target = synth_frames(SynthConfig(frames=2, motion="bend", amplitude=0.4,
+                                       resolution=3))
+_d, field, _r = register(key, target, CorrespondenceSet.identity(key.vertex_count),
+                         RegistrationConfig(outer_iterations=30))
+print(field.transforms.tobytes().hex())
+"""
+
+
+def test_registration_is_identical_under_one_and_two_blas_threads():
+    src = str(Path(ultron.registration.__file__).parents[1])
+    fields = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _BEND_REGISTRATION], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        fields.append(proc.stdout)
+    assert fields[0] == fields[1]
