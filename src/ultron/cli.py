@@ -1,7 +1,7 @@
 """Command-line front end: encode, decode, eval and synth.
 
-Exit codes: 0 success, 2 usage, 3 mesh/parse errors, 4 solver errors,
-5 container errors.
+Exit codes: 0 success, 2 usage (also option values the library configs
+refuse), 3 mesh, parse and file errors, 4 solver errors, 5 container errors.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _encode_configs(args):
 
 def cmd_encode(args) -> int:
     paths = resolve_inputs(args.inputs, args.manifest)
-    thresholds, descriptor, reg_cfg, qparams = _encode_configs(args)
+    thresholds, descriptor, reg_cfg, qparams = args.configs
 
     segments, stats = run_pipeline(
         _load_frames(paths),
@@ -236,8 +236,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    cfg = SynthConfig(
+def _synth_config(args) -> SynthConfig:
+    """The library configuration a `synth` command line asks for."""
+    return SynthConfig(
         shape=args.shape,
         frames=args.frames,
         motion=args.motion,
@@ -247,6 +248,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         colors=args.colors,
     )
+
+
+def cmd_synth(args) -> int:
+    cfg = args.configs
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "obj" if args.format == "obj" else "ply"
@@ -345,15 +350,20 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) == "ply":
         args.format = "ply-ascii"
 
-    if args.command == "decode" and _is_output_pattern(args.output):
-        try:
-            _fill(args.output, 0)  # refused before anything is decoded
-        except MeshParseError as exc:
-            parser.error(str(exc))
+    # bad option values are refused before anything is read or decoded
+    try:
+        if args.command == "encode":
+            args.configs = _encode_configs(args)
+        elif args.command == "synth":
+            args.configs = _synth_config(args)
+        elif args.command == "decode" and _is_output_pattern(args.output):
+            _fill(args.output, 0)
+    except (ValueError, MeshParseError) as exc:
+        parser.error(str(exc))
 
     try:
         return args.func(args)
-    except (UltronError, FileNotFoundError) as exc:
+    except (UltronError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SolverError):
             return EXIT_SOLVER

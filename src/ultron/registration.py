@@ -16,9 +16,9 @@ homogeneous position and c_i = keep_i + beta [i matched]. The smoothness
 term is alpha L ⊗ diag(1,1,1,gamma^2), with L the edge Laplacian of the
 source mesh. H4's sparsity pattern, built once per registration, is the
 union of L ⊗ diag(1,1,1,gamma^2) and I_n ⊗ ones(4,4); assembly writes H4
-into it, and CG runs on X flattened row by row, one product H4 X per
-iteration. Each CG solve stops at relative residual 1e-5, because its
-targets move at the next iterate.
+into it. CG (Hestenes & Stiefel, J. Res. NBS 49, 1952) works on the (4n, 3)
+block X, one product H4 X per iteration, and stops at relative residual
+1e-5, because its targets move at the next iterate.
 
 CG is preconditioned on two levels, M^-1 r = D^-1 r + P H_c^-1 P^T r: the
 Jacobi diagonal D plus a coarse correction over vertex aggregates (the
@@ -32,8 +32,9 @@ aggregates x n restriction matrix with R viewed as (n, 12). M is built once
 per registration from H_ref, H4 with every vertex kept and no matches: D is
 its diagonal and H_c = P^T H_ref P, of order 4 x aggregates, factored once
 by SuperLU. A preconditioner only has to be SPD, so one frozen M serves
-every outer iteration (Knoll & Keyes, J. Comput. Phys. 193, 2004); it calls
-no threaded BLAS, so it does not depend on the BLAS thread count.
+every outer iteration (Knoll & Keyes, J. Comput. Phys. 193, 2004). Neither
+it nor CG, whose inner products einsum sums, calls threaded BLAS, so a
+solve has the same bits under any BLAS thread count.
 
 Inputs are rescaled internally to a unit bounding-box diagonal so the
 default weights are portable; reported energies live in those normalized
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from .errors import InvalidMeshError, SolverError
 from .mesh import Mesh, closest_points
@@ -166,33 +167,26 @@ def energy_match(field, matches: CorrespondenceSet, key_vertices, target_vertice
     return float(np.sum(diff * diff))
 
 
+def _dot(a, b) -> float:
+    """<A, B>, by einsum: it calls no BLAS, so no thread count moves a bit."""
+    return np.einsum("ij,ij->", a, b)
+
+
 @dataclass(eq=False)
 class Quadratic:
-    """x^T H x - 2 b^T x + c; the fixed-correspondence objective.
-
-    x is X, of shape (4n, 3), flattened row by row: entry 3(4i + a) + g is
-    entry a of transform row g of vertex i. H x is h4 X, h4 being the
-    4n x 4n matrix the pattern assembled, and b is B flattened the same way.
-    """
+    """<X, H4 X> - 2 <B, X> + c, the fixed-correspondence objective. X and
+    B are (4n, 3): row 4i + a, column g holds entry a of transform row g of
+    vertex i. h4 is the 4n x 4n matrix the pattern assembled."""
 
     h4: sp.csr_matrix
     b: np.ndarray
     constant: float
-    pattern: _SystemPattern
-
-    @property
-    def size(self):
-        return len(self.b)
-
-    def matvec(self, x) -> np.ndarray:
-        """H x, as one product of h4 with the three columns of X."""
-        return (self.h4 @ x.reshape(-1, 3)).ravel()
 
     def value(self, x) -> float:
-        return float(x @ self.matvec(x) - 2.0 * (self.b @ x) + self.constant)
+        return _dot(x, self.h4 @ x) - 2.0 * _dot(self.b, x) + self.constant
 
     def gradient(self, x) -> np.ndarray:
-        return 2.0 * (self.matvec(x) - self.b)
+        return 2.0 * (self.h4 @ x - self.b)
 
 
 def _adjacency(edges, n: int):
@@ -306,10 +300,10 @@ class _SystemPattern:
         h4[self.diag_pos] += regularization
         m = len(self.diag_pos)
         H4 = sp.csr_matrix((h4, *self.h4_pattern), shape=(m, m))
-        b = (self.u4[:, :, None] * q[:, None, :]).ravel()
-        return Quadratic(H4, b, const, self)
+        b = (self.u4[:, :, None] * q[:, None, :]).reshape(-1, 3)
+        return Quadratic(H4, b, const)
 
-    def _preconditioner(self, d) -> LinearOperator:
+    def _preconditioner(self, d):
         """M^-1 r = D^-1 r + P H_c^-1 P^T r. Symmetric mode pivots on the
         diagonal, leaving the pivots on U's: all positive iff H_c is SPD."""
         lu = splu(self.coarse, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
@@ -326,19 +320,35 @@ class _SystemPattern:
             # sum to its (4, 3) block of the coarse right-hand side
             rc = restrict @ r.reshape(-1, 12)
             y = lu.solve(rc.reshape(4 * nc, 3)).reshape(nc, 12)
-            return (inv * r.reshape(-1, 3)).ravel() + y[aggregates].ravel()
+            return inv * r + y[aggregates].reshape(-1, 3)
 
-        return LinearOperator((3 * len(d),) * 2, matvec=apply, dtype=np.float64)
+        return apply
 
 
-def _solve(quad: Quadratic, x0):
-    H = LinearOperator((quad.size, quad.size), matvec=quad.matvec, dtype=np.float64)
-    x, info = cg(
-        H, quad.b, x0=x0, rtol=_CG_TOL, atol=0.0,
-        maxiter=_CG_MAX_ITERS, M=quad.pattern.preconditioner,
-    )
-    if info < 0:
-        raise SolverError(f"conjugate gradient failed (info={info})")
+def cg(quad: Quadratic, x, precondition, callback=None) -> np.ndarray:
+    """Solve H4 X = B from X = x by CG with M^-1 R = precondition(R), with
+    scipy's steps and stopping rule: stop before a step once ||R||_F <
+    _CG_TOL ||B||_F, or after _CG_MAX_ITERS steps. callback(X) runs after
+    each step; B = 0 gives X = 0."""
+    b_norm = np.sqrt(_dot(quad.b, quad.b))
+    if b_norm == 0:
+        return np.zeros_like(quad.b)
+    x = np.array(x, dtype=np.float64)
+    r = quad.b - quad.h4 @ x
+    p = rho_prev = None
+    for _ in range(_CG_MAX_ITERS):
+        if np.sqrt(_dot(r, r)) < _CG_TOL * b_norm:
+            break
+        z = precondition(r)
+        rho = _dot(r, z)
+        p = z if p is None else z + (rho / rho_prev) * p
+        hp = quad.h4 @ p
+        alpha = rho / _dot(p, hp)
+        x += alpha * p
+        r -= alpha * hp
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
     if not np.all(np.isfinite(x)):
         raise SolverError("non-finite solution from conjugate gradient")
     return x
@@ -405,7 +415,7 @@ def register(
         cpts, dists, _ = closest_points(target, p / scale + center)
         return (cpts - center) * scale, dists * scale
 
-    x = AffineField.identity(n).transforms.transpose(0, 2, 1).ravel()
+    x = np.tile(np.eye(4, 3), (n, 1))  # every transform the identity
     # one query per iterate: it scores the iterate (E_d) and gives the next
     # system its targets
     cpts, dists = closest(x)
@@ -427,7 +437,7 @@ def register(
         weights = dists <= 3.0 * mu if mu > 0 else np.ones(n, dtype=bool)
 
         quad = pattern.quadratic(cpts, weights, matches, tv_n, beta)
-        x = _solve(quad, x)
+        x = cg(quad, x, pattern.preconditioner)
 
         field_now = transforms(x)
         cpts, dists = closest(x)

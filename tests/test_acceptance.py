@@ -270,11 +270,11 @@ def test_criterion_5_registration_correctness(rng):
     worst_rel = 0.0
     for _ in range(20):
         quad, *_ = random_quadratic(rng)
-        x = rng.normal(size=quad.size)
+        x = rng.normal(size=quad.b.shape)
         g = quad.gradient(x)
         h = 1e-6
         fd = np.zeros_like(x)
-        for i in range(len(x)):
+        for i in np.ndindex(x.shape):
             xp = x.copy()
             xm = x.copy()
             xp[i] += h

@@ -287,3 +287,39 @@ def test_existing_output_directory_with_percent_is_a_directory(tmp_path):
     assert run_cli("decode", ultn, "--output", out) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "frame_000000.obj", "frame_000001.obj"]
+
+
+def test_os_errors_exit_3_with_an_error_line(static_sequence, tmp_path, capsys):
+    seq_dir, paths = static_sequence
+    pattern = seq_dir / "frame_%04d.obj"
+    ultn = tmp_path / "seq.ultn"
+    assert run_cli("encode", pattern, "--output", ultn) == 0
+    capsys.readouterr()
+    existing_dir = tmp_path / "a dir"
+    existing_dir.mkdir()
+    for argv in (
+        ("encode", pattern, "--output", existing_dir),
+        ("encode", existing_dir, "--output", tmp_path / "x.ultn"),
+        ("decode", ultn, "--output", paths[0]),
+        ("eval", "--original", pattern, "--decoded", ultn, "--output", existing_dir),
+    ):
+        assert run_cli(*argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("encode", "missing.obj", "--output", "x.ultn", "--qp", "0"),
+    ("encode", "missing.obj", "--output", "x.ultn", "--outer-iterations", "0"),
+    ("encode", "missing.obj", "--output", "x.ultn", "--geometry-tol", "-1"),
+    ("synth", "sphere", "--frames", "0", "--output-dir", "never"),
+], ids=["qp", "outer-iterations", "geometry-tol", "frames"])
+def test_values_the_configs_refuse_are_usage_errors(argv, tmp_path, monkeypatch,
+                                                    capsys):
+    # refused before any frame is read: the missing input would exit 3
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    assert "must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, cg
 
 import ultron.registration
 from ultron.errors import SolverError
@@ -22,11 +21,13 @@ from ultron.registration import (
     register,
 )
 from ultron.registration import (
+    _CG_MAX_ITERS,
     _CG_TOL,
+    Quadratic,
     _SystemPattern,
     _adjacency,
     _aggregates,
-    _solve,
+    cg,
 )
 from ultron.synth import make_cylinder, make_icosphere
 from ultron.tracking import CorrespondenceSet
@@ -128,10 +129,9 @@ def random_quadratic(rng, n=10):
         rng.permutation(n)[:k], rng.permutation(n)[:k], np.zeros(k)
     )
     tv = rng.normal(size=(n, 3))
-    quad = _SystemPattern(kv, edges, alpha=3.0, gamma=0.8).quadratic(
-        targets, weights, m, tv, beta=0.5, regularization=1e-9,
-    )
-    return quad, kv, edges, targets, weights, m, tv
+    pattern = _SystemPattern(kv, edges, alpha=3.0, gamma=0.8)
+    quad = pattern.quadratic(targets, weights, m, tv, beta=0.5, regularization=1e-9)
+    return quad, kv, edges, targets, weights, m, tv, pattern
 
 
 def dense_normal_matrix(kv, edges, keep, matches, alpha, beta, gamma, lam=0.0):
@@ -167,7 +167,7 @@ def h4_block(H):
 
 def residual_norm(quad, x):
     """||H4 X - B||, over the three columns of X at once."""
-    return np.linalg.norm(quad.h4 @ x.reshape(-1, 3) - quad.b.reshape(-1, 3))
+    return np.linalg.norm(quad.h4 @ x - quad.b)
 
 
 class TestAssembly:
@@ -266,10 +266,11 @@ class TestPreconditioner:
 
     def test_preconditioner_is_symmetric_positive_definite(self, rng):
         for _ in range(5):
-            quad, *_ = random_quadratic(rng, n=40)
-            assert quad.pattern.coarse_count > 1
-            M = quad.pattern.preconditioner
-            Minv = np.column_stack([M.matvec(e) for e in np.eye(quad.size)])
+            quad, *_, pattern = random_quadratic(rng, n=40)
+            assert pattern.coarse_count > 1
+            M = pattern.preconditioner
+            Minv = np.column_stack([M(e.reshape(-1, 3)).ravel()
+                                    for e in np.eye(quad.b.size)])
             scale = np.abs(Minv).max()
             assert np.allclose(Minv, Minv.T, rtol=0.0, atol=1e-12 * scale)
             assert np.linalg.eigvalsh(0.5 * (Minv + Minv.T)).min() > 0.0
@@ -278,16 +279,15 @@ class TestPreconditioner:
         """M^-1 R equals D^-1 R + P H_c^-1 P^T R, with D and H_c formed
         densely from H_ref, for the three columns of R at once."""
         for _ in range(5):
-            quad, kv, edges, *_ = random_quadratic(rng, n=40)
-            pattern = quad.pattern
+            quad, kv, edges, *_, pattern = random_quadratic(rng, n=40)
             assert pattern.coarse_count > 1
             H_ref = reference_matrix(kv, edges, 3.0, 0.8)
             P = coarse_space(pattern, len(kv))
             R = rng.normal(size=(len(H_ref), 3))
             expected = (R / np.diag(H_ref)[:, None]
                         + P @ np.linalg.solve(P.T @ H_ref @ P, P.T @ R))
-            got = pattern.preconditioner.matvec(R.ravel())
-            assert np.allclose(got, expected.ravel(), rtol=1e-9, atol=0.0)
+            got = pattern.preconditioner(R)
+            assert np.allclose(got, expected, rtol=1e-9, atol=0.0)
 
     def test_indefinite_coarse_matrix_raises(self):
         # a negative smoothness weight makes H_c indefinite, while H_ref's
@@ -358,10 +358,10 @@ class TestPreconditioner:
         # the shared aggregate spans components, yet H_c stays positive
         # definite and the preconditioned solve converges
         kv = np.concatenate([big.vertices, small.vertices + 3.0, [[5.0, 0.0, 0.0]]])
-        quad = _SystemPattern(kv, edges, alpha=3.0, gamma=0.8).quadratic(
-            kv + 0.1, np.ones(n), None, kv, beta=0.5, regularization=1e-9,
-        )
-        x = _solve(quad, np.zeros(quad.size))
+        pattern = _SystemPattern(kv, edges, alpha=3.0, gamma=0.8)
+        quad = pattern.quadratic(kv + 0.1, np.ones(n), None, kv, beta=0.5,
+                                 regularization=1e-9)
+        x = cg(quad, np.zeros_like(quad.b), pattern.preconditioner)
         assert residual_norm(quad, x) <= 10 * _CG_TOL * np.linalg.norm(quad.b)
 
     def test_fewer_cg_iterations_than_jacobi(self, sphere_642, rng, monkeypatch):
@@ -381,8 +381,7 @@ class TestPreconditioner:
 
         def jacobi(pattern, d):
             inv = 1.0 / d[:, None]
-            return LinearOperator((3 * len(d), 3 * len(d)),
-                                  matvec=lambda r: (inv * r.reshape(-1, 3)).ravel())
+            return lambda r: inv * r
 
         monkeypatch.setattr(ultron.registration, "cg", counting)
         register(sphere_642, target, None, cfg)
@@ -395,15 +394,15 @@ class TestPreconditioner:
 
 class TestQuadratic:
     def test_value_matches_energy_terms(self, rng):
-        quad, kv, edges, targets, weights, m, tv = random_quadratic(rng)
+        quad, kv, edges, targets, weights, m, tv, _ = random_quadratic(rng)
         n = len(kv)
         A = rng.normal(size=(n, 3, 4))
-        x = A.transpose(0, 2, 1).reshape(-1)
+        x = A.transpose(0, 2, 1).reshape(-1, 3)
         deformed = np.einsum("nij,nj->ni", A[:, :, :3], kv) + A[:, :, 3]
         data = float(np.sum(weights[:, None] * (deformed - targets) ** 2))
         smooth = energy_smooth(AffineField(A), edges, 0.8)
         matched = energy_match(AffineField(A), m, kv, tv)
-        expected = data + 3.0 * smooth + 0.5 * matched + 1e-9 * float(x @ x)
+        expected = data + 3.0 * smooth + 0.5 * matched + 1e-9 * float(np.sum(x * x))
         assert quad.value(x) == pytest.approx(expected, rel=1e-9)
 
     def test_gradient_matches_central_differences(self, rng):
@@ -411,11 +410,11 @@ class TestQuadratic:
         failures = 0
         for trial in range(20):
             quad, kv, *_ = random_quadratic(rng)
-            x = rng.normal(size=quad.size)
+            x = rng.normal(size=quad.b.shape)
             g = quad.gradient(x)
             h = 1e-6
             fd = np.zeros_like(x)
-            for i in range(len(x)):
+            for i in np.ndindex(x.shape):
                 xp = x.copy()
                 xm = x.copy()
                 xp[i] += h
@@ -428,21 +427,73 @@ class TestQuadratic:
 
     def test_inner_solve_never_increases_objective(self, rng):
         for _ in range(10):
-            quad, *_ = random_quadratic(rng)
-            x0 = rng.normal(size=quad.size)
+            quad, *_, pattern = random_quadratic(rng)
+            x0 = rng.normal(size=quad.b.shape)
             before = quad.value(x0)
-            x1 = _solve(quad, x0)
+            x1 = cg(quad, x0, pattern.preconditioner)
             after = quad.value(x1)
             assert after <= before + 1e-9 * max(abs(before), 1.0)
-
 
     def test_inner_solve_meets_cg_tolerance(self, rng):
         # 10x headroom for drift between CG's recurrence residual and the
         # true residual
         for _ in range(10):
-            quad, *_ = random_quadratic(rng)
-            x = _solve(quad, rng.normal(size=quad.size))
+            quad, *_, pattern = random_quadratic(rng)
+            x = cg(quad, rng.normal(size=quad.b.shape), pattern.preconditioner)
             assert residual_norm(quad, x) <= 10 * _CG_TOL * np.linalg.norm(quad.b)
+
+
+class TestCg:
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_takes_scipy_cg_steps(self, rng, n, monkeypatch):
+        """With scipy's dot product in place of einsum, cg is scipy's cg bit
+        for bit: the same callbacks and the same X. (einsum rounds the sums
+        differently in the last bits, and CG carries that up to its
+        tolerance, so the shipped sums are checked by residual elsewhere.)"""
+        from scipy.sparse.linalg import LinearOperator
+        from scipy.sparse.linalg import cg as scipy_cg
+
+        monkeypatch.setattr(ultron.registration, "_dot",
+                            lambda a, b: np.dot(a.ravel(), b.ravel()))
+        for _ in range(10):
+            quad, *_, pattern = random_quadratic(rng, n=n)
+            x0 = rng.normal(size=quad.b.shape)
+            M = pattern.preconditioner
+
+            def flat(f):
+                return LinearOperator((quad.b.size,) * 2, dtype=np.float64,
+                                      matvec=lambda v: f(v.reshape(-1, 3)).ravel())
+
+            ours, theirs = [], []
+            expected, info = scipy_cg(
+                flat(lambda v: quad.h4 @ v), quad.b.ravel(), x0=x0.ravel(),
+                rtol=_CG_TOL, atol=0.0, maxiter=_CG_MAX_ITERS, M=flat(M),
+                callback=theirs.append,
+            )
+            got = cg(quad, x0, M, callback=ours.append)
+            assert info == 0 and got.shape == quad.b.shape
+            assert len(ours) == len(theirs) > 0
+            assert np.array_equal(got.ravel(), expected)
+
+    def test_zero_right_hand_side_gives_zero(self, rng):
+        quad, *_, pattern = random_quadratic(rng)
+        zero = Quadratic(quad.h4, np.zeros_like(quad.b), 0.0)
+        steps = []
+        x = cg(zero, rng.normal(size=quad.b.shape), pattern.preconditioner,
+               callback=steps.append)
+        assert np.array_equal(x, np.zeros_like(quad.b)) and steps == []
+
+    def test_leaves_the_start_unchanged(self, rng):
+        quad, *_, pattern = random_quadratic(rng)
+        x0 = rng.normal(size=quad.b.shape)
+        start = x0.copy()
+        cg(quad, x0, pattern.preconditioner)
+        assert np.array_equal(x0, start)
+
+    def test_non_finite_solution_raises(self, rng):
+        quad, *_, pattern = random_quadratic(rng)
+        with pytest.raises(SolverError, match="non-finite"):
+            cg(quad, np.full(quad.b.shape, np.nan), pattern.preconditioner)
 
 
 class TestRegister:
@@ -588,28 +639,32 @@ class TestRegister:
         assert report.iterations_used == 0 and calls == []
 
 
-# one register of the synth bend, frame 0 onto frame 1, printing the
-# transforms' bytes as hex
+# one register of the synth bend at icosphere resolution {resolution},
+# frame 0 onto frame 1, printing the transforms' bytes as hex
 _BEND_REGISTRATION = """
 from ultron.registration import RegistrationConfig, register
 from ultron.synth import SynthConfig, synth_frames
 from ultron.tracking import CorrespondenceSet
 key, target = synth_frames(SynthConfig(frames=2, motion="bend", amplitude=0.4,
-                                       resolution=3))
+                                       resolution={resolution}))
 _d, field, _r = register(key, target, CorrespondenceSet.identity(key.vertex_count),
-                         RegistrationConfig(outer_iterations=30))
+                         RegistrationConfig(outer_iterations={iterations}))
 print(field.transforms.tobytes().hex())
 """
 
 
 def test_registration_is_identical_under_one_and_two_blas_threads():
+    # 642 vertices, and 2,562, where BLAS dot products split their sums by
+    # thread count
     src = str(Path(ultron.registration.__file__).parents[1])
-    fields = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _BEND_REGISTRATION], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        fields.append(proc.stdout)
-    assert fields[0] == fields[1]
+    for resolution, iterations in ((3, 30), (4, 5)):
+        script = _BEND_REGISTRATION.format(resolution=resolution, iterations=iterations)
+        fields = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            fields.append(proc.stdout)
+        assert fields[0] == fields[1], resolution
