@@ -13,7 +13,6 @@ from . import codec, errors, mesh, synth
 from .mesh import Aabb, Mesh, load_mesh, parse_mesh, save_mesh, serialize_mesh
 from .tracking import (
     CorrespondenceSet,
-    DescriptorConfig,
     MotionState,
     match_frames,
     predict,
@@ -42,7 +41,7 @@ from .codec import (
 __all__ = [
     "__version__", "codec", "errors", "mesh", "synth",
     "Aabb", "Mesh", "load_mesh", "parse_mesh", "save_mesh", "serialize_mesh",
-    "CorrespondenceSet", "DescriptorConfig", "MotionState", "match_frames",
+    "CorrespondenceSet", "MotionState", "match_frames",
     "predict", "update_motion_state",
     "AffineField", "RegistrationConfig", "RegistrationReport", "register",
     "PipelineStats", "QualityReport", "QualityThresholds", "Segment",

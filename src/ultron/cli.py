@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
 import sys
@@ -37,7 +38,6 @@ from .pipeline import (
 )
 from .registration import RegistrationConfig
 from .synth import MOTIONS, SHAPES, SynthConfig, generate_sequence
-from .tracking import DescriptorConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,9 +92,6 @@ def _encode_configs(args):
     """The library configurations an `encode` command line asks for."""
     return (
         QualityThresholds(geometry_tol=args.geometry_tol, color_tol=args.color_tol),
-        DescriptorConfig(
-            kind=args.descriptor, normal_angle_limit=args.normal_angle_limit
-        ),
         RegistrationConfig(
             alpha=args.alpha, beta=args.beta, gamma=args.gamma,
             outer_iterations=args.outer_iterations,
@@ -103,25 +100,35 @@ def _encode_configs(args):
     )
 
 
+def _check_output_file(path: Path):
+    """Refuse a file to be written that names a directory or whose parent
+    directory is missing, before any work goes into its contents."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(path.parent))
+
+
 def cmd_encode(args) -> int:
+    out = Path(args.output)
+    stats_path = Path(args.stats) if args.stats else out.with_suffix(
+        out.suffix + ".stats.csv"
+    )
+    _check_output_file(out)
+    _check_output_file(stats_path)
     paths = resolve_inputs(args.inputs, args.manifest)
-    thresholds, descriptor, reg_cfg, qparams = args.configs
+    thresholds, reg_cfg, qparams = args.configs
 
     segments, stats = run_pipeline(
         _load_frames(paths),
         thresholds=thresholds,
-        descriptor=descriptor,
         registration_cfg=reg_cfg,
         max_residual=args.max_residual,
         store_normals=args.store_normals,
     )
     data = encode_container(segments, qparams)
 
-    out = Path(args.output)
     out.write_bytes(data)
-    stats_path = Path(args.stats) if args.stats else out.with_suffix(
-        out.suffix + ".stats.csv"
-    )
     stats_path.write_text(stats.to_csv())
     print(
         f"encoded {len(paths)} frames into {len(segments)} segment(s), "
@@ -287,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--output", required=True, help="output .ultn path")
     enc.add_argument("--stats", help="stats CSV path (default <output>.stats.csv)")
     # defaults come from the library's own configurations
-    q, gate, reg, desc = (QuantizationParams(), QualityThresholds(),
-                          RegistrationConfig(), DescriptorConfig())
+    q, gate, reg = QuantizationParams(), QualityThresholds(), RegistrationConfig()
     enc.add_argument("--qp", type=int, default=q.qp, help="position bits")
     enc.add_argument("--qt", type=int, default=q.qt, help="uv bits")
     enc.add_argument("--qn", type=int, default=q.qn, help="normal bits")
@@ -298,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--beta", type=float, default=reg.beta)
     enc.add_argument("--gamma", type=float, default=reg.gamma)
     enc.add_argument("--outer-iterations", type=int, default=reg.outer_iterations)
-    enc.add_argument(
-        "--descriptor", choices=("identity", "normal-gated"), default=desc.kind
-    )
-    enc.add_argument("--normal-angle-limit", type=float,
-                     default=desc.normal_angle_limit)
     enc.add_argument("--max-residual", type=float, default=None)
     enc.add_argument("--store-normals", action="store_true",
                      help="store per-frame normals instead of recomputing")

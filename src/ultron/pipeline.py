@@ -20,7 +20,6 @@ from .mesh import Mesh, closest_points, vertex_normals
 from .registration import RegistrationConfig, register
 from .tracking import (
     CorrespondenceSet,
-    DescriptorConfig,
     MotionState,
     match_frames,
     update_motion_state,
@@ -260,9 +259,8 @@ def _check_attribute_consistency(first: Mesh, frame: Mesh, index: int):
 def run_pipeline(
     frames,
     thresholds: QualityThresholds = QualityThresholds(),
-    descriptor: DescriptorConfig = DescriptorConfig(),
-    registration_cfg: RegistrationConfig = RegistrationConfig(),
     *,
+    registration_cfg: RegistrationConfig = RegistrationConfig(),
     max_residual: float | None = None,
     store_normals: bool = False,
 ) -> tuple[list[Segment], PipelineStats]:
@@ -289,13 +287,7 @@ def run_pipeline(
             stats.records.append(FrameRecord(idx, len(segments), True, None, None, 0))
             continue
 
-        source_normals = None
-        if descriptor.kind == "normal-gated":
-            source_normals = vertex_normals(current.source)
-        matches = match_frames(
-            current.state, frame, descriptor, max_residual,
-            source_normals=source_normals,
-        )
+        matches = match_frames(current.state, frame, max_residual)
         deformed, _field, report = register(
             current.source, frame, matches, registration_cfg
         )

@@ -3,8 +3,9 @@
 Vertices carry a position, a velocity and an acceleration; a frame step
 advances the position with the current velocity and the velocity with the
 current acceleration. Matching projects every tracked vertex one frame
-ahead and pairs it with the target mesh by greedy mutual nearest neighbor,
-optionally gated by normal agreement.
+ahead and pairs it with the target mesh's vertices by mutual nearest
+neighbor within a residual bound: positions and motion are the whole
+descriptor.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidMeshError
-from .mesh import Mesh, vertex_normals
+from .mesh import Mesh
 
 DEFAULT_MAX_RESIDUAL_FRACTION = 0.02  # of the target bbox diagonal
 
@@ -53,25 +54,6 @@ class MotionState:
         pos = np.asarray(positions, dtype=np.float64)
         zero = np.zeros_like(pos)
         return cls(positions=pos, velocities=zero, accelerations=zero)
-
-
-@dataclass(frozen=True)
-class DescriptorConfig:
-    """Vertex descriptor used for matching.
-
-    'identity' compares predicted positions directly; 'normal-gated'
-    additionally rejects pairs whose vertex normals disagree by more than
-    normal_angle_limit degrees.
-    """
-
-    kind: str = "identity"
-    normal_angle_limit: float = 60.0
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "normal-gated"):
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        if not 0.0 < self.normal_angle_limit <= 180.0:
-            raise ValueError("normal_angle_limit must be in (0, 180]")
 
 
 @dataclass(frozen=True)
@@ -121,51 +103,26 @@ def predict(state: MotionState, dt: float) -> MotionState:
 def match_frames(
     source: MotionState,
     target: Mesh,
-    cfg: DescriptorConfig = DescriptorConfig(),
     max_residual: float | None = None,
-    *,
-    source_normals: np.ndarray | None = None,
 ) -> CorrespondenceSet:
-    """Greedy mutual-nearest-neighbor matching on one-frame-ahead predictions.
+    """Mutual-nearest-neighbor matching on one-frame-ahead predictions.
 
     A pair (i, j) is kept iff j is i's nearest target vertex, i is j's
-    nearest predicted source, the distance is within max_residual (default
-    2% of the target bbox diagonal), and, for the normal-gated descriptor,
-    the vertex normals agree within the configured angle.
+    nearest predicted source, and the distance is within max_residual
+    (default 2% of the target bbox diagonal). Normals are not compared:
+    gating on them changed no keyframe on any sequence measured (ROADMAP
+    item 6).
     """
     if len(source) == 0 or target.vertex_count == 0:
         raise InvalidMeshError("source and target must be nonempty")
     predicted = predict(source, 1.0).positions
-    tpos = target.vertices
     if max_residual is None:
         max_residual = DEFAULT_MAX_RESIDUAL_FRACTION * target.bounds().diagonal
-
-    fwd_tree = cKDTree(tpos)
-    dist_fwd, nearest_tgt = fwd_tree.query(predicted)
-    rev_tree = cKDTree(predicted)
-    _, nearest_src = rev_tree.query(tpos)
-
+    dist, nearest_tgt = cKDTree(target.vertices).query(predicted)
+    _, nearest_src = cKDTree(predicted).query(target.vertices)
     src = np.arange(len(predicted))
-    mutual = nearest_src[nearest_tgt] == src
-    keep = mutual & (dist_fwd <= max_residual)
-
-    if cfg.kind == "normal-gated":
-        if source_normals is None:
-            raise ValueError("normal-gated matching needs source_normals")
-        tnormals = target.normals
-        if tnormals is None:
-            tnormals = vertex_normals(target)
-        sn = np.asarray(source_normals, dtype=np.float64)
-        cosine = np.einsum("ij,ij->i", sn, tnormals[nearest_tgt])
-        limit = np.cos(np.deg2rad(cfg.normal_angle_limit))
-        keep &= cosine >= limit
-
-    si = src[keep]
-    return CorrespondenceSet(
-        source_indices=si,
-        target_indices=nearest_tgt[keep],
-        residuals=dist_fwd[keep],
-    )
+    keep = (nearest_src[nearest_tgt] == src) & (dist <= max_residual)
+    return CorrespondenceSet(src[keep], nearest_tgt[keep], dist[keep])
 
 
 def update_motion_state(

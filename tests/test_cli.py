@@ -18,7 +18,6 @@ from ultron.mesh import load_mesh, save_mesh
 from ultron.pipeline import QualityThresholds, run_pipeline
 from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_slab, synth_frames
-from ultron.tracking import DescriptorConfig
 
 
 def run_cli(*args):
@@ -42,8 +41,7 @@ def test_parser_defaults_are_library_defaults():
     parser = build_parser()
     args = parser.parse_args(["encode", "a.obj", "--output", "o"])
     assert _encode_configs(args) == (
-        QualityThresholds(), DescriptorConfig(), RegistrationConfig(),
-        QuantizationParams(),
+        QualityThresholds(), RegistrationConfig(), QuantizationParams(),
     )
     args = parser.parse_args(["synth", "sphere", "--output-dir", "d"])
     synth_cfg = SynthConfig()
@@ -289,7 +287,8 @@ def test_existing_output_directory_with_percent_is_a_directory(tmp_path):
         "frame_000000.obj", "frame_000001.obj"]
 
 
-def test_os_errors_exit_3_with_an_error_line(static_sequence, tmp_path, capsys):
+def test_os_errors_exit_3_with_an_error_line(static_sequence, tmp_path, capsys,
+                                             monkeypatch):
     seq_dir, paths = static_sequence
     pattern = seq_dir / "frame_%04d.obj"
     ultn = tmp_path / "seq.ultn"
@@ -306,6 +305,57 @@ def test_os_errors_exit_3_with_an_error_line(static_sequence, tmp_path, capsys):
         assert run_cli(*argv) == 3, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+    # files that cannot be written are refused before any frame is read
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("run_pipeline ran before the outputs were checked")
+
+    monkeypatch.setattr("ultron.cli.run_pipeline", no_pipeline)
+    missing = tmp_path / "missing"
+    (tmp_path / "y.ultn.stats.csv").mkdir()
+    for argv in (
+        ("encode", pattern, "--output", missing / "x.ultn"),
+        ("encode", pattern, "--output", tmp_path / "x.ultn", "--stats", existing_dir),
+        ("encode", pattern, "--output", tmp_path / "x.ultn",
+         "--stats", missing / "x.csv"),
+        ("encode", pattern, "--output", tmp_path / "y.ultn"),  # default stats path
+    ):
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(*argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert sorted(tmp_path.rglob("*")) == before, argv
+
+
+def test_encode_options_reach_the_library(static_sequence, tmp_path, monkeypatch):
+    seq_dir, _ = static_sequence
+    stats = tmp_path / "elsewhere.csv"
+    argv = [str(a) for a in (
+        "encode", seq_dir / "frame_%04d.obj", "--output", tmp_path / "o.ultn",
+        "--alpha", 5, "--beta", 0.5, "--gamma", 2, "--qt", 8, "--qn", 9,
+        "--max-residual", 0.05, "--store-normals", "--stats", stats,
+    )]
+    reg_cfg = RegistrationConfig(alpha=5.0, beta=0.5, gamma=2.0)
+    qparams = QuantizationParams(qt=8, qn=9)
+    assert _encode_configs(build_parser().parse_args(argv)) == (
+        QualityThresholds(), reg_cfg, qparams,
+    )
+    calls = []
+
+    def recording(frames, *args, **kwargs):
+        calls.append(kwargs)
+        return run_pipeline(frames, *args, **kwargs)
+
+    monkeypatch.setattr("ultron.cli.run_pipeline", recording)
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert calls[0]["registration_cfg"] == reg_cfg
+    assert calls[0]["max_residual"] == 0.05
+    assert calls[0]["store_normals"] is True
+    assert stats.read_text().startswith("frame-id,segment-id,")
+    assert not (tmp_path / "o.ultn.stats.csv").exists()
+    segments, _ = decode_container((tmp_path / "o.ultn").read_bytes())
+    assert all(s.normal_frames is not None for s in segments)
 
 
 @pytest.mark.parametrize("argv", [

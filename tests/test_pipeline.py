@@ -225,20 +225,9 @@ class TestRunPipeline:
             assert np.array_equal(a.frames, b.frames)
         assert stats_a.to_csv() == stats_b.to_csv()
 
-    def test_normal_gated_descriptor(self):
-        from ultron.tracking import DescriptorConfig
-
-        frames = synth_frames(SynthConfig(
-            shape="sphere", frames=5, motion="translate", amplitude=0.03,
-            resolution=2,
-        ))
-        segments, _ = run_pipeline(
-            frames,
-            descriptor=DescriptorConfig(kind="normal-gated",
-                                        normal_angle_limit=45.0),
-            registration_cfg=FAST_REG,
-        )
-        assert len(segments) == 1
+    def test_registration_config_is_keyword_only(self, sphere_162):
+        with pytest.raises(TypeError):
+            run_pipeline([sphere_162], QualityThresholds(), FAST_REG)
 
     def test_store_normals_flows_into_segments(self, sphere_162):
         segments, _ = run_pipeline(

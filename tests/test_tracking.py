@@ -7,7 +7,6 @@ from scipy.optimize import linear_sum_assignment
 from ultron.mesh import Mesh
 from ultron.tracking import (
     CorrespondenceSet,
-    DescriptorConfig,
     MotionState,
     match_frames,
     predict,
@@ -108,18 +107,6 @@ class TestMatchFrames:
         target = plane_mesh(base + np.array([0.5, 0, 0]))
         none = match_frames(MotionState.rest(base), target, max_residual=0.1)
         assert len(none) == 0
-
-    def test_normal_gate(self):
-        pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        normals = np.array([[0.0, 0, 1], [0, 0, 1], [0, 0, 1]])
-        target = Mesh(vertices=pts, triangles=[[0, 1, 2]], normals=normals)
-        state = MotionState.rest(pts)
-        flipped = -normals
-        cfg = DescriptorConfig(kind="normal-gated", normal_angle_limit=45.0)
-        kept = match_frames(state, target, cfg, source_normals=normals)
-        dropped = match_frames(state, target, cfg, source_normals=flipped)
-        assert len(kept) == 3
-        assert len(dropped) == 0
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
