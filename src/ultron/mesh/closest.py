@@ -12,6 +12,22 @@ Triangles are grouped by reach within a factor of two, one tree per group,
 so each ball is sized by its own group's reach. One tree searched with the
 largest reach of all would turn a big floor quad beside a fine surface into
 a candidate list holding every fine triangle for every query.
+
+A caller that queries the same points again and again while they move a
+little, as registration does once per iterate, can hand the query a
+NeighbourList (a Verlet list: Verlet, Phys. Rev. 159, 1967). A tree query
+then widens each ball by a skin s, half the smallest group's reach, and the
+list keeps, per point, its reference position r, its candidates with their
+exact distances d_ref from r, and its closest distance d1 there. A later
+query at p, with delta = |p - r| < s/2, scores only the listed triangles with
+d_ref <= d1 + 2 delta; a point that moved further goes back to the trees and
+its entries are replaced. This is exact, because the distance to a triangle
+is 1-Lipschitz in the point: a triangle that can win or tie at p is at most
+d1 + delta from p, so at most d1 + 2 delta < d1 + s from r. The ball held
+every triangle within d1 + s of r, so that triangle is listed, and its d_ref
+passes the filter. Scoring the survivors with the same expression and the
+same lowest-id rule gives the bits a stateless query gives. A stateless
+query is the same path with skin 0 and every point treated as moved.
 """
 
 from __future__ import annotations
@@ -26,6 +42,8 @@ from .model import Mesh
 
 # relative widening of each candidate ball against floating-point rounding
 _SLACK = 1e-9
+# a neighbour list's skin, as a fraction of the smallest group's reach
+_SKIN = 0.5
 
 
 def closest_point_on_triangles(p, a, b, c):
@@ -98,6 +116,28 @@ def closest_point_on_triangles(p, a, b, c):
     return out
 
 
+class NeighbourList:
+    """Candidate triangles of one point set, carried from one
+    TriangleBvh.query to the next (see the module docstring).
+
+    The caller only creates it and passes it on. The first query fills it;
+    a query on another index, or with another number of points, starts it
+    over.
+    """
+
+    bvh = None  # the index whose triangles it lists
+
+    def _start(self, bvh, n: int):
+        self.bvh = bvh
+        # each point at its last tree query; NaN, before the first, is near
+        # no point
+        self.ref = np.full((n, 3), np.nan)
+        self.best = np.full(n, np.nan)  # d1: its closest distance there
+        self.owner = np.empty(0, dtype=np.intp)  # per candidate: its point,
+        self.tris = np.empty(0, dtype=np.intp)  # its triangle
+        self.dist = np.empty(0)  # and d_ref, its distance from the point's ref
+
+
 class TriangleBvh:
     """Centroid k-d trees over a triangle soup, one per reach class.
 
@@ -125,53 +165,92 @@ class TriangleBvh:
         for lv in np.unique(level):
             ids = np.flatnonzero(level == lv)
             self.groups.append((ids, cKDTree(centroids[ids]), reach[ids].max()))
+        self.skin = _SKIN * self.groups[0][2]
 
-    def query(self, points: np.ndarray):
+    def query(self, points: np.ndarray, neighbours: NeighbourList | None = None):
         """Exact closest surface points. Returns (points, distances, tri ids).
 
-        Ties go to the lowest triangle id.
+        Ties go to the lowest triangle id. With a neighbour list, points that
+        moved less than half the skin since their last tree query score only
+        their listed candidates, and the list is brought up to date.
         """
         q = np.asarray(points, dtype=np.float64)
         q = q.reshape(-1, 3) if q.ndim < 2 else q  # [] and one 3-vector
         nq = len(q)
         if nq == 0:
             return np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.intp)
-        rows = np.arange(nq)
 
+        if neighbours is None:
+            skin = 0.0
+            moved = np.arange(nq)
+            kept_q = kept_t = np.empty(0, dtype=np.intp)
+        else:
+            skin = self.skin
+            nb = neighbours
+            if nb.bvh is not self or len(nb.ref) != nq:
+                nb._start(self, nq)
+            diff = q - nb.ref
+            delta = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            near = delta < 0.5 * skin
+            # a listed triangle farther than d1 + 2 delta from the reference
+            # can neither win nor tie; the slack, relative and in units of
+            # the skin, covers rounding in the distances
+            o = nb.owner
+            keep = near[o] & (
+                nb.dist <= (nb.best[o] + 2.0 * delta[o]) * (1.0 + _SLACK) + _SLACK * skin
+            )
+            kept_q, kept_t = o[keep], nb.tris[keep]
+            moved = np.flatnonzero(~near)
+
+        # the tree path, for the moved points
+        qm = q[moved]
+        nm = len(moved)
         # achieved upper bound: exact distance to each group's triangle with
         # the nearest centroid, taken over all groups
-        seed_q = np.tile(rows, len(self.groups))
-        seeds = np.concatenate([ids[tree.query(q)[1]] for ids, tree, _ in self.groups])
+        seed_q = np.tile(moved, len(self.groups))
+        seeds = np.concatenate([ids[tree.query(qm)[1]] for ids, tree, _ in self.groups])
         seed_pt, seed_d2 = self._score(q, seed_q, seeds)
-        bound = np.sqrt(seed_d2.reshape(-1, nq).min(axis=0))
+        bound = np.sqrt(seed_d2.reshape(len(self.groups), nm).min(axis=0))
 
-        # a triangle at most `bound` away has its centroid within
-        # bound + reach; the slack covers rounding in both distances
+        # a triangle at most `bound` + skin away has its centroid within
+        # bound + skin + reach; the slack covers rounding in both distances
         ball_q, ball_t = [], []
         for ids, tree, reach in self.groups:
             hits = tree.query_ball_point(
-                q, (bound + reach) * (1.0 + _SLACK), return_sorted=False
+                qm, (bound + skin + reach) * (1.0 + _SLACK), return_sorted=False
             )
-            counts = np.fromiter(map(len, hits), np.int64, nq)
+            counts = np.fromiter(map(len, hits), np.int64, nm)
             flat = np.fromiter(chain.from_iterable(hits), np.int64, counts.sum())
-            ball_q.append(np.repeat(rows, counts))
+            ball_q.append(np.repeat(moved, counts))
             ball_t.append(ids[flat])
-        ball_q = np.concatenate(ball_q)
-        ball_t = np.concatenate(ball_t)
-        ball_pt, ball_d2 = self._score(q, ball_q, ball_t)
+        # one scoring pass: the balls' candidates, then the listed ones
+        cand_q = np.concatenate(ball_q + [kept_q])
+        cand_t = np.concatenate(ball_t + [kept_t])
+        cand_pt, cand_d2 = self._score(q, cand_q, cand_t)
 
         # the seeds stay candidates, so no query is left without one
-        qidx = np.concatenate([seed_q, ball_q])
-        tris = np.concatenate([seeds, ball_t])
-        d2 = np.concatenate([seed_d2, ball_d2])
+        qidx = np.concatenate([seed_q, cand_q])
+        tris = np.concatenate([seeds, cand_t])
+        d2 = np.concatenate([seed_d2, cand_d2])
         # each query's nearest candidates; of those, the lowest triangle id
         best = np.full(nq, np.inf)
         np.minimum.at(best, qidx, d2)
         tied = np.flatnonzero(d2 == best[qidx])
         sel = tied[np.lexsort((tris[tied], qidx[tied]))]
         first = sel[np.flatnonzero(np.diff(qidx[sel], prepend=-1))]
-        pts = np.concatenate([seed_pt, ball_pt])[first]
-        return pts, np.sqrt(d2[first]), tris[first]
+        pts = np.concatenate([seed_pt, cand_pt])[first]
+        dists = np.sqrt(d2[first])
+
+        if neighbours is not None and nm:
+            # the moved points' balls replace their old entries
+            old = near[nb.owner]
+            nball = len(cand_q) - len(kept_q)
+            nb.owner = np.concatenate([nb.owner[old], cand_q[:nball]])
+            nb.tris = np.concatenate([nb.tris[old], cand_t[:nball]])
+            nb.dist = np.concatenate([nb.dist[old], np.sqrt(cand_d2[:nball])])
+            nb.ref[moved] = qm
+            nb.best[moved] = dists[moved]
+        return pts, dists, tris[first]
 
     def _score(self, q, qidx, tris):
         """Closest points of triangles tris to queries q[qidx], and their
@@ -191,14 +270,12 @@ def _bvh(mesh: Mesh) -> TriangleBvh:
     return bvh
 
 
-def closest_points(mesh: Mesh, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched exact closest points on a mesh's surface."""
+def closest_points(
+    mesh: Mesh, queries, neighbours: NeighbourList | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched exact closest points on a mesh's surface. A neighbour list,
+    kept by the caller between queries of the same points on the same mesh,
+    lets points that barely moved skip the trees (see the module docstring)."""
     if mesh.triangle_count == 0:
         raise EmptyMeshError("mesh has no triangles")
-    return _bvh(mesh).query(queries)
-
-
-def closest_point_on_mesh(mesh: Mesh, query) -> tuple[np.ndarray, float, int]:
-    """Closest surface point, Euclidean distance, and triangle id."""
-    pts, dists, tris = closest_points(mesh, np.asarray(query, dtype=np.float64))
-    return pts[0], float(dists[0]), int(tris[0])
+    return _bvh(mesh).query(queries, neighbours)

@@ -12,6 +12,11 @@ import numpy as np
 
 from ..errors import EmptyMeshError, InvalidMeshError
 
+# containers store quantization grids as float32, so a frame with a larger
+# coordinate could never be encoded; refusing it keeps the bounding-box
+# diagonal and every squared distance finite
+_COORDINATE_LIMIT = float(np.finfo(np.float32).max)
+
 
 def _frozen(data, dtype, shape, name):
     arr = np.array(data, dtype=dtype, copy=True)
@@ -85,8 +90,14 @@ class Mesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         n = len(verts)
-        if not np.all(np.isfinite(verts)):
-            raise InvalidMeshError("vertices contain non-finite values")
+        # a NaN makes both extremes NaN, which fails both comparisons
+        if not (-_COORDINATE_LIMIT <= verts.min(initial=0.0)
+                and verts.max(initial=0.0) <= _COORDINATE_LIMIT):
+            if not np.all(np.isfinite(verts)):
+                raise InvalidMeshError("vertices contain non-finite values")
+            raise InvalidMeshError(
+                f"vertex coordinate beyond the float32 range ({_COORDINATE_LIMIT:.6g})"
+            )
         if tris.size:
             if tris.min() < 0 or tris.max() >= n:
                 raise InvalidMeshError(

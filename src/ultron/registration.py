@@ -6,7 +6,10 @@ seeded by tracking. Given fixed closest points all terms are quadratic in
 the transform entries, so each outer iteration solves the sparse normal
 equations by preconditioned conjugate gradient and decays the
 correspondence weight. One closest-point query per iterate both scores it
-(E_d) and gives the next system its targets.
+(E_d) and gives the next system its targets. The iterates' queries share
+one neighbour list, so a vertex that moved less than half the list's skin
+since its last tree query scores only the candidates that query found; the
+result is exact, the same bits as a fresh query.
 
 The three transform rows decouple, so the system is one matrix H4 of order
 4n with three right-hand sides, H4 X = B. X is (4n, 3): row 4i + a, column g
@@ -54,7 +57,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidMeshError, SolverError
-from .mesh import Mesh, closest_points
+from .mesh import Mesh, NeighbourList, closest_points
 from .tracking import CorrespondenceSet
 
 logger = logging.getLogger(__name__)
@@ -409,10 +412,12 @@ def register(
     def transforms(x):
         return x.reshape(n, 4, 3).transpose(0, 2, 1)
 
+    neighbours = NeighbourList()
+
     def closest(x):
         field_now = transforms(x)
         p = np.einsum("nij,nj->ni", field_now[:, :, :3], kv) + field_now[:, :, 3]
-        cpts, dists, _ = closest_points(target, p / scale + center)
+        cpts, dists, _ = closest_points(target, p / scale + center, neighbours)
         return (cpts - center) * scale, dists * scale
 
     x = np.tile(np.eye(4, 3), (n, 1))  # every transform the identity

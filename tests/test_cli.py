@@ -327,6 +327,25 @@ def test_os_errors_exit_3_with_an_error_line(static_sequence, tmp_path, capsys,
         assert sorted(tmp_path.rglob("*")) == before, argv
 
 
+@pytest.mark.parametrize("x", ["1e39", "1e100", "1e160", "1e300"])
+def test_coordinate_beyond_float32_exits_3(tmp_path, capsys, x):
+    """A container stores its grid as float32, so one larger coordinate in
+    the middle frame is refused as input, before it reaches registration."""
+    for i, mesh in enumerate(synth_frames(SynthConfig(shape="sphere", frames=3,
+                                                      resolution=1))):
+        save_mesh(mesh, tmp_path / f"frame_{i:04d}.obj")
+    middle = tmp_path / "frame_0001.obj"
+    lines = middle.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    lines[first] = f"v {x} " + " ".join(lines[first].split()[2:])
+    middle.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.ultn"
+    assert run_cli("encode", tmp_path / "frame_%04d.obj", "--output", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "float32" in err
+    assert not out.exists()
+
+
 def test_encode_options_reach_the_library(static_sequence, tmp_path, monkeypatch):
     seq_dir, _ = static_sequence
     stats = tmp_path / "elsewhere.csv"

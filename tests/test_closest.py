@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from conftest import closest_point_oracle
 from ultron.errors import EmptyMeshError
-from ultron.mesh import Mesh, closest_point_on_mesh, closest_points
+from ultron.mesh import Mesh, NeighbourList, closest_points
 from ultron.mesh.closest import closest_point_on_triangles
 from ultron.synth import make_icosphere
 
 
 def test_query_on_vertex_returns_zero(sphere_162):
     target = sphere_162.vertices[17]
-    point, dist, _tri = closest_point_on_mesh(sphere_162, target)
-    assert dist == 0.0
-    assert np.array_equal(point, target)
+    points, dists, _tris = closest_points(sphere_162, target)  # one 3-vector
+    assert dists.shape == (1,) and dists[0] == 0.0
+    assert np.array_equal(points[0], target)
 
 
 def test_vertex_query_ties_go_to_lowest_fan_triangle(rng):
@@ -36,10 +36,10 @@ def test_vertex_query_ties_go_to_lowest_fan_triangle(rng):
 
 def test_orthogonal_projection_onto_triangle():
     mesh = Mesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0]], triangles=[[0, 1, 2]])
-    point, dist, tri = closest_point_on_mesh(mesh, [0.25, 0.25, 1.0])
-    assert tri == 0
-    assert dist == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(point, [0.25, 0.25, 0.0], atol=1e-15)
+    points, dists, tris = closest_points(mesh, [[0.25, 0.25, 1.0], [0.5, 0.125, -2.0]])
+    assert np.array_equal(tris, [0, 0])
+    assert dists == pytest.approx([1.0, 2.0], abs=1e-15)
+    assert np.allclose(points, [[0.25, 0.25, 0.0], [0.5, 0.125, 0.0]], atol=1e-15)
 
 
 def test_empty_mesh_raises():
@@ -138,18 +138,25 @@ def test_matches_exhaustive_search_exactly(seed, n_tri):
         assert dists[i] == np.sqrt(d2[best])
 
 
-def test_mixed_sizes_stay_exact_and_small():
-    """A fine sphere next to a huge floor quad: one search radius sized for
-    the floor would make every sphere triangle a candidate of every query."""
-    sphere = make_icosphere(4)
+def sphere_on_floor(level):
+    """A fine icosphere beside a huge floor quad: two reach groups."""
+    sphere = make_icosphere(level)
     floor = np.array([[-10, -1.5, -10], [10, -1.5, -10], [10, -1.5, 10],
                       [-10, -1.5, 10]], dtype=np.float64)
     n = sphere.vertex_count
-    mesh = Mesh(
+    return Mesh(
         vertices=np.concatenate([sphere.vertices, floor]),
         triangles=np.concatenate([sphere.triangles,
                                   [[n, n + 2, n + 1], [n, n + 3, n + 2]]]),
     )
+
+
+def test_mixed_sizes_stay_exact_and_small():
+    """A fine sphere next to a huge floor quad: one search radius sized for
+    the floor would make every sphere triangle a candidate of every query."""
+    sphere = make_icosphere(4)
+    n = sphere.vertex_count
+    mesh = sphere_on_floor(4)
     tracemalloc.start()
     try:
         _pts, dists, _ids = closest_points(mesh, sphere.vertices)
@@ -161,3 +168,76 @@ def test_mixed_sizes_stay_exact_and_small():
     for i in range(0, n, 641):
         _op, od = closest_point_oracle(mesh, sphere.vertices[i])
         assert dists[i] == pytest.approx(od, abs=1e-12)
+
+
+WALK_MESHES = {"icosphere": make_icosphere(2), "sphere on floor": sphere_on_floor(2)}
+
+
+@given(name=st.sampled_from(sorted(WALK_MESHES)),
+       seed=st.integers(min_value=0, max_value=2**31),
+       steps=st.lists(st.sampled_from(["still", "rounding", "small", "past"]),
+                      min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_neighbour_list_matches_stateless_queries(name, seed, steps):
+    """Points walked through queries that share one neighbour list get the
+    same points, distances and ids as stateless queries, whether they stay,
+    move by rounding noise, move less than half the skin or move past it.
+    Points that moved less than half the skin keep their reference; the
+    others take a new one."""
+    mesh = WALK_MESHES[name]
+    rng = np.random.default_rng(seed)
+    v, t = mesh.vertices, mesh.triangles
+    edges = t[rng.integers(0, len(t), 60)][:, :2]
+    # vertices and edge midpoints tie between triangles
+    p = np.concatenate([
+        v,
+        0.5 * (v[edges[:, 0]] + v[edges[:, 1]]),
+        v[rng.integers(0, len(v), 20)] + 0.05 * rng.normal(size=(20, 3)),
+        rng.uniform(-3.0, 3.0, (10, 3)),
+    ])
+    neighbours = NeighbourList()
+    for step in ["first"] + steps:
+        if step != "first":
+            skin = neighbours.bvh.skin
+            unit = rng.normal(size=p.shape)
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+            if step == "rounding":
+                length = 10.0 ** rng.uniform(-18.0, -15.0, (len(p), 1))
+            else:  # up to just under half the skin
+                length = skin * 10.0 ** rng.uniform(-6.0, np.log10(0.49), (len(p), 1))
+            if step == "past":
+                far = rng.random(len(p)) < 0.5
+                length[far] = skin * rng.uniform(0.5, 3.0, (far.sum(), 1))
+            if step != "still":
+                p = p + length * unit
+            ref = neighbours.ref.copy()
+            near = np.linalg.norm(p - ref, axis=1) < 0.5 * skin
+        got = closest_points(mesh, p, neighbours)
+        want = closest_points(mesh, p)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), step
+        if step != "first":
+            assert np.array_equal(neighbours.ref[near], ref[near])
+            assert np.array_equal(neighbours.ref[~near], p[~near])
+
+
+def test_neighbour_list_holds_what_the_skin_reaches():
+    """Point 0.01 above a floor triangle, 0.011 below the corner of an
+    upright one of the same size: the upright one's centroid lies just past
+    the ball of a stateless query, but inside the skin. Moving the point
+    0.0006 up, much less than half the skin, makes the upright one win."""
+    h = np.sqrt(3.0) / 2.0
+    mesh = Mesh(
+        vertices=[[1, 0, 0], [-0.5, h, 0], [-0.5, -h, 0],
+                  [0, 0, 0.021], [h, 0, 1.521], [-h, 0, 1.521]],
+        triangles=[[0, 1, 2], [3, 4, 5]],
+    )
+    neighbours = NeighbourList()
+    _, _, tris = closest_points(mesh, [[0, 0, 0.01]], neighbours)
+    assert tris[0] == 0
+    p = [[0, 0, 0.0106]]
+    got = closest_points(mesh, p, neighbours)
+    assert np.array_equal(neighbours.ref, [[0, 0, 0.01]])  # no tree query
+    assert got[2][0] == 1
+    for g, w in zip(got, closest_points(mesh, p)):
+        assert np.array_equal(g, w)

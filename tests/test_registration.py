@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from ultron.registration import (
     _aggregates,
     cg,
 )
-from ultron.synth import make_cylinder, make_icosphere
+from ultron.synth import SynthConfig, make_cylinder, make_icosphere, synth_frames
 from ultron.tracking import CorrespondenceSet
 
 
@@ -637,6 +638,30 @@ class TestRegister:
         matches = CorrespondenceSet.identity(sphere_162.vertex_count)
         _d, _f, report = register(sphere_162, sphere_162, matches)
         assert report.iterations_used == 0 and calls == []
+
+    def test_neighbour_list_changes_no_bit(self, monkeypatch):
+        """The iterates' shared neighbour list only skips work: with every
+        query stateless, register returns the same bits, on one tessellation
+        and across a remesh."""
+        cfg = SynthConfig(frames=2, motion="bend", amplitude=0.4, resolution=3)
+        key, bent = synth_frames(cfg)
+        _, remeshed = synth_frames(replace(cfg, remesh_every=1, seed=5))
+        real = ultron.registration.closest_points
+
+        def stateless(mesh, queries, neighbours=None):
+            return real(mesh, queries)
+
+        for target, matches in (
+            (bent, CorrespondenceSet.identity(key.vertex_count)),
+            (remeshed, None),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(ultron.registration, "closest_points", stateless)
+                want = register(key, target, matches)
+            got = register(key, target, matches)
+            assert np.array_equal(got[0].vertices, want[0].vertices)
+            assert np.array_equal(got[1].transforms, want[1].transforms)
+            assert got[2] == want[2]
 
 
 # one register of the synth bend at icosphere resolution {resolution},
