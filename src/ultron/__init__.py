@@ -11,13 +11,7 @@ __version__ = "0.1.0"
 
 from . import codec, errors, mesh, synth
 from .mesh import Aabb, Mesh, load_mesh, parse_mesh, save_mesh, serialize_mesh
-from .tracking import (
-    CorrespondenceSet,
-    MotionState,
-    match_frames,
-    predict,
-    update_motion_state,
-)
+from .tracking import CorrespondenceSet, MotionState, match_frames
 from .registration import (
     AffineField,
     RegistrationConfig,
@@ -42,7 +36,6 @@ __all__ = [
     "__version__", "codec", "errors", "mesh", "synth",
     "Aabb", "Mesh", "load_mesh", "parse_mesh", "save_mesh", "serialize_mesh",
     "CorrespondenceSet", "MotionState", "match_frames",
-    "predict", "update_motion_state",
     "AffineField", "RegistrationConfig", "RegistrationReport", "register",
     "PipelineStats", "QualityReport", "QualityThresholds", "Segment",
     "assess_quality", "run_pipeline",

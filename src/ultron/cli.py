@@ -38,6 +38,7 @@ from .pipeline import (
 )
 from .registration import RegistrationConfig
 from .synth import MOTIONS, SHAPES, SynthConfig, generate_sequence
+from .tracking import check_max_residual
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,7 +90,9 @@ def _load_frames(paths: list[Path]):
 
 
 def _encode_configs(args):
-    """The library configurations an `encode` command line asks for."""
+    """The library configurations an `encode` command line asks for. A
+    --max-residual the tracker would refuse is refused here too."""
+    check_max_residual(args.max_residual)
     return (
         QualityThresholds(geometry_tol=args.geometry_tol, color_tol=args.color_tol),
         RegistrationConfig(

@@ -10,14 +10,10 @@ from .quantization import (
 from .rans import (
     SymbolStream,
     build_frequency_table,
-    cross_entropy_bytes,
     decode_block,
     encode_block,
-    rans_decode,
-    rans_encode,
 )
 from .connectivity import (
-    connectivity_stats,
     decode_connectivity,
     encode_connectivity,
     unzigzag,
@@ -43,10 +39,8 @@ from .container import (
 __all__ = [
     "QuantizationParams", "dequantize", "dequantize_array", "half_step",
     "quantize", "quantize_array", "widen_to_f32",
-    "SymbolStream", "build_frequency_table", "cross_entropy_bytes",
-    "decode_block", "encode_block", "rans_decode", "rans_encode",
-    "connectivity_stats", "decode_connectivity", "encode_connectivity",
-    "unzigzag", "zigzag",
+    "SymbolStream", "build_frequency_table", "decode_block", "encode_block",
+    "decode_connectivity", "encode_connectivity", "unzigzag", "zigzag",
     "FLAG_COLORS", "FLAG_NORMALS", "FLAG_STORED_NORMALS", "FLAG_UV",
     "decode_segment", "encode_segment", "segment_flags",
     "MAGIC", "VERSION", "container_frames", "decode_container",

@@ -356,12 +356,8 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
 
 # --- edgebreaker decode -----------------------------------------------------
 
-def _read_edgebreaker_head(data: bytes):
-    """Header, CLERS block and split offsets of an Edgebreaker blob.
-
-    Returns (m, n_real, n_closed, clers, offsets, clers_end, offsets_end).
-    Every count is checked before anything is sized from it.
-    """
+def _decode_edgebreaker(data: bytes) -> np.ndarray:
+    # every count is checked before anything is sized from it
     if len(data) < 12:
         raise CorruptStreamError("connectivity blob too short")
     m, n_real, n_closed = struct.unpack_from("<III", data, 0)
@@ -372,19 +368,14 @@ def _read_edgebreaker_head(data: bytes):
     if m >= 16 * len(data):
         raise CorruptStreamError("triangle count exceeds what the blob can hold")
     # one symbol per triangle except the seed triangle of each component
-    clers, clers_end = decode_block(data, 12, max_count=max(m - 1, 0))
-    n_off, offset = read_uvarint(data, clers_end)
+    clers, offset = decode_block(data, 12, max_count=max(m - 1, 0))
+    n_off, offset = read_uvarint(data, offset)
     if n_off != np.count_nonzero(clers == S):
         raise CorruptStreamError("split offset count differs from S symbols")
     offsets = []
     for _ in range(n_off):
         steps, offset = read_uvarint(data, offset)
         offsets.append(steps)
-    return m, n_real, n_closed, clers, offsets, clers_end, offset
-
-
-def _decode_edgebreaker(data: bytes) -> np.ndarray:
-    m, n_real, n_closed, clers, offsets, _, offset = _read_edgebreaker_head(data)
     n_perm, offset = read_uvarint(data, offset)
     width, offset = read_uvarint(data, offset)
     if width > 32 or n_perm > n_closed:
@@ -401,7 +392,7 @@ def _decode_edgebreaker(data: bytes) -> np.ndarray:
         raise CorruptStreamError("permutation entry out of range")
 
     symbols = clers.tolist()
-    # one offset per S symbol, as _read_edgebreaker_head checked
+    # one offset per S symbol, as checked above
     split_offsets = iter(offsets)
     triangles = []  # flattened rows
     loops = _ActiveLoops()
@@ -506,17 +497,3 @@ def decode_connectivity(data: bytes, mode: str) -> np.ndarray:
         return _decode_raw(data)
     raise ValueError(f"unknown connectivity mode {mode!r}")
 
-
-def connectivity_stats(data: bytes, mode: str) -> dict:
-    """Section sizes of an encoded blob, for rate accounting."""
-    if mode == "raw":
-        return {"total_bytes": len(data)}
-    m, _, _, clers, _, clers_end, offsets_end = _read_edgebreaker_head(data)
-    return {
-        "total_bytes": len(data),
-        "triangles": int(m),
-        "clers_bytes": clers_end - 12,
-        "clers_symbols": len(clers),
-        "offset_bytes": offsets_end - clers_end,
-        "permutation_bytes": len(data) - offsets_end,
-    }

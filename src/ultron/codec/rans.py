@@ -148,16 +148,6 @@ class CodedBlock(NamedTuple):
     payload: bytes | memoryview
 
 
-def rans_encode(stream: SymbolStream) -> bytes:
-    """Encode a stream; returns the payload (tables are stored separately)."""
-    return _encode_payloads([stream])[0]
-
-
-def rans_decode(data: bytes, count: int, frequencies) -> np.ndarray:
-    """Decode count symbols; raises CorruptStreamError on any inconsistency."""
-    return _decode_payloads([CodedBlock(count, frequencies, data)])[0]
-
-
 def _encode_payloads(streams: list[SymbolStream]) -> list[bytes]:
     """The payload of each stream, equal-count streams coded together."""
     payloads = [b""] * len(streams)
@@ -397,16 +387,6 @@ def _decode_lockstep(
     if np.any(x != RANS_L) or np.any(pos != ends):
         raise CorruptStreamError("entropy payload failed integrity check")
     return [row.reshape(-1)[:count] for row in out]
-
-
-def cross_entropy_bytes(symbols, frequencies) -> float:
-    """Information content of the symbols under the quantized model."""
-    syms = np.asarray(symbols, dtype=np.int64)
-    if len(syms) == 0:
-        return 0.0
-    freqs = np.asarray(frequencies, dtype=np.float64)
-    bits = -np.log2(freqs[syms] / PROB_TOTAL)
-    return float(bits.sum() / 8.0)
 
 
 # --- length-prefixed blocks -------------------------------------------------

@@ -48,12 +48,6 @@ class CornerTable:
     def boundary_corner_count(self) -> int:
         return int(np.count_nonzero(self.O == BOUNDARY))
 
-    def edge_count(self) -> int:
-        """Distinct undirected edges: interior edges pair two corners,
-        boundary edges have one."""
-        interior = (self.corner_count - self.boundary_corner_count()) // 2
-        return interior + self.boundary_corner_count()
-
 
 @dataclass(frozen=True)
 class NonManifoldReport:

@@ -18,12 +18,7 @@ import numpy as np
 from .errors import InvalidMeshError
 from .mesh import Mesh, closest_points, vertex_normals
 from .registration import RegistrationConfig, register
-from .tracking import (
-    CorrespondenceSet,
-    MotionState,
-    match_frames,
-    update_motion_state,
-)
+from .tracking import MotionState, match_frames
 
 
 @dataclass(frozen=True)
@@ -235,8 +230,7 @@ class _OpenSegment:
         self.frame_ids.append(self.frame_ids[-1] + 1)
         if self.normals is not None:
             self.normals.append(vertex_normals(deformed))
-        dense = CorrespondenceSet.identity(deformed.vertex_count)
-        self.state = update_motion_state(self.state, dense, deformed, dt=1.0)
+        self.state = self.state.advance(deformed.vertices)
         self.source = deformed
 
     def close(self) -> Segment:

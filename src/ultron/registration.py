@@ -136,12 +136,6 @@ class RegistrationReport:
     beta_final: float = 0.0  # beta in effect for the reported total
 
 
-def energy_data(deformed_vertices, target: Mesh) -> float:
-    """Sum of squared distances from points to the target surface."""
-    _, dists, _ = closest_points(target, deformed_vertices)
-    return float(np.dot(dists, dists))
-
-
 def energy_smooth(field, edges, gamma: float) -> float:
     """Sum over edges of the weighted squared Frobenius difference of the
     endpoint transforms; the translation column is weighted by gamma."""

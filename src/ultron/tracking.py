@@ -1,9 +1,8 @@
-"""Cross-frame vertex correspondence from motion prediction.
+"""Cross-frame vertex correspondence from constant-velocity prediction.
 
-Vertices carry a position, a velocity and an acceleration; a frame step
-advances the position with the current velocity and the velocity with the
-current acceleration. Matching projects every tracked vertex one frame
-ahead and pairs it with the target mesh's vertices by mutual nearest
+Vertices carry a position and a velocity, the displacement of the last
+frame step. Matching moves every tracked vertex one frame ahead at that
+velocity and pairs it with the target mesh's vertices by mutual nearest
 neighbor within a residual bound: positions and motion are the whole
 descriptor.
 """
@@ -21,20 +20,28 @@ from .mesh import Mesh
 DEFAULT_MAX_RESIDUAL_FRACTION = 0.02  # of the target bbox diagonal
 
 
+def check_max_residual(max_residual: float | None) -> None:
+    """Refuse a residual bound that no match can meet: a negative one or
+    NaN. None (the default bound) and inf are allowed."""
+    if max_residual is not None and not max_residual >= 0:
+        raise ValueError(
+            f"max_residual must be nonnegative and not NaN, got {max_residual!r}"
+        )
+
+
 @dataclass(frozen=True)
 class MotionState:
     """Tracked state for a set of vertices (struct-of-arrays).
 
-    positions, velocities and accelerations are (n, 3); velocities are in
-    model units per frame, accelerations per frame squared.
+    positions and velocities are (n, 3); velocities are in model units per
+    frame.
     """
 
     positions: np.ndarray
     velocities: np.ndarray
-    accelerations: np.ndarray
 
     def __post_init__(self):
-        for name in ("positions", "velocities", "accelerations"):
+        for name in ("positions", "velocities"):
             arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise InvalidMeshError(f"{name} must be (n, 3)")
@@ -42,7 +49,7 @@ class MotionState:
                 raise InvalidMeshError(f"{name} contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (len(self.positions) == len(self.velocities) == len(self.accelerations)):
+        if len(self.positions) != len(self.velocities):
             raise InvalidMeshError("motion state arrays must have equal length")
 
     def __len__(self):
@@ -50,10 +57,15 @@ class MotionState:
 
     @classmethod
     def rest(cls, positions) -> "MotionState":
-        """State with zero velocity and acceleration (start of a sequence)."""
+        """State with zero velocity (start of a sequence)."""
         pos = np.asarray(positions, dtype=np.float64)
-        zero = np.zeros_like(pos)
-        return cls(positions=pos, velocities=zero, accelerations=zero)
+        return cls(positions=pos, velocities=np.zeros_like(pos))
+
+    def advance(self, positions) -> "MotionState":
+        """State one frame later at the observed positions, with velocity
+        their displacement from this state's positions."""
+        pos = np.asarray(positions, dtype=np.float64)
+        return MotionState(positions=pos, velocities=pos - self.positions)
 
 
 @dataclass(frozen=True)
@@ -88,18 +100,6 @@ class CorrespondenceSet:
         return cls(idx, idx, np.zeros(n))
 
 
-def predict(state: MotionState, dt: float) -> MotionState:
-    """Advance positions by the current velocity and velocities by the
-    current acceleration over dt frames; acceleration is held constant."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return MotionState(
-        positions=state.positions + state.velocities * dt,
-        velocities=state.velocities + state.accelerations * dt,
-        accelerations=state.accelerations,
-    )
-
-
 def match_frames(
     source: MotionState,
     target: Mesh,
@@ -111,11 +111,12 @@ def match_frames(
     nearest predicted source, and the distance is within max_residual
     (default 2% of the target bbox diagonal). Normals are not compared:
     gating on them changed no keyframe on any sequence measured (ROADMAP
-    item 6).
+    item 6). max_residual must pass `check_max_residual`.
     """
+    check_max_residual(max_residual)
     if len(source) == 0 or target.vertex_count == 0:
         raise InvalidMeshError("source and target must be nonempty")
-    predicted = predict(source, 1.0).positions
+    predicted = source.positions + source.velocities
     if max_residual is None:
         max_residual = DEFAULT_MAX_RESIDUAL_FRACTION * target.bounds().diagonal
     dist, nearest_tgt = cKDTree(target.vertices).query(predicted)
@@ -123,33 +124,3 @@ def match_frames(
     src = np.arange(len(predicted))
     keep = (nearest_src[nearest_tgt] == src) & (dist <= max_residual)
     return CorrespondenceSet(src[keep], nearest_tgt[keep], dist[keep])
-
-
-def update_motion_state(
-    prev: MotionState,
-    matches: CorrespondenceSet,
-    target: Mesh,
-    dt: float = 1.0,
-) -> MotionState:
-    """Finite-difference state update from observed correspondences.
-
-    Matched vertices snap to their target positions with velocity and
-    acceleration re-estimated by first differences. Unmatched vertices
-    coast: the prediction advances them, velocity is halved, acceleration
-    is cleared.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    coast = predict(prev, dt)
-    pos = coast.positions.copy()
-    vel = coast.velocities * 0.5
-    acc = np.zeros_like(pos)
-
-    si = matches.source_indices
-    ti = matches.target_indices
-    new_pos = target.vertices[ti]
-    new_vel = (new_pos - prev.positions[si]) / dt
-    pos[si] = new_pos
-    vel[si] = new_vel
-    acc[si] = (new_vel - prev.velocities[si]) / dt
-    return MotionState(positions=pos, velocities=vel, accelerations=acc)

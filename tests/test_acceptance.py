@@ -25,15 +25,13 @@ from ultron.pipeline import (
 from ultron.registration import RegistrationConfig, register
 from ultron.codec import (
     QuantizationParams,
-    SymbolStream,
-    cross_entropy_bytes,
     decode_container,
+    encode_block,
     encode_container,
     quantize_array,
-    rans_decode,
-    rans_encode,
     widen_to_f32,
 )
+from ultron.codec.rans import PROB_TOTAL, decode_blocks, read_block
 from ultron.codec.segments import MODE_EDGEBREAKER, _HEADER as _SEG_HEADER
 from ultron.synth import (
     SynthConfig,
@@ -364,14 +362,15 @@ def test_criterion_8_entropy_coder(rng):
         ("skewed", rng.geometric(0.2, 400_000) % 256),
     ]
     for name, symbols in streams:
-        stream = SymbolStream.from_symbols(symbols)
-        payload = rans_encode(stream)
-        back = rans_decode(payload, len(symbols), stream.frequencies)
+        block, _ = read_block(encode_block(symbols))
+        back = decode_blocks([block])[0]
         assert np.array_equal(back, symbols), f"{name} roundtrip failed"
         total_symbols += len(symbols)
-        bound = cross_entropy_bytes(symbols, stream.frequencies)
+        # cross entropy of the symbols under the block's quantized table
+        probs = block.frequencies[symbols] / PROB_TOTAL
+        bound = float(-np.log2(probs).sum() / 8.0)
         if len(symbols) >= 10_000 and bound > 0:
-            ratio = len(payload) / bound
+            ratio = len(block.payload) / bound
             size_ok &= ratio <= 1.05
             details.append(f"{name} {ratio:.4f}x")
     _verdict(

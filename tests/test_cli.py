@@ -381,8 +381,11 @@ def test_encode_options_reach_the_library(static_sequence, tmp_path, monkeypatch
     ("encode", "missing.obj", "--output", "x.ultn", "--qp", "0"),
     ("encode", "missing.obj", "--output", "x.ultn", "--outer-iterations", "0"),
     ("encode", "missing.obj", "--output", "x.ultn", "--geometry-tol", "-1"),
+    ("encode", "missing.obj", "--output", "x.ultn", "--max-residual", "-1"),
+    ("encode", "missing.obj", "--output", "x.ultn", "--max-residual", "nan"),
     ("synth", "sphere", "--frames", "0", "--output-dir", "never"),
-], ids=["qp", "outer-iterations", "geometry-tol", "frames"])
+], ids=["qp", "outer-iterations", "geometry-tol", "max-residual-negative",
+        "max-residual-nan", "frames"])
 def test_values_the_configs_refuse_are_usage_errors(argv, tmp_path, monkeypatch,
                                                     capsys):
     # refused before any frame is read: the missing input would exit 3

@@ -8,7 +8,7 @@ import pytest
 from conftest import canonical_triangles
 from ultron.errors import CorruptStreamError, EdgebreakerUnsupported
 from ultron.mesh import CornerTable, Mesh, build_corner_table
-from ultron.codec import connectivity_stats, decode_connectivity, encode_connectivity
+from ultron.codec import decode_connectivity, encode_connectivity
 from ultron.codec.connectivity import C, S, pack_bits, unpack_bits
 from ultron.codec.rans import (
     PROB_TOTAL,
@@ -58,8 +58,12 @@ def test_tetrahedron_isomorphic():
 def test_sphere_rate_under_guarantee():
     sphere = make_icosphere(4)  # 5120 triangles
     blob, _ = eb_roundtrip(sphere)
-    stats = connectivity_stats(blob, "edgebreaker")
-    clers_bits = 8 * (stats["clers_bytes"] + stats["offset_bytes"])
+    # the CLERS block after the 12-byte header, then the split offsets
+    _, offset = decode_block(blob, 12)
+    n_off, offset = read_uvarint(blob, offset)
+    for _ in range(n_off):
+        _, offset = read_uvarint(blob, offset)
+    clers_bits = 8 * (offset - 12)
     assert clers_bits / sphere.triangle_count < 2.5
     raw = encode_connectivity(sphere.triangles, "raw")
     assert len(raw) > len(blob)
@@ -309,12 +313,11 @@ def _tet_blob_parts():
     return blob[:12], blob[12:clers_end], blob[clers_end:]
 
 
-def _refused_without_large_allocation(blob, mode="edgebreaker",
-                                      read=decode_connectivity):
+def _refused_without_large_allocation(blob, mode="edgebreaker", match=None):
     tracemalloc.start()
     try:
-        with pytest.raises(CorruptStreamError):
-            read(blob, mode)
+        with pytest.raises(CorruptStreamError, match=match):
+            decode_connectivity(blob, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,7 +353,7 @@ def test_connectivity_stats_refuses_hostile_bytes():
         + write_uvarint(PROB_TOTAL) + write_uvarint(0)
     )
     for blob in (head + block, head + block + rest, b"\x04\x00"):
-        _refused_without_large_allocation(blob, read=connectivity_stats)
+        _refused_without_large_allocation(blob)
 
 
 def test_huge_split_offset_count_refused():
@@ -367,8 +370,8 @@ def test_huge_split_offset_refused():
     assert n_off == 2
     _, end = read_uvarint(blob, offset)
     huge = blob[:offset] + write_uvarint((1 << 64) - 1) + blob[end:]
-    _refused_without_large_allocation(huge)
-    assert connectivity_stats(huge, "edgebreaker")["triangles"] == 38
+    # the header and the offset parse; the walk refuses the offset
+    _refused_without_large_allocation(huge, match="split offset wraps the loop")
 
 
 def test_huge_raw_plane_count_refused():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ultron.mesh.closest
+import ultron.pipeline
 from ultron.mesh import Mesh
 from ultron.pipeline import (
     QualityThresholds,
@@ -13,6 +14,7 @@ from ultron.pipeline import (
 )
 from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_icosphere, make_slab, synth_frames
+from ultron.tracking import CorrespondenceSet
 
 
 FAST_REG = RegistrationConfig(outer_iterations=10)
@@ -204,6 +206,19 @@ class TestRunPipeline:
         )
         assert stats.keyframes == [0]
         assert len(builds) == 2
+
+    def test_tracked_matches_reach_registration(self, monkeypatch):
+        # on a twisting sphere the tracker's matches are what keep frames
+        # in their segments: without them nearly every frame is a keyframe
+        frames = synth_frames(SynthConfig(shape="sphere", frames=12,
+                                          motion="twist", amplitude=1.0,
+                                          resolution=3, colors=True, seed=5))
+        _, tracked = run_pipeline(frames)
+        monkeypatch.setattr(ultron.pipeline, "match_frames",
+                            lambda *_: CorrespondenceSet([], [], []))
+        _, untracked = run_pipeline(frames)
+        assert len(tracked.keyframes) <= 4
+        assert len(untracked.keyframes) >= 8
 
     def test_stats_csv_shape(self, sphere_162):
         _, stats = run_pipeline([sphere_162] * 3, registration_cfg=FAST_REG)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultron.codec.rans import (
+    CodedBlock,
     LANE_SYMBOLS,
     NUMPY_LANES,
     PROB_TOTAL,
@@ -16,13 +17,10 @@ from ultron.codec.rans import (
     _encode_lockstep,
     _encode_scalar,
     build_frequency_table,
-    cross_entropy_bytes,
     decode_block,
     decode_blocks,
     encode_block,
     encode_blocks,
-    rans_decode,
-    rans_encode,
     read_block,
     read_uvarint,
     write_uvarint,
@@ -30,17 +28,32 @@ from ultron.codec.rans import (
 from ultron.errors import CorruptStreamError
 
 
-def roundtrip(symbols, alphabet=None):
-    stream = SymbolStream.from_symbols(symbols, alphabet)
-    payload = rans_encode(stream)
-    back = rans_decode(payload, len(stream.symbols), stream.frequencies)
-    assert np.array_equal(back, np.asarray(symbols))
-    return payload
+def coded(symbols):
+    """symbols as one block, parsed but not decoded."""
+    blob = encode_block(symbols)
+    block, end = read_block(blob)
+    assert end == len(blob)
+    return block
+
+
+def roundtrip(symbols):
+    """The rANS payload of symbols' block, checked to decode back."""
+    block = coded(symbols)
+    assert np.array_equal(decode_blocks([block])[0], np.asarray(symbols))
+    return bytes(block.payload)
+
+
+def cross_entropy_bytes(symbols, frequencies):
+    """Information content of the symbols under the quantized table."""
+    probs = np.asarray(frequencies)[np.asarray(symbols)] / PROB_TOTAL
+    return float(-np.log2(probs).sum() / 8.0)
 
 
 def test_single_symbol_emits_only_flush():
-    payload = roundtrip(np.zeros(1000, dtype=int))
-    assert len(payload) <= 8
+    # all ones: the table is [0, PROB_TOTAL], so the coder runs (an all-zero
+    # block has a one-entry table and no payload at all)
+    payload = roundtrip(np.ones(1000, dtype=int))
+    assert 0 < len(payload) <= 8
 
 
 def test_uniform_four_symbols_two_bits_each():
@@ -51,9 +64,9 @@ def test_uniform_four_symbols_two_bits_each():
 
 
 def test_empty_stream():
-    stream = SymbolStream.from_symbols(np.zeros(0, dtype=int))
-    assert rans_encode(stream) == b""
-    assert len(rans_decode(b"", 0, stream.frequencies)) == 0
+    assert roundtrip(np.zeros(0, dtype=int)) == b""
+    empty = CodedBlock(0, np.array([PROB_TOTAL - 1, 1]), b"")
+    assert len(decode_blocks([empty])[0]) == 0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31),
@@ -73,9 +86,9 @@ def test_entropy_bound_on_large_streams(rng):
         rng.geometric(0.25, 50_000) % 128,
         np.minimum(rng.poisson(2.0, 50_000), 60),
     ):
-        stream = SymbolStream.from_symbols(symbols)
-        payload = rans_encode(stream)
-        bound = cross_entropy_bytes(symbols, stream.frequencies)
+        block = coded(symbols)
+        payload = block.payload
+        bound = cross_entropy_bytes(symbols, block.frequencies)
         assert len(payload) <= bound * 1.05 + 8
         # each interleaved lane flushes its own 4-byte final state
         lanes = len(symbols) // LANE_SYMBOLS
@@ -253,9 +266,9 @@ def _hostile_payloads(payload, lanes):
 def test_hostile_multi_lane_payloads_refused(rng, n, case):
     symbols = rng.geometric(0.2, n) % 60
     blob = encode_block(symbols)
-    stream = SymbolStream.from_symbols(symbols)
     lanes = n // LANE_SYMBOLS
-    hostile = _with_payload(blob, _hostile_payloads(rans_encode(stream), lanes)[case])
+    payload = bytes(read_block(blob)[0].payload)
+    hostile = _with_payload(blob, _hostile_payloads(payload, lanes)[case])
     assert np.array_equal(decode_block(blob)[0], symbols)
     tracemalloc.start()
     try:
@@ -275,10 +288,9 @@ def test_hostile_multi_lane_payloads_refused(rng, n, case):
 def test_hostile_batch_member_refused(rng, n, case):
     blocks = [rng.geometric(0.2, n) % 60 for _ in range(3)]
     blobs = encode_blocks(blocks)
-    stream = SymbolStream.from_symbols(blocks[1])
     lanes = n // LANE_SYMBOLS
-    blobs[1] = _with_payload(blobs[1],
-                             _hostile_payloads(rans_encode(stream), lanes)[case])
+    payload = bytes(read_block(blobs[1])[0].payload)
+    blobs[1] = _with_payload(blobs[1], _hostile_payloads(payload, lanes)[case])
     data = b"".join(blobs)
     tracemalloc.start()
     try:
@@ -295,20 +307,16 @@ def test_hostile_batch_member_refused(rng, n, case):
 
 
 def test_decode_rejects_wrong_count(rng):
-    symbols = rng.integers(0, 50, 5000)
-    stream = SymbolStream.from_symbols(symbols)
-    payload = rans_encode(stream)
+    block = coded(rng.integers(0, 50, 5000))
     for bad_count in (4999, 5001):
         with pytest.raises(CorruptStreamError):
-            rans_decode(payload, bad_count, stream.frequencies)
+            decode_blocks([block._replace(count=bad_count)])
 
 
 def test_decode_rejects_truncation(rng):
-    symbols = rng.integers(0, 50, 5000)
-    stream = SymbolStream.from_symbols(symbols)
-    payload = rans_encode(stream)
+    block = coded(rng.integers(0, 50, 5000))
     with pytest.raises(CorruptStreamError):
-        rans_decode(payload[:-2], 5000, stream.frequencies)
+        decode_blocks([block._replace(payload=block.payload[:-2])])
 
 
 def test_block_roundtrip_and_offsets(rng):

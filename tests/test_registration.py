@@ -12,11 +12,10 @@ from scipy.sparse.csgraph import connected_components
 
 import ultron.registration
 from ultron.errors import SolverError
-from ultron.mesh import Mesh
+from ultron.mesh import Mesh, closest_points
 from ultron.registration import (
     AffineField,
     RegistrationConfig,
-    energy_data,
     energy_match,
     energy_smooth,
     register,
@@ -32,6 +31,13 @@ from ultron.registration import (
 )
 from ultron.synth import SynthConfig, make_cylinder, make_icosphere, synth_frames
 from ultron.tracking import CorrespondenceSet
+
+
+def energy_data(points, target):
+    """E_d as register scores an iterate: the sum of squared distances from
+    the points to the target surface."""
+    dists = closest_points(target, points)[1]
+    return float(np.dot(dists, dists))
 
 
 class TestEnergyData:

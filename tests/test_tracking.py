@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from ultron.mesh import Mesh
-from ultron.tracking import (
-    CorrespondenceSet,
-    MotionState,
-    match_frames,
-    predict,
-    update_motion_state,
-)
+from ultron.tracking import MotionState, match_frames
 
 
 def plane_mesh(points):
@@ -21,48 +15,14 @@ def plane_mesh(points):
 
 
 class TestPredict:
+    """The prediction match_frames makes: positions plus velocities."""
+
     def test_zero_motion(self):
-        s = MotionState(positions=[[0, 0, 0]], velocities=[[0, 0, 0]],
-                        accelerations=[[0, 0, 0]])
-        p = predict(s, 1.0)
-        assert np.array_equal(p.positions, [[0, 0, 0]])
-
-    def test_velocity_and_acceleration(self):
-        s = MotionState(positions=[[0, 0, 0]], velocities=[[1, 0, 0]],
-                        accelerations=[[0, 2, 0]])
-        p = predict(s, 1.0)
-        assert np.array_equal(p.positions, [[1, 0, 0]])
-        assert np.array_equal(p.velocities, [[1, 2, 0]])
-        assert np.array_equal(p.accelerations, [[0, 2, 0]])
-
-    def test_two_frame_step(self):
-        s = MotionState(positions=[[1, 1, 1]], velocities=[[0.5, 0, -0.5]],
-                        accelerations=[[0, 0, 0]])
-        p = predict(s, 2.0)
-        assert np.allclose(p.positions, [[2, 1, 0]])
-
-    def test_rejects_nonpositive_dt(self):
-        s = MotionState.rest([[0, 0, 0]])
-        with pytest.raises(ValueError):
-            predict(s, 0.0)
-
-    @given(dt=st.floats(min_value=0.1, max_value=4.0),
-           seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_linearity(self, dt, seed):
-        r = np.random.default_rng(seed)
-        a = MotionState(positions=r.normal(size=(5, 3)),
-                        velocities=r.normal(size=(5, 3)),
-                        accelerations=r.normal(size=(5, 3)))
-        b = MotionState(positions=r.normal(size=(5, 3)),
-                        velocities=r.normal(size=(5, 3)),
-                        accelerations=r.normal(size=(5, 3)))
-        both = MotionState(positions=a.positions + b.positions,
-                           velocities=a.velocities + b.velocities,
-                           accelerations=a.accelerations + b.accelerations)
-        pa, pb, pab = predict(a, dt), predict(b, dt), predict(both, dt)
-        assert np.allclose(pab.positions, pa.positions + pb.positions)
-        assert np.allclose(pab.velocities, pa.velocities + pb.velocities)
+        pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        s = MotionState(positions=pts, velocities=np.zeros((3, 3)))
+        m = match_frames(s, plane_mesh(pts), max_residual=0.0)
+        assert np.array_equal(m.source_indices, [0, 1, 2])
+        assert np.array_equal(m.target_indices, [0, 1, 2])
 
 
 class TestMatchFrames:
@@ -82,7 +42,6 @@ class TestMatchFrames:
         state = MotionState(
             positions=positions,
             velocities=np.broadcast_to(delta, base.shape),
-            accelerations=np.zeros_like(base),
         )
         target = plane_mesh(positions + delta)
         matches = match_frames(state, target)
@@ -107,6 +66,13 @@ class TestMatchFrames:
         target = plane_mesh(base + np.array([0.5, 0, 0]))
         none = match_frames(MotionState.rest(base), target, max_residual=0.1)
         assert len(none) == 0
+
+    @pytest.mark.parametrize("bound", [-1.0, -np.inf, np.nan])
+    def test_refuses_a_bound_no_match_can_meet(self, rng, bound):
+        base = rng.normal(size=(20, 3))
+        with pytest.raises(ValueError, match="max_residual must"):
+            match_frames(MotionState.rest(base), plane_mesh(base),
+                         max_residual=bound)
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
@@ -148,44 +114,31 @@ class TestMatchFrames:
 
 
 class TestUpdateMotionState:
+    """MotionState.advance: the state after an accepted frame."""
+
     def test_stationary(self):
         prev = MotionState.rest([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        target = plane_mesh([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        new = update_motion_state(prev, CorrespondenceSet.identity(3), target)
+        new = prev.advance([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert np.array_equal(new.velocities, np.zeros((3, 3)))
-        assert np.array_equal(new.accelerations, np.zeros((3, 3)))
 
     def test_finite_differences(self):
         prev = MotionState.rest([[0, 0, 0], [0, 1, 0], [0, 2, 0]])
-        target = plane_mesh([[1, 0, 0], [1, 1, 0], [1, 2, 0]])
-        new = update_motion_state(prev, CorrespondenceSet.identity(3), target)
-        assert np.array_equal(new.positions, target.vertices)
-        assert np.allclose(new.velocities, [[1, 0, 0]] * 3)
-        assert np.allclose(new.accelerations, [[1, 0, 0]] * 3)
+        target = [[1, 0, 0], [1, 1, 0], [1, 2, 0]]
+        new = prev.advance(target)
+        assert np.array_equal(new.positions, target)
+        assert np.array_equal(new.velocities, [[1, 0, 0]] * 3)
+        # the next prediction is one more step of the same motion
+        ahead = plane_mesh([[2, 0, 0], [2, 1, 0], [2, 2, 0]])
+        m = match_frames(new, ahead, max_residual=0.0)
+        assert np.array_equal(m.target_indices, [0, 1, 2])
 
     def test_constant_velocity_acceleration_settles(self):
         step = np.array([0.25, -0.5, 0.125])
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         state = MotionState.rest(pts)
         for k in range(1, 6):
-            target = plane_mesh(pts + k * step)
-            state = update_motion_state(
-                state, CorrespondenceSet.identity(3), target
-            )
-            if k >= 2:
-                assert np.allclose(state.accelerations, 0.0, atol=1e-12)
+            state = state.advance(pts + k * step)
             assert np.allclose(state.velocities, np.broadcast_to(step, (3, 3)))
-
-    def test_unmatched_coast_with_damping(self):
-        prev = MotionState(
-            positions=[[0, 0, 0], [5, 5, 5]],
-            velocities=[[1, 0, 0], [2, 0, 0]],
-            accelerations=[[0, 0, 0], [0, 4, 0]],
-        )
-        target = plane_mesh([[9, 9, 9], [9, 9, 10], [9, 10, 9]])
-        matches = CorrespondenceSet([0], [0], [0.0])
-        new = update_motion_state(prev, matches, target)
-        # vertex 1 coasts: position advanced, velocity halved, accel zeroed
-        assert np.array_equal(new.positions[1], [7, 5, 5])
-        assert np.array_equal(new.velocities[1], [1, 2, 0])
-        assert np.array_equal(new.accelerations[1], [0, 0, 0])
+            # constant velocity: the prediction lands on the next frame
+            ahead = plane_mesh(pts + (k + 1) * step)
+            assert len(match_frames(state, ahead, max_residual=1e-12)) == 3
