@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from . import codec, errors, mesh, synth
 from .mesh import Aabb, Mesh, load_mesh, parse_mesh, save_mesh, serialize_mesh
-from .tracking import CorrespondenceSet, MotionState, match_frames
+from .tracking import CorrespondenceSet, match_frames
 from .registration import (
     AffineField,
     RegistrationConfig,
@@ -35,7 +35,7 @@ from .codec import (
 __all__ = [
     "__version__", "codec", "errors", "mesh", "synth",
     "Aabb", "Mesh", "load_mesh", "parse_mesh", "save_mesh", "serialize_mesh",
-    "CorrespondenceSet", "MotionState", "match_frames",
+    "CorrespondenceSet", "match_frames",
     "AffineField", "RegistrationConfig", "RegistrationReport", "register",
     "PipelineStats", "QualityReport", "QualityThresholds", "Segment",
     "assess_quality", "run_pipeline",

@@ -343,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     syn.add_argument("--output-dir", required=True)
     syn.set_defaults(func=cmd_synth)
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -354,7 +356,9 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) == "ply":
         args.format = "ply-ascii"
 
-    # bad option values are refused before anything is read or decoded
+    # bad option values are refused before anything is read or decoded, with
+    # the command's usage; a config names the refused field first, and each
+    # flag is that field's name
     try:
         if args.command == "encode":
             args.configs = _encode_configs(args)
@@ -362,8 +366,11 @@ def main(argv=None) -> int:
             args.configs = _synth_config(args)
         elif args.command == "decode" and _is_output_pattern(args.output):
             _fill(args.output, 0)
-    except (ValueError, MeshParseError) as exc:
-        parser.error(str(exc))
+    except ValueError as exc:
+        flag = "--" + str(exc).split()[0].replace("_", "-")
+        args.command_parser.error(f"argument {flag}: {exc}")
+    except MeshParseError as exc:
+        args.command_parser.error(f"argument --output: {exc}")
 
     try:
         return args.func(args)

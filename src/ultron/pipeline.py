@@ -1,11 +1,12 @@
 """Per-frame keyframe loop: track, register, assess, segment.
 
 Frame 0 keys the first segment. Each later frame is matched against the
-segment's latest accepted state, the key (at that state) is registered
-onto the frame, and the deformation quality is assessed against the
-original. Passing frames join the segment as new vertex positions on the
-key's connectivity; failing frames (or solver divergence) start a new
-segment keyed by the original frame, resetting motion state.
+segment's last two accepted frames (the latest, moved on by its last
+step), the key (at the latest) is registered onto the frame, and the
+deformation quality is assessed against the original. Passing frames join
+the segment as new vertex positions on the key's connectivity; failing
+frames (or solver divergence) start a new segment keyed by the original
+frame, which has no step yet.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import InvalidMeshError
 from .mesh import Mesh, closest_points, vertex_normals
 from .registration import RegistrationConfig, register
-from .tracking import MotionState, match_frames
+from .tracking import match_frames
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,10 @@ class QualityThresholds:
     color_tol: float = 0.02
 
     def __post_init__(self):
-        if self.geometry_tol < 0 or self.color_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("geometry_tol", "color_tol"):
+            value = getattr(self, name)
+            if not value >= 0:  # inf is allowed: it turns that gate off
+                raise ValueError(f"{name} must be nonnegative and not NaN, got {value}")
 
 
 @dataclass(frozen=True)
@@ -219,32 +222,31 @@ class _OpenSegment:
     def __init__(self, key: Mesh, frame_id: int, store_normals: bool):
         self.key = key
         self.source = key  # latest accepted deformed state
-        self.frames = [key.vertices]
-        self.frame_ids = [frame_id]
-        self.state = MotionState.rest(key.vertices)
+        self.frames = [key.vertices]  # accepted positions, one per frame
+        self.first_id = frame_id
         self.normals = [vertex_normals(key) if key.normals is None else key.normals] \
             if store_normals else None
 
     def accept(self, deformed: Mesh):
         self.frames.append(deformed.vertices)
-        self.frame_ids.append(self.frame_ids[-1] + 1)
         if self.normals is not None:
             self.normals.append(vertex_normals(deformed))
-        self.state = self.state.advance(deformed.vertices)
         self.source = deformed
 
     def close(self) -> Segment:
         return Segment(
             key=self.key,
             frames=np.stack(self.frames),
-            frame_ids=tuple(self.frame_ids),
+            frame_ids=range(self.first_id, self.first_id + len(self.frames)),
             normal_frames=np.stack(self.normals) if self.normals is not None else None,
         )
 
 
-def _check_attribute_consistency(first: Mesh, frame: Mesh, index: int):
+def _check_attribute_consistency(key: Mesh, frame: Mesh, index: int):
+    """Refuse a frame whose attributes differ in presence from the open
+    segment's key, and so from frame 0's."""
     for attr in ("uvs", "colors", "normals"):
-        if (getattr(first, attr) is None) != (getattr(frame, attr) is None):
+        if (getattr(key, attr) is None) != (getattr(frame, attr) is None):
             raise InvalidMeshError(
                 f"frame {index} {attr} presence differs from frame 0"
             )
@@ -266,22 +268,19 @@ def run_pipeline(
     segments: list[Segment] = []
     stats = PipelineStats()
     current: _OpenSegment | None = None
-    first_frame: Mesh | None = None
 
     for idx, frame in enumerate(frames):
         if frame.triangle_count == 0:
             raise InvalidMeshError(f"frame {idx} has no triangles")
-        if first_frame is None:
-            first_frame = frame
-        else:
-            _check_attribute_consistency(first_frame, frame, idx)
-
         if current is None:
             current = _OpenSegment(frame, idx, store_normals)
             stats.records.append(FrameRecord(idx, len(segments), True, None, None, 0))
             continue
+        _check_attribute_consistency(current.key, frame, idx)
 
-        matches = match_frames(current.state, frame, max_residual)
+        previous = current.frames[-2] if len(current.frames) > 1 else None
+        matches = match_frames(current.frames[-1], frame, max_residual,
+                               previous=previous)
         deformed, _field, report = register(
             current.source, frame, matches, registration_cfg
         )

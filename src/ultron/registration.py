@@ -116,8 +116,12 @@ class RegistrationConfig:
     beta_decay: float = 0.7
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma <= 0:
-            raise ValueError("alpha, beta must be >= 0 and gamma > 0")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 < self.beta_decay <= 1.0:
             raise ValueError("beta_decay must be in (0, 1]")
         if self.outer_iterations < 1:
@@ -303,8 +307,11 @@ class _SystemPattern:
     def _preconditioner(self, d):
         """M^-1 r = D^-1 r + P H_c^-1 P^T r. Symmetric mode pivots on the
         diagonal, leaving the pivots on U's: all positive iff H_c is SPD."""
-        lu = splu(self.coarse, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
+        try:
+            lu = splu(self.coarse, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"coarse registration system: {exc}") from None
         if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
             raise SolverError("coarse registration system is not positive definite")
         inv = 1.0 / d[:, None]

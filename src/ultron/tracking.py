@@ -1,10 +1,9 @@
 """Cross-frame vertex correspondence from constant-velocity prediction.
 
-Vertices carry a position and a velocity, the displacement of the last
-frame step. Matching moves every tracked vertex one frame ahead at that
-velocity and pairs it with the target mesh's vertices by mutual nearest
-neighbor within a residual bound: positions and motion are the whole
-descriptor.
+Matching moves every tracked vertex one frame ahead by its last frame step
+(its position in the latest accepted frame minus that in the one before)
+and pairs it with the target mesh's vertices by mutual nearest neighbor
+within a residual bound: positions and motion are the whole descriptor.
 """
 
 from __future__ import annotations
@@ -27,45 +26,6 @@ def check_max_residual(max_residual: float | None) -> None:
         raise ValueError(
             f"max_residual must be nonnegative and not NaN, got {max_residual!r}"
         )
-
-
-@dataclass(frozen=True)
-class MotionState:
-    """Tracked state for a set of vertices (struct-of-arrays).
-
-    positions and velocities are (n, 3); velocities are in model units per
-    frame.
-    """
-
-    positions: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        for name in ("positions", "velocities"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise InvalidMeshError(f"{name} must be (n, 3)")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidMeshError(f"{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if len(self.positions) != len(self.velocities):
-            raise InvalidMeshError("motion state arrays must have equal length")
-
-    def __len__(self):
-        return len(self.positions)
-
-    @classmethod
-    def rest(cls, positions) -> "MotionState":
-        """State with zero velocity (start of a sequence)."""
-        pos = np.asarray(positions, dtype=np.float64)
-        return cls(positions=pos, velocities=np.zeros_like(pos))
-
-    def advance(self, positions) -> "MotionState":
-        """State one frame later at the observed positions, with velocity
-        their displacement from this state's positions."""
-        pos = np.asarray(positions, dtype=np.float64)
-        return MotionState(positions=pos, velocities=pos - self.positions)
 
 
 @dataclass(frozen=True)
@@ -101,22 +61,34 @@ class CorrespondenceSet:
 
 
 def match_frames(
-    source: MotionState,
+    positions,
     target: Mesh,
     max_residual: float | None = None,
+    *,
+    previous=None,
 ) -> CorrespondenceSet:
     """Mutual-nearest-neighbor matching on one-frame-ahead predictions.
 
-    A pair (i, j) is kept iff j is i's nearest target vertex, i is j's
-    nearest predicted source, and the distance is within max_residual
-    (default 2% of the target bbox diagonal). Normals are not compared:
-    gating on them changed no keyframe on any sequence measured (ROADMAP
-    item 6). max_residual must pass `check_max_residual`.
+    positions (n, 3) are the tracked vertices in the latest accepted frame
+    and previous, if given, the same vertices one frame earlier: each is
+    predicted at positions + (positions - previous), or at positions when
+    previous is None (a segment's key). A pair (i, j) is kept iff j is i's
+    nearest target vertex, i is j's nearest prediction, and the distance is
+    within max_residual (default 2% of the target bbox diagonal). Normals
+    are not compared: gating on them changed no keyframe on any sequence
+    measured (ROADMAP item 6). max_residual must pass `check_max_residual`.
     """
     check_max_residual(max_residual)
-    if len(source) == 0 or target.vertex_count == 0:
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3 or (
+        previous is not None and np.shape(previous) != pos.shape
+    ):
+        raise InvalidMeshError("positions and previous must be (n, 3)")
+    if len(pos) == 0 or target.vertex_count == 0:
         raise InvalidMeshError("source and target must be nonempty")
-    predicted = source.positions + source.velocities
+    predicted = pos if previous is None else pos + (pos - previous)
+    if not np.all(np.isfinite(predicted)):
+        raise InvalidMeshError("predicted positions must be finite")
     if max_residual is None:
         max_residual = DEFAULT_MAX_RESIDUAL_FRACTION * target.bounds().diagonal
     dist, nearest_tgt = cKDTree(target.vertices).query(predicted)

@@ -40,7 +40,7 @@ from ultron.synth import (
     make_slab,
     synth_frames,
 )
-from ultron.tracking import CorrespondenceSet, MotionState, match_frames
+from ultron.tracking import CorrespondenceSet, match_frames
 
 
 def _verdict(number, name, ok, detail=""):
@@ -300,9 +300,7 @@ def test_criterion_6_tracking_oracle(rng):
         perm = rng.permutation(50)
         target_pts = target_pts[perm]
         target = Mesh(vertices=target_pts, triangles=[[0, 1, 2]])
-        matches = match_frames(
-            MotionState.rest(base), target, max_residual=np.inf
-        )
+        matches = match_frames(base, target, max_residual=np.inf)
         cost = np.linalg.norm(base[:, None, :] - target_pts[None, :, :], axis=2)
         ri, ci = linear_sum_assignment(cost)
         optimal = dict(zip(ri, ci))

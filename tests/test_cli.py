@@ -264,7 +264,7 @@ def test_unfillable_input_pattern_is_a_parse_error(tmp_path, capsys):
     assert "cannot fill" in capsys.readouterr().err
 
 
-def test_unfillable_output_pattern_is_refused_before_decoding(tmp_path):
+def test_unfillable_output_pattern_is_refused_before_decoding(tmp_path, capsys):
     frames = synth_frames(SynthConfig(shape="sphere", frames=2, resolution=1))
     segments, _ = run_pipeline(iter(frames))
     ultn = tmp_path / "in.ultn"
@@ -272,6 +272,9 @@ def test_unfillable_output_pattern_is_refused_before_decoding(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("decode", ultn, "--output", tmp_path / "o_%d_%d.obj")
     assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ultron decode ")
+    assert "ultron decode: error: argument --output: cannot fill" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ultn"]
 
 
@@ -377,15 +380,28 @@ def test_encode_options_reach_the_library(static_sequence, tmp_path, monkeypatch
     assert all(s.normal_frames is not None for s in segments)
 
 
+ENCODE = ("encode", "missing.obj", "--output", "x.ultn")
+
+
 @pytest.mark.parametrize("argv", [
-    ("encode", "missing.obj", "--output", "x.ultn", "--qp", "0"),
-    ("encode", "missing.obj", "--output", "x.ultn", "--outer-iterations", "0"),
-    ("encode", "missing.obj", "--output", "x.ultn", "--geometry-tol", "-1"),
-    ("encode", "missing.obj", "--output", "x.ultn", "--max-residual", "-1"),
-    ("encode", "missing.obj", "--output", "x.ultn", "--max-residual", "nan"),
-    ("synth", "sphere", "--frames", "0", "--output-dir", "never"),
+    (*ENCODE, "--qp", "0"),
+    (*ENCODE, "--outer-iterations", "0"),
+    (*ENCODE, "--geometry-tol", "-1"),
+    (*ENCODE, "--max-residual", "-1"),
+    (*ENCODE, "--max-residual", "nan"),
+    ("synth", "sphere", "--output-dir", "never", "--frames", "0"),
+    (*ENCODE, "--geometry-tol", "nan"),
+    (*ENCODE, "--color-tol", "nan"),
+    (*ENCODE, "--alpha", "nan"),
+    (*ENCODE, "--alpha", "inf"),
+    (*ENCODE, "--beta", "nan"),
+    (*ENCODE, "--beta", "inf"),
+    (*ENCODE, "--gamma", "nan"),
+    (*ENCODE, "--gamma", "inf"),
 ], ids=["qp", "outer-iterations", "geometry-tol", "max-residual-negative",
-        "max-residual-nan", "frames"])
+        "max-residual-nan", "frames", "geometry-tol-nan", "color-tol-nan",
+        "alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "gamma-nan",
+        "gamma-inf"])
 def test_values_the_configs_refuse_are_usage_errors(argv, tmp_path, monkeypatch,
                                                     capsys):
     # refused before any frame is read: the missing input would exit 3
@@ -393,5 +409,36 @@ def test_values_the_configs_refuse_are_usage_errors(argv, tmp_path, monkeypatch,
     with pytest.raises(SystemExit) as err:
         run_cli(*argv)
     assert err.value.code == 2
-    assert "must" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the command's own usage, and the refused flag (the next to last word)
+    assert err.startswith(f"usage: ultron {argv[0]} ")
+    assert f"ultron {argv[0]}: error: argument {argv[-2]}: " in err
+    assert "must" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_infinite_tolerance_turns_its_gate_off(tmp_path):
+    # a new tessellation every frame: the default gate keys every frame
+    for i, mesh in enumerate(synth_frames(SynthConfig(
+            shape="sphere", frames=3, resolution=1, remesh_every=1,
+            colors=True))):
+        save_mesh(mesh, tmp_path / f"frame_{i:04d}.obj")
+    out = tmp_path / "x.ultn"
+    counts = []
+    for tols in ((), ("--geometry-tol", "inf", "--color-tol", "inf")):
+        assert run_cli("encode", tmp_path / "frame_%04d.obj", "--output", out,
+                       *tols) == 0
+        counts.append(len(decode_container(out.read_bytes())[0]))
+    assert counts[0] == 3 and counts[1] < 3
+
+
+def test_an_overflowing_gamma_is_a_solver_error(tmp_path, capsys):
+    for i, mesh in enumerate(synth_frames(SynthConfig(shape="sphere", frames=2,
+                                                      resolution=1))):
+        save_mesh(mesh, tmp_path / f"frame_{i:04d}.obj")
+    out = tmp_path / "x.ultn"
+    assert run_cli("encode", tmp_path / "frame_%04d.obj", "--output", out,
+                   "--gamma", "1e200") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "singular" in err
+    assert not out.exists()

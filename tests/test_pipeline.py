@@ -14,7 +14,7 @@ from ultron.pipeline import (
 )
 from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_icosphere, make_slab, synth_frames
-from ultron.tracking import CorrespondenceSet
+from ultron.tracking import CorrespondenceSet, match_frames
 
 
 FAST_REG = RegistrationConfig(outer_iterations=10)
@@ -215,10 +215,36 @@ class TestRunPipeline:
                                           resolution=3, colors=True, seed=5))
         _, tracked = run_pipeline(frames)
         monkeypatch.setattr(ultron.pipeline, "match_frames",
-                            lambda *_: CorrespondenceSet([], [], []))
+                            lambda *_, **__: CorrespondenceSet([], [], []))
         _, untracked = run_pipeline(frames)
         assert len(tracked.keyframes) <= 4
         assert len(untracked.keyframes) >= 8
+
+    def test_tracker_gets_the_last_two_accepted_frames(self, monkeypatch):
+        # a translate on one tessellation gives the same bytes with or
+        # without the step, so only the tracker's arguments can show it
+        calls = []
+
+        def recording(positions, target, max_residual=None, *, previous=None):
+            calls.append((np.array(positions),
+                          None if previous is None else np.array(previous)))
+            return match_frames(positions, target, max_residual,
+                                previous=previous)
+
+        monkeypatch.setattr(ultron.pipeline, "match_frames", recording)
+        frames = synth_frames(SynthConfig(shape="sphere", frames=12,
+                                          motion="translate", amplitude=0.12,
+                                          resolution=3, colors=True, seed=5))
+        segments, _ = run_pipeline(frames)
+        assert len(segments) == 1
+        accepted = segments[0].frames
+        assert len(calls) == len(accepted) - 1 == 11
+        for k, (positions, previous) in enumerate(calls, start=1):
+            assert np.array_equal(positions, accepted[k - 1])
+            if k == 1:
+                assert previous is None
+            else:
+                assert np.array_equal(previous, accepted[k - 2])
 
     def test_stats_csv_shape(self, sphere_162):
         _, stats = run_pipeline([sphere_162] * 3, registration_cfg=FAST_REG)

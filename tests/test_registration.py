@@ -306,6 +306,15 @@ class TestPreconditioner:
         with pytest.raises(SolverError, match="coarse"):
             _SystemPattern(kv, edges, -0.05, 1.0)
 
+    def test_singular_coarse_factor_raises_solver_error(self, sphere_162):
+        # gamma is finite but its square overflows, so SuperLU finds the
+        # coarse matrix exactly singular
+        cfg = RegistrationConfig(gamma=1e200, outer_iterations=2)
+        moved = sphere_162.with_vertices(sphere_162.vertices + 0.01)
+        with pytest.raises(SolverError, match="singular"):
+            register(sphere_162, moved,
+                     CorrespondenceSet.identity(sphere_162.vertex_count), cfg)
+
     def test_one_factorization_per_registration(self, sphere_162, rng,
                                                monkeypatch):
         calls = []
