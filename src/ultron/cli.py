@@ -30,12 +30,7 @@ from .errors import (
     UltronError,
 )
 from .mesh import Mesh, load_mesh, save_mesh, serialize_mesh
-from .pipeline import (
-    QualityThresholds,
-    run_pipeline,
-    surface_errors,
-    symmetric_rms_distance,
-)
+from .pipeline import QualityThresholds, run_pipeline, surface_errors
 from .registration import RegistrationConfig
 from .synth import MOTIONS, SHAPES, SynthConfig, generate_sequence
 from .tracking import check_max_residual
@@ -184,7 +179,7 @@ def _psnr(rms: float, original: Mesh, decoded: Mesh) -> float:
 
 
 def _geometry_psnr(original: Mesh, decoded: Mesh) -> float:
-    return _psnr(symmetric_rms_distance(original, decoded), original, decoded)
+    return _psnr(surface_errors(decoded, original)[0], original, decoded)
 
 
 def cmd_eval(args) -> int:

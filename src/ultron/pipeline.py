@@ -115,20 +115,6 @@ class Segment:
         return mesh
 
 
-def _symmetric_rms(a: Mesh, b: Mesh):
-    """symmetric_rms_distance, plus the closest points on b to a's vertices
-    and their triangle ids."""
-    pts, d_ab, tris = closest_points(b, a.vertices)
-    _, d_ba, _ = closest_points(a, b.vertices)
-    rms = max(float(np.sqrt(np.mean(d * d))) for d in (d_ab, d_ba))
-    return rms, pts, tris
-
-
-def symmetric_rms_distance(a: Mesh, b: Mesh) -> float:
-    """Max of the two directed RMS point-to-surface distances."""
-    return _symmetric_rms(a, b)[0]
-
-
 def _surface_colors(mesh: Mesh, points, tris) -> np.ndarray:
     """mesh's colors interpolated barycentrically at points on triangles
     tris; a zero-area triangle gives the mean of its corners."""
@@ -150,12 +136,15 @@ def _surface_colors(mesh: Mesh, points, tris) -> np.ndarray:
 
 
 def surface_errors(deformed: Mesh, original: Mesh):
-    """symmetric_rms_distance, and, when both meshes carry colors, the RMS
-    RGB distance between each deformed vertex's color and the original's
-    color at that vertex's closest point on the original, interpolated over
-    the closest triangle (None otherwise). That point comes from the
-    geometry term's own query, so vertex indices are never paired."""
-    rms, pts, tris = _symmetric_rms(deformed, original)
+    """The max of the two directed RMS point-to-surface distances, and, when
+    both meshes carry colors, the RMS RGB distance between each deformed
+    vertex's color and the original's color at that vertex's closest point
+    on the original, interpolated over the closest triangle (None
+    otherwise). That point comes from the geometry term's own query, so
+    vertex indices are never paired."""
+    pts, d_do, tris = closest_points(original, deformed.vertices)
+    _, d_od, _ = closest_points(deformed, original.vertices)
+    rms = max(float(np.sqrt(np.mean(d * d))) for d in (d_do, d_od))
     if deformed.colors is None or original.colors is None:
         return rms, None
     diff = deformed.colors - _surface_colors(original, pts, tris)
@@ -221,7 +210,6 @@ class PipelineStats:
 class _OpenSegment:
     def __init__(self, key: Mesh, frame_id: int, store_normals: bool):
         self.key = key
-        self.source = key  # latest accepted deformed state
         self.frames = [key.vertices]  # accepted positions, one per frame
         self.first_id = frame_id
         self.normals = [vertex_normals(key) if key.normals is None else key.normals] \
@@ -231,7 +219,6 @@ class _OpenSegment:
         self.frames.append(deformed.vertices)
         if self.normals is not None:
             self.normals.append(vertex_normals(deformed))
-        self.source = deformed
 
     def close(self) -> Segment:
         return Segment(
@@ -282,23 +269,21 @@ def run_pipeline(
         matches = match_frames(current.frames[-1], frame, max_residual,
                                previous=previous)
         deformed, _field, report = register(
-            current.source, frame, matches, registration_cfg
+            current.key.with_vertices(current.frames[-1]), frame, matches,
+            registration_cfg,
         )
         quality = assess_quality(deformed, frame, thresholds)
 
-        if quality.passed and not report.diverged:
+        accepted = quality.passed and not report.diverged
+        if accepted:
             current.accept(deformed)
-            stats.records.append(FrameRecord(
-                idx, len(segments), False,
-                quality.E_d_rms, quality.E_c_rms, report.iterations_used,
-            ))
         else:
             segments.append(current.close())
             current = _OpenSegment(frame, idx, store_normals)
-            stats.records.append(FrameRecord(
-                idx, len(segments), True,
-                quality.E_d_rms, quality.E_c_rms, report.iterations_used,
-            ))
+        stats.records.append(FrameRecord(
+            idx, len(segments), not accepted,
+            quality.E_d_rms, quality.E_c_rms, report.iterations_used,
+        ))
 
     if current is None:
         raise InvalidMeshError("pipeline needs at least one frame")

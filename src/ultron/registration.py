@@ -15,13 +15,14 @@ The three transform rows decouple, so the system is one matrix H4 of order
 4n with three right-hand sides, H4 X = B. X is (4n, 3): row 4i + a, column g
 holds entry a of transform row g of vertex i. H4 has two parts. The data and
 correspondence terms give vertex i the block c_i u_i u_i^T, with u_i its
-homogeneous position and c_i = keep_i + beta [i matched]. The smoothness
-term is alpha L ⊗ diag(1,1,1,gamma^2), with L the edge Laplacian of the
-source mesh. H4's sparsity pattern, built once per registration, is the
-union of L ⊗ diag(1,1,1,gamma^2) and I_n ⊗ ones(4,4); assembly writes H4
-into it. CG (Hestenes & Stiefel, J. Res. NBS 49, 1952) works on the (4n, 3)
-block X, one product H4 X per iteration, and stops at relative residual
-1e-5, because its targets move at the next iterate.
+homogeneous position and c_i = keep_i + beta [i matched]; no matches is the
+empty CorrespondenceSet, which register makes of None. The smoothness term
+is alpha L ⊗ diag(1,1,1,gamma^2), with L the edge Laplacian of the source
+mesh. H4's sparsity pattern, built once per registration, is the union of
+L ⊗ diag(1,1,1,gamma^2) and I_n ⊗ ones(4,4); assembly writes H4 into it. CG
+(Hestenes & Stiefel, J. Res. NBS 49, 1952) works on the (4n, 3) block X, one
+product H4 X per iteration, and stops at relative residual 1e-5, because its
+targets move at the next iterate.
 
 CG is preconditioned on two levels, M^-1 r = D^-1 r + P H_c^-1 P^T r: the
 Jacobi diagonal D plus a coarse correction over vertex aggregates (the
@@ -61,6 +62,8 @@ from .mesh import Mesh, NeighbourList, closest_points
 from .tracking import CorrespondenceSet
 
 logger = logging.getLogger(__name__)
+
+_NO_MATCHES = CorrespondenceSet([], [], [])  # read-only arrays: safe to share
 
 # register stops once the total energy changes by less than _CONVERGENCE_TOL
 # (relative); each CG solve stops at relative residual _CG_TOL or after
@@ -156,8 +159,6 @@ def energy_smooth(field, edges, gamma: float) -> float:
 def energy_match(field, matches: CorrespondenceSet, key_vertices, target_vertices) -> float:
     """Sum of squared distances between transformed matched source vertices
     and their target positions."""
-    if len(matches) == 0:
-        return 0.0
     A = field.transforms if isinstance(field, AffineField) else np.asarray(field)
     si = matches.source_indices
     ti = matches.target_indices
@@ -177,11 +178,13 @@ def _dot(a, b) -> float:
 class Quadratic:
     """<X, H4 X> - 2 <B, X> + c, the fixed-correspondence objective. X and
     B are (4n, 3): row 4i + a, column g holds entry a of transform row g of
-    vertex i. h4 is the 4n x 4n matrix the pattern assembled."""
+    vertex i. h4 is the 4n x 4n matrix the pattern assembled; unconstrained
+    counts the parameters only its regularization holds."""
 
     h4: sp.csr_matrix
     b: np.ndarray
     constant: float
+    unconstrained: int = 0
 
     def value(self, x) -> float:
         return _dot(x, self.h4 @ x) - 2.0 * _dot(self.b, x) + self.constant
@@ -264,7 +267,7 @@ class _SystemPattern:
         self.restrict = sp.csr_matrix((np.ones(n), (agg, np.arange(n))),
                                       shape=(self.coarse_count, n))
         # H_ref: every vertex kept, no matches
-        h_ref = self.quadratic(kv, np.ones(n, dtype=bool), None, None, beta=0.0).h4
+        h_ref = self.quadratic(kv, np.ones(n, dtype=bool), _NO_MATCHES, kv, beta=0.0).h4
         P = sp.kron(self.restrict.T, sp.identity(4), format="csr")
         self.coarse = (P.T @ h_ref @ P).tocsc()
         self.preconditioner = self._preconditioner(h_ref.diagonal())
@@ -272,37 +275,34 @@ class _SystemPattern:
     def quadratic(self, data_targets, data_weights, matches, target_vertices,
                   beta: float, regularization: float | None = None) -> Quadratic:
         """The objective for fixed closest points q (data_targets, kept where
-        data_weights is 1) and matches (None or empty allowed), plus
-        regularization * I: by default 1e-10 times the largest diagonal
-        entry, warning about unconstrained parameters and refusing an empty
-        diagonal. Rows 4i to 4i + 3 of B are u_i (keep_i q_i + beta t_i)^T."""
+        data_weights is 1) and matches (a set, maybe empty), plus
+        regularization * I: by default 1e-10 times the largest diagonal entry,
+        counting unconstrained parameters and refusing an empty diagonal.
+        Rows 4i to 4i + 3 of B are u_i (keep_i q_i + beta t_i)^T."""
         keep = np.asarray(data_weights, dtype=bool)
         c = keep.astype(np.float64)
         q = np.where(keep[:, None], np.asarray(data_targets, dtype=np.float64), 0.0)
         const = float(np.sum(q * q))
-        if matches is not None and len(matches):
-            t = np.asarray(target_vertices, dtype=np.float64)[matches.target_indices]
-            c[matches.source_indices] += beta
-            q[matches.source_indices] += beta * t
-            const += beta * float(np.sum(t * t))
+        t = np.asarray(target_vertices, dtype=np.float64)[matches.target_indices]
+        c[matches.source_indices] += beta
+        q[matches.source_indices] += beta * t
+        const += beta * float(np.sum(t * t))
         # one 4x4 block c_i u_i u_i^T per vertex
         h4 = self.base.copy()
         h4[self.block_pos] += (c[:, None, None] * self.uu).ravel()
+        unconstrained = 0
         if regularization is None:
             diag = h4[self.diag_pos]
             if diag.max() <= 0:
                 raise SolverError("registration system has an empty diagonal")
             regularization = 1e-10 * diag.max()
             # a zero on H4's diagonal frees one parameter per transform row
-            zero_diag = 3 * int(np.count_nonzero(diag == 0.0))
-            if zero_diag:
-                logger.warning("degenerate registration system: %d unconstrained "
-                               "parameters; regularized", zero_diag)
+            unconstrained = 3 * int(np.count_nonzero(diag == 0.0))
         h4[self.diag_pos] += regularization
         m = len(self.diag_pos)
         H4 = sp.csr_matrix((h4, *self.h4_pattern), shape=(m, m))
         b = (self.u4[:, :, None] * q[:, None, :]).reshape(-1, 3)
-        return Quadratic(H4, b, const)
+        return Quadratic(H4, b, const, unconstrained)
 
     def _preconditioner(self, d):
         """M^-1 r = D^-1 r + P H_c^-1 P^T r. Symmetric mode pivots on the
@@ -372,7 +372,7 @@ def register(
     matches: CorrespondenceSet | None = None,
     cfg: RegistrationConfig = RegistrationConfig(),
 ) -> tuple[Mesh, AffineField, RegistrationReport]:
-    """Deform the key mesh onto the target frame.
+    """Deform the key mesh onto the target frame; matches may be None.
 
     Returns the deformed mesh (key connectivity, untouched triangle array),
     the per-vertex affine field in input coordinates, and the final energy
@@ -381,20 +381,16 @@ def register(
     if key.vertex_count == 0 or target.triangle_count == 0:
         raise InvalidMeshError("key and target must be nonempty")
     n = key.vertex_count
+    if matches is None:
+        matches = _NO_MATCHES
 
     # provable fixed point: identical geometry and self-consistent matches
     # make the identity field a global optimum (all three energies zero)
     if (
         np.array_equal(key.vertices, target.vertices)
         and np.array_equal(key.triangles, target.triangles)
-        and (
-            matches is None
-            or len(matches) == 0
-            or np.array_equal(
-                key.vertices[matches.source_indices],
-                target.vertices[matches.target_indices],
-            )
-        )
+        and np.array_equal(key.vertices[matches.source_indices],
+                           target.vertices[matches.target_indices])
     ):
         field = AffineField.identity(n)
         report = RegistrationReport(
@@ -408,7 +404,6 @@ def register(
     tv_n = (target.vertices - center) * scale
     edges = key.edges()
     pattern = _SystemPattern(kv, edges, cfg.alpha, cfg.gamma)
-    has_matches = matches is not None and len(matches) > 0
 
     def transforms(x):
         return x.reshape(n, 4, 3).transpose(0, 2, 1)
@@ -426,10 +421,11 @@ def register(
     # system its targets
     cpts, dists = closest(x)
     beta = cfg.beta
-    best = None  # (total, x, energies, beta, iteration)
+    best = None  # (total, x, energies, beta)
     prev_total = None
     rise = 0
     iterations = 0
+    unconstrained = 0  # of the first system with any: one warning per call
     converged = False
     diverged = False
 
@@ -439,23 +435,26 @@ def register(
             beta *= cfg.beta_decay
         # gross-outlier rejection; a mean-based cut keeps the far-but-valid
         # correspondences that carry the alignment signal on clean data
-        mu = float(dists.mean())
-        weights = dists <= 3.0 * mu if mu > 0 else np.ones(n, dtype=bool)
+        weights = dists <= 3.0 * float(dists.mean())
 
         quad = pattern.quadratic(cpts, weights, matches, tv_n, beta)
+        if quad.unconstrained and not unconstrained:
+            unconstrained = quad.unconstrained
+            logger.warning("degenerate registration system: %d unconstrained "
+                           "parameters; regularized", unconstrained)
         x = cg(quad, x, pattern.preconditioner)
 
         field_now = transforms(x)
         cpts, dists = closest(x)
         E_d = float(np.dot(dists, dists))
         E_s = energy_smooth(field_now, edges, cfg.gamma)
-        E_m = energy_match(field_now, matches, kv, tv_n) if has_matches else 0.0
+        E_m = energy_match(field_now, matches, kv, tv_n)
         total = E_d + cfg.alpha * E_s + beta * E_m
         if not np.isfinite(total):
             raise SolverError("non-finite registration energy")
 
         if best is None or total < best[0]:
-            best = (total, x.copy(), (E_d, E_s, E_m), beta, it)
+            best = (total, x.copy(), (E_d, E_s, E_m), beta)
         if prev_total is not None:
             rel = abs(total - prev_total) / max(prev_total, 1e-30)
             if rel < _CONVERGENCE_TOL:
@@ -470,8 +469,7 @@ def register(
         prev_total = total
 
     if diverged:
-        total, x, (E_d, E_s, E_m), beta, _ = best
-        converged = False
+        total, x, (E_d, E_s, E_m), beta = best
 
     # back to input coordinates: p = B v + (center - B center + t / scale)
     A = transforms(x)

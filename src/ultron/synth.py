@@ -17,6 +17,9 @@ import numpy as np
 from .mesh import Mesh
 
 SHAPES = ("sphere", "cylinder", "slab")
+# the least resolution each shape builds: an icosahedron, a three-point
+# ring, a two-by-two grid
+_MIN_RESOLUTION = {"sphere": 0, "cylinder": 3, "slab": 2}
 MOTIONS = ("translate", "accelerate", "bend", "twist")
 
 
@@ -120,6 +123,12 @@ class SynthConfig:
             raise ValueError(f"unknown motion {self.motion!r}")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
+        least = _MIN_RESOLUTION[self.shape]
+        if self.resolution < least:
+            raise ValueError(f"resolution must be >= {least} for a {self.shape}, "
+                             f"got {self.resolution}")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.remesh_every is not None and self.remesh_every < 1:
             raise ValueError("remesh_every must be >= 1")
 

@@ -20,7 +20,7 @@ from ultron.pipeline import (
     QualityThresholds,
     Segment,
     run_pipeline,
-    symmetric_rms_distance,
+    surface_errors,
 )
 from ultron.registration import RegistrationConfig, register
 from ultron.codec import (
@@ -177,7 +177,7 @@ def test_criterion_3_quality_metric_sanity():
     psnrs = []
     for k in range(3):
         dec = decoded[0].frame_mesh(k)
-        rms = symmetric_rms_distance(mesh, dec)
+        rms = surface_errors(dec, mesh)[0]
         peak = max(mesh.bounds().diagonal, dec.bounds().diagonal)
         psnrs.append(20.0 * math.log10(peak / rms))
     mean_psnr = float(np.mean(psnrs))

@@ -398,10 +398,17 @@ ENCODE = ("encode", "missing.obj", "--output", "x.ultn")
     (*ENCODE, "--beta", "inf"),
     (*ENCODE, "--gamma", "nan"),
     (*ENCODE, "--gamma", "inf"),
+    *(("synth", shape, "--output-dir", "never", "--resolution", r)
+      for shape, r in (("sphere", "-1"), ("cylinder", "0"), ("cylinder", "2"),
+                       ("slab", "-1"), ("slab", "0"), ("slab", "1"))),
+    ("synth", "sphere", "--output-dir", "never", "--amplitude", "nan"),
+    ("synth", "sphere", "--output-dir", "never", "--amplitude", "inf"),
 ], ids=["qp", "outer-iterations", "geometry-tol", "max-residual-negative",
         "max-residual-nan", "frames", "geometry-tol-nan", "color-tol-nan",
         "alpha-nan", "alpha-inf", "beta-nan", "beta-inf", "gamma-nan",
-        "gamma-inf"])
+        "gamma-inf", "sphere-resolution-negative", "cylinder-resolution-0",
+        "cylinder-resolution-2", "slab-resolution-negative", "slab-resolution-0",
+        "slab-resolution-1", "amplitude-nan", "amplitude-inf"])
 def test_values_the_configs_refuse_are_usage_errors(argv, tmp_path, monkeypatch,
                                                     capsys):
     # refused before any frame is read: the missing input would exit 3

@@ -10,7 +10,7 @@ from ultron.pipeline import (
     _surface_colors,
     assess_quality,
     run_pipeline,
-    symmetric_rms_distance,
+    surface_errors,
 )
 from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_icosphere, make_slab, synth_frames
@@ -43,7 +43,7 @@ class TestAssessQuality:
         # deformed to original is ~0, the reverse direction is not
         slab = make_slab(20, 6, width=2.0)
         half = make_slab(10, 6, width=0.95)
-        d_forward = symmetric_rms_distance(half, slab)
+        d_forward = surface_errors(half, slab)[0]
         _, d_once, _ = __import__("ultron.mesh", fromlist=["closest_points"]) \
             .closest_points(slab, half.vertices)
         assert float(np.sqrt(np.mean(d_once ** 2))) < 1e-12

@@ -195,7 +195,7 @@ class TestAssembly:
         matches = CorrespondenceSet(matched, matched, np.zeros(len(matched)))
         assert np.any(~keep & ~np.isin(np.arange(n), matched))
         pattern = _SystemPattern(kv, edges, alpha=alpha, gamma=0.7)
-        for m in (None, matches):
+        for m in (CorrespondenceSet([], [], []), matches):
             quad = pattern.quadratic(kv, keep, m, kv, beta=0.4, regularization=1e-9)
             assert quad.h4.shape == (4 * n, 4 * n) and quad.h4.has_canonical_format
             assert np.array_equal(
@@ -220,7 +220,8 @@ class TestAssembly:
         kv, edges = mesh
         pattern = _SystemPattern(kv, edges, 0.0, 1.0)
         with pytest.raises(SolverError, match="empty diagonal"):
-            pattern.quadratic(kv, np.zeros(len(kv)), None, kv, 1.0)
+            pattern.quadratic(kv, np.zeros(len(kv)), CorrespondenceSet([], [], []),
+                              kv, 1.0)
 
 
 def coarse_space(pattern, n):
@@ -375,8 +376,8 @@ class TestPreconditioner:
         # definite and the preconditioned solve converges
         kv = np.concatenate([big.vertices, small.vertices + 3.0, [[5.0, 0.0, 0.0]]])
         pattern = _SystemPattern(kv, edges, alpha=3.0, gamma=0.8)
-        quad = pattern.quadratic(kv + 0.1, np.ones(n), None, kv, beta=0.5,
-                                 regularization=1e-9)
+        quad = pattern.quadratic(kv + 0.1, np.ones(n), CorrespondenceSet([], [], []),
+                                 kv, beta=0.5, regularization=1e-9)
         x = cg(quad, np.zeros_like(quad.b), pattern.preconditioner)
         assert residual_norm(quad, x) <= 10 * _CG_TOL * np.linalg.norm(quad.b)
 
@@ -627,7 +628,11 @@ class TestRegister:
         with caplog.at_level("WARNING", logger="ultron.registration"):
             _d, field, _r = register(key, target, None,
                                      RegistrationConfig(outer_iterations=2))
-        assert "12 unconstrained parameters" in caplog.text
+        # one warning per call, about a system register solves (4 vertex
+        # parameters x 3 transform rows), none about the preconditioner's
+        # H_ref, which keeps every vertex
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1 and "12 unconstrained parameters" in messages[0]
         assert np.all(np.isfinite(field.transforms))
 
     def test_one_closest_point_query_per_iterate(self, sphere_162, rng,
@@ -653,6 +658,18 @@ class TestRegister:
         matches = CorrespondenceSet.identity(sphere_162.vertex_count)
         _d, _f, report = register(sphere_162, sphere_162, matches)
         assert report.iterations_used == 0 and calls == []
+
+    def test_no_matches_is_the_empty_set(self):
+        """None and an empty CorrespondenceSet give the same bits."""
+        key, target = synth_frames(SynthConfig(frames=2, motion="bend",
+                                               amplitude=0.4, resolution=2))
+        cfg = RegistrationConfig(outer_iterations=5)
+        want = register(key, target, None, cfg)
+        got = register(key, target, CorrespondenceSet([], [], []), cfg)
+        assert want[2].iterations_used == 5
+        assert np.array_equal(got[0].vertices, want[0].vertices)
+        assert np.array_equal(got[1].transforms, want[1].transforms)
+        assert repr(got[2]) == repr(want[2])  # every field, to the last bit
 
     def test_neighbour_list_changes_no_bit(self, monkeypatch):
         """The iterates' shared neighbour list only skips work: with every
