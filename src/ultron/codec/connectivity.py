@@ -92,25 +92,30 @@ def decode_planes(data: bytes, offset: int, count: int,
 
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:
-    """Fixed-width little-endian bit packing."""
-    v = np.asarray(values, dtype=np.uint64)
-    n = len(v)
-    if n == 0 or width == 0:
+    """Fixed-width little-endian bit packing of values below 2**width."""
+    v = np.asarray(values, dtype="<u8")
+    if len(v) == 0 or width == 0:
         return b""
-    bits = ((v[:, None] >> np.arange(width, dtype=np.uint64)) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    low = v.view(np.uint8).reshape(-1, 8)[:, :(width + 7) // 8]
+    bits = np.unpackbits(low, axis=1, bitorder="little")[:, :width]
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def unpack_bits(data: bytes, count: int, width: int) -> np.ndarray:
+    """Inverse of pack_bits for width <= 64."""
     if count == 0 or width == 0:
         return np.zeros(count, dtype=np.int64)
     need = (count * width + 7) // 8
     if len(data) < need:
         raise CorruptStreamError("bit-packed section truncated")
-    bits = np.unpackbits(
+    nbytes = (width + 7) // 8
+    bits = np.zeros((count, 8 * nbytes), dtype=np.uint8)
+    bits[:, :width] = np.unpackbits(
         np.frombuffer(data[:need], dtype=np.uint8), bitorder="little"
     )[: count * width].reshape(count, width)
-    return (bits.astype(np.int64) << np.arange(width, dtype=np.int64)).sum(axis=1)
+    words = np.zeros((count, 8), dtype=np.uint8)
+    words[:, :nbytes] = np.packbits(bits, bitorder="little").reshape(count, nbytes)
+    return words.view("<u8").reshape(-1).astype(np.int64)
 
 
 # --- hole closure -----------------------------------------------------------
@@ -154,8 +159,9 @@ def _close_holes(table: CornerTable) -> tuple[np.ndarray, int]:
 
 def _check_genus_zero(tris: np.ndarray, n_vertices: int) -> None:
     """Every closed component must satisfy V - E + F = 2."""
-    rows = np.concatenate([tris[:, 0], tris[:, 1], tris[:, 2]])
-    cols = np.concatenate([tris[:, 1], tris[:, 2], tris[:, 0]])
+    # two edges of each triangle join all three of its vertices
+    rows = np.concatenate([tris[:, 0], tris[:, 1]])
+    cols = np.concatenate([tris[:, 1], tris[:, 2]])
     adj = coo_matrix(
         (np.ones(len(rows), dtype=np.int8), (rows, cols)),
         shape=(n_vertices, n_vertices),
@@ -180,42 +186,42 @@ class _ActiveLoops:
     Slot i holds vertex v[i], its loop links next[i] and prev[i], and
     corner[i], the conquered corner facing the edge from v[i] to the next
     slot's vertex; the triangle across that edge is at the corner opposite
-    it. The decoder has no corner table and stores -1 there. The gate is the
-    slot a whose edge a -> b is conquered next. Each symbol method conquers
-    the triangle (b, a, w) across it, given the new triangle's corners cn
-    facing a -> w and cp facing w -> b, moves the gate and returns w.
+    it. The decoder has no corner table and stores -1 there. Slots are only
+    appended, so a slot's vertex never changes. The gate is the slot a whose
+    edge a -> b is conquered next. Each symbol method conquers the triangle
+    (b, a, w) across it, given the new triangle's corners cn facing a -> w
+    and cp facing w -> b, rewrites the links it changes in place, moves the
+    gate and returns w.
     """
+
+    __slots__ = ("v", "next", "prev", "corner", "stack", "gate")
 
     def __init__(self):
         self.v, self.next, self.prev, self.corner = [], [], [], []
         self.stack = []  # gates parked by S, resumed by E
         self.gate = -1  # no open loop: between components
 
-    def _slot(self, w, c):
-        self.v.append(w)
-        self.next.append(-1)
-        self.prev.append(-1)
-        self.corner.append(c)
-        return len(self.v) - 1
-
-    def _link(self, a, b):
-        self.next[a] = b
-        self.prev[b] = a
-
     def seed(self, x, y, z, cx, cy, cz):
         """Open a component's loop on triangle (x, y, z); cx faces x -> y."""
-        sx, sy, sz = self._slot(x, cx), self._slot(y, cy), self._slot(z, cz)
-        self._link(sx, sy)
-        self._link(sy, sz)
-        self._link(sz, sx)
-        self.gate = sx
+        s = len(self.v)
+        self.v += (x, y, z)
+        self.next += (s + 1, s + 2, s)
+        self.prev += (s + 2, s, s + 1)
+        self.corner += (cx, cy, cz)
+        self.gate = s
 
     def C(self, w, cn, cp):
         """w is a new vertex: it joins the loop between a and b."""
         a = self.gate
-        s = self._slot(w, cp)
-        self._link(s, self.next[a])
-        self._link(a, s)
+        nxt = self.next
+        b = nxt[a]
+        s = len(nxt)
+        self.v.append(w)
+        nxt.append(b)
+        self.prev.append(a)
+        self.corner.append(cp)
+        self.prev[b] = s
+        nxt[a] = s
         self.corner[a] = cn
         self.gate = s
         return w
@@ -223,16 +229,21 @@ class _ActiveLoops:
     def R(self, cn):
         """w follows b on the loop: b leaves it."""
         a = self.gate
-        nn = self.next[self.next[a]]
-        self._link(a, nn)
+        nxt = self.next
+        nn = nxt[nxt[a]]
+        nxt[a] = nn
+        self.prev[nn] = a
         self.corner[a] = cn
         return self.v[nn]
 
     def L(self, cp):
         """w precedes a on the loop: a leaves it."""
         a = self.gate
-        pp = self.prev[a]
-        self._link(pp, self.next[a])
+        prv = self.prev
+        pp = prv[a]
+        b = self.next[a]
+        self.next[pp] = b
+        prv[b] = pp
         self.corner[pp] = cp
         self.gate = pp
         return self.v[pp]
@@ -244,20 +255,28 @@ class _ActiveLoops:
         conquered first.
         """
         a = self.gate
-        b = self.next[a]
-        s2 = self._slot(self.v[s], self.corner[s])
-        self._link(s2, self.next[s])
-        self._link(a, s2)
-        self._link(s, b)
-        self.corner[a] = cn
-        self.corner[s] = cp
+        v, nxt, prv, corner = self.v, self.next, self.prev, self.corner
+        b = nxt[a]
+        after = nxt[s]
+        s2 = len(v)
+        v.append(v[s])
+        nxt.append(after)
+        prv.append(a)
+        corner.append(corner[s])
+        prv[after] = s2
+        nxt[a] = s2
+        nxt[s] = b
+        prv[b] = s
+        corner[a] = cn
+        corner[s] = cp
         self.stack.append(a)
         self.gate = s
-        return self.v[s]
+        return v[s]
 
     def E(self):
         """The loop is this triangle: resume a parked loop, if any."""
-        w = self.v[self.next[self.next[self.gate]]]
+        nxt = self.next
+        w = self.v[nxt[nxt[self.gate]]]
         self.gate = self.stack.pop() if self.stack else -1
         return w
 
@@ -273,66 +292,72 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
         table = corner_table_from_triangles(tris_closed, n_closed)
         if isinstance(table, NonManifoldReport):
             raise EdgebreakerUnsupported(f"closed mesh: {table}")
-    V = table.V.tolist()
-    O = table.O.tolist()
+    if table.boundary_corner_count():
+        raise EdgebreakerUnsupported("open edge inside closed conquest")
+    # the conquest reads V and O at scattered corners: a memoryview reads
+    # the compact int32 arrays, a list would chase one pointer per entry
+    V = memoryview(table.V)
+    O = memoryview(table.O)
 
-    tri_visited = [False] * m
-    vert_rank = [-1] * n_closed
+    tri_visited = bytearray(m)
+    vert_seen = bytearray(n_closed)
     perm = []
     clers = []
     offsets = []
     loops = _ActiveLoops()
     sv, sn, sp, sc = loops.v, loops.next, loops.prev, loops.corner
+    conquer_C, conquer_R, conquer_L = loops.C, loops.R, loops.L
+    emit, add_vertex = clers.append, perm.append
 
     for seed in range(m):
         if tri_visited[seed]:
             continue
-        tri_visited[seed] = True
-        x, y, z = V[3 * seed:3 * seed + 3]
-        for w in (x, y, z):
-            vert_rank[w] = len(perm)
-            perm.append(w)
-        loops.seed(x, y, z, 3 * seed + 2, 3 * seed, 3 * seed + 1)
+        tri_visited[seed] = 1
+        c = 3 * seed
+        x, y, z = V[c], V[c + 1], V[c + 2]
+        perm += (x, y, z)
+        vert_seen[x] = vert_seen[y] = vert_seen[z] = 1
+        loops.seed(x, y, z, c + 2, c, c + 1)
 
-        while loops.gate >= 0:
-            a_slot = loops.gate
-            c = O[sc[a_slot]]
-            if c == BOUNDARY:
-                raise EdgebreakerUnsupported("open edge inside closed conquest")
-            t, k = divmod(c, 3)
+        while True:
+            a = loops.gate
+            if a < 0:
+                break
+            c = O[sc[a]]
+            t = c // 3
             if tri_visited[t]:
                 raise EdgebreakerUnsupported("conquest revisited a triangle")
-            tri_visited[t] = True
+            tri_visited[t] = 1
             w = V[c]
             # across the gate a -> b lies w -> b -> a: cn faces a -> w, cp w -> b
+            k = c - 3 * t
             cn = c - 2 if k == 2 else c + 1
             cp = c + 2 if k == 0 else c - 1
-
-            if vert_rank[w] < 0:
-                clers.append(C)
-                vert_rank[w] = len(perm)
-                perm.append(w)
-                loops.C(w, cn, cp)
+            if not vert_seen[w]:
+                vert_seen[w] = 1
+                add_vertex(w)
+                emit(C)
+                conquer_C(w, cn, cp)
                 continue
-            nn = sn[sn[a_slot]]
-            pp = sp[a_slot]
-            if nn == pp and sv[nn] == w:
-                clers.append(E)
-                loops.E()
-            elif sv[nn] == w:
-                clers.append(R)
-                loops.R(cn)
-            elif sv[pp] == w:
-                clers.append(L)
-                loops.L(cp)
+            nn = sn[sn[a]]
+            if sv[nn] == w:
+                if nn == sp[a]:
+                    emit(E)
+                    loops.E()
+                else:
+                    emit(R)
+                    conquer_R(cn)
+            elif sv[sp[a]] == w:
+                emit(L)
+                conquer_L(cp)
             else:
-                clers.append(S)
+                emit(S)
                 steps = 2
                 s = nn
                 while sv[s] != w:
                     s = sn[s]
                     steps += 1
-                    if s == a_slot:
+                    if s == a:
                         raise EdgebreakerUnsupported(
                             "split vertex not on the active loop"
                         )
@@ -392,38 +417,50 @@ def _decode_edgebreaker(data: bytes) -> np.ndarray:
         raise CorruptStreamError("permutation entry out of range")
 
     symbols = clers.tolist()
+    n_sym = len(symbols)
     # one offset per S symbol, as checked above
     split_offsets = iter(offsets)
     triangles = []  # flattened rows
     loops = _ActiveLoops()
     sv, sn, sp = loops.v, loops.next, loops.prev
-    sym_pos = 0
+    conquer_C, conquer_R, conquer_L = loops.C, loops.R, loops.L
+    # the triangles so far are one per seed plus one per symbol read
+    seeded = 0
+    pos = 0
     next_id = 0
-    while len(triangles) < 3 * m:
+    while seeded + pos < m:
         if next_id + 3 > n_perm:
             raise CorruptStreamError("vertex ids exceed permutation")
         triangles += (next_id, next_id + 1, next_id + 2)
         loops.seed(next_id, next_id + 1, next_id + 2, -1, -1, -1)
         next_id += 3
+        seeded += 1
+        # symbol pos makes triangle seeded + pos + 1: past `last` the
+        # triangle count is spent, past n_sym the stream
+        last = m - seeded
+        stop = min(last, n_sym)
 
-        while loops.gate >= 0:
-            if len(triangles) >= 3 * m:
-                raise CorruptStreamError("loop still open after the last triangle")
-            if sym_pos >= len(symbols):
-                raise CorruptStreamError("CLERS stream exhausted early")
-            sym = symbols[sym_pos]
-            sym_pos += 1
+        while True:
             gate = loops.gate
+            if gate < 0:
+                break
+            if pos >= stop:
+                raise CorruptStreamError(
+                    "loop still open after the last triangle" if pos >= last
+                    else "CLERS stream exhausted early"
+                )
+            sym = symbols[pos]
+            pos += 1
             a, b = sv[gate], sv[sn[gate]]
             if sym == C:
                 if next_id >= n_perm:
                     raise CorruptStreamError("vertex ids exceed permutation")
-                w = loops.C(next_id, -1, -1)
+                w = conquer_C(next_id, -1, -1)
                 next_id += 1
             elif sym == R:
-                w = loops.R(-1)
+                w = conquer_R(-1)
             elif sym == L:
-                w = loops.L(-1)
+                w = conquer_L(-1)
             elif sym == S:
                 steps = next(split_offsets)
                 if steps < 2:
@@ -442,7 +479,7 @@ def _decode_edgebreaker(data: bytes) -> np.ndarray:
                 raise CorruptStreamError(f"unknown CLERS symbol {sym}")
             triangles += (b, a, w)
 
-    if sym_pos != len(symbols):
+    if pos != n_sym:
         raise CorruptStreamError("unused symbols in connectivity blob")
     mapped = perm[np.asarray(triangles, dtype=np.int64).reshape(-1, 3)]
     real = ~np.any(mapped >= n_real, axis=1)

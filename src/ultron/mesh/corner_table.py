@@ -7,12 +7,14 @@ orientable 2-manifolds (with boundary) yield a NonManifoldReport instead of
 a table, so callers can fall back to raw connectivity coding.
 
 The table and the report are built with array operations, no loop over
-corners or vertices. The directed edge a -> b opposite each corner is keyed
-a * n + b and the keys are sorted once: equal neighbours are edges two
-triangles traverse the same way, and O[c] is found by binary search for the
-reversed key. A vertex is pinched when its corners fall in more than one
-fan; the fans are the connected components of the links that join each
-corner to the corner at the same vertex across an interior edge.
+corners or vertices. The edge opposite each corner is keyed min * n + max
+and the keys are sorted once; each run of equal keys holds the corners
+facing one edge. A run of two in opposite directions is a pair of opposite
+corners, a run of one a boundary edge, a run of two in the same direction
+an orientation flip, and a longer run is reported by its count. A vertex is
+pinched when its corners fall in more than one fan; the fans are the
+connected components of the links that join each corner to the corner at
+the same vertex across an interior edge.
 """
 
 from __future__ import annotations
@@ -73,41 +75,12 @@ def corner_table_from_triangles(
     triangles, vertex_count: int
 ) -> CornerTable | NonManifoldReport:
     flat = np.asarray(triangles, dtype=np.int64).reshape(-1)
+    # corner c's successor in its triangle (c // 3); its predecessor is nxt[nxt]
+    nxt = (np.arange(0, len(flat), 3)[:, None] + (1, 2, 0)).reshape(-1)
+    O = _opposite_corners(flat, nxt)
+    if isinstance(O, NonManifoldReport):
+        return O
     V = flat.astype(np.int32)
-    nc = len(V)
-    n = int(flat.max()) + 1 if nc else 1  # key base: (a, b) -> a * n + b
-
-    corners = np.arange(nc)
-    nxt = corners + 1 - 3 * (corners % 3 == 2)
-    prv = corners - 1 + 3 * (corners % 3 == 0)
-    # directed edge opposite corner c, as traversed by its triangle: a -> b
-    a, b = flat[nxt], flat[prv]
-    key = a * n + b
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-
-    # a directed edge twice means two triangles traverse it the same way
-    und_key = np.minimum(a, b) * n + np.maximum(a, b)
-    twice = order[1:][sorted_key[1:] == sorted_key[:-1]]
-    bad_edges = dict.fromkeys(
-        np.unique(und_key[twice]).tolist(), "inconsistent-orientation"
-    )
-    und, counts = np.unique(und_key, return_counts=True)
-    shared = counts > 2
-    bad_edges.update(
-        (int(k), f"{cnt} incident triangles")
-        for k, cnt in zip(und[shared], counts[shared])
-    )
-    if bad_edges:
-        return NonManifoldReport(edges=[
-            ((k // n, k % n), why) for k, why in sorted(bad_edges.items())
-        ])
-
-    # every directed edge is unique: the opposite corner holds the reverse
-    reverse = b * n + a
-    pos = np.minimum(np.searchsorted(sorted_key, reverse), max(nc - 1, 0))
-    O = np.where(sorted_key[pos] == reverse, order[pos], BOUNDARY).astype(np.int32)
-
     pinched = _pinched_vertices(V, O, nxt, vertex_count)
     if len(pinched):
         return NonManifoldReport(vertices=pinched.tolist())
@@ -117,12 +90,50 @@ def corner_table_from_triangles(
     return CornerTable(V=V, O=O, vertex_count=vertex_count)
 
 
+def _opposite_corners(flat, nxt):
+    """O from one sort of the undirected edge keys, or the edges that
+    forbid it.
+
+    Each run of equal keys holds the corners facing one edge: a run of two
+    that traverse it in opposite directions is a pair of opposite corners,
+    a run of one is a boundary edge, a run of two in the same direction is
+    an orientation flip, and a longer run is reported by its count.
+    """
+    nc = len(flat)
+    n = int(flat.max()) + 1 if nc else 1  # key base: (u, v) -> u * n + v
+    # edge opposite corner c, as traversed by its triangle: a -> b
+    a, b = flat[nxt], flat[nxt[nxt]]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    # nothing below depends on the order within a run: no stable sort needed
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    counts = np.diff(starts, append=nc)
+    pair_runs = np.flatnonzero(counts == 2)
+    first, second = order[starts[pair_runs]], order[starts[pair_runs] + 1]
+
+    bad = counts > 2
+    bad[pair_runs[a[first] == a[second]]] = True
+    if bad.any():
+        return NonManifoldReport(edges=[
+            ((k // n, k % n),
+             f"{cnt} incident triangles" if cnt > 2 else "inconsistent-orientation")
+            for k, cnt in zip(sorted_key[starts[bad]].tolist(),
+                              counts[bad].tolist())
+        ])
+    O = np.full(nc, BOUNDARY, dtype=np.int32)
+    O[first] = second
+    O[second] = first
+    return O
+
+
 def _pinched_vertices(V, O, nxt, vertex_count):
     """Vertices whose corners fall in more than one fan.
 
     Corner c and corner nxt[O[nxt[c]]] sit at the same vertex on either side
     of an interior edge through it; the connected components of these links
-    are the fans.
+    are the fans. Every corner of a fan sits at one vertex, so any corner
+    can stand for its fan.
     """
     nc = len(V)
     inner = np.flatnonzero(O[nxt] != BOUNDARY)
@@ -130,7 +141,8 @@ def _pinched_vertices(V, O, nxt, vertex_count):
         (np.ones(len(inner), dtype=np.int8), (inner, nxt[O[nxt[inner]]])),
         shape=(nc, nc),
     )
-    _, fan = connected_components(links, directed=False)
-    fans = np.unique(V.astype(np.int64) * nc + fan)
-    per_vertex = np.bincount(fans // nc, minlength=vertex_count)
+    n_fans, fan = connected_components(links, directed=False)
+    representative = np.empty(n_fans, dtype=np.intp)
+    representative[fan] = np.arange(nc)
+    per_vertex = np.bincount(V[representative], minlength=vertex_count)
     return np.flatnonzero(per_vertex > 1)

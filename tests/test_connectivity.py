@@ -86,10 +86,21 @@ def _slab_and_sphere():
     )
 
 
+def _icosphere5_permuted():
+    """20,480 triangles in shuffled order: 29 S, 21 L and 30 E symbols."""
+    base = make_icosphere(5)
+    order = np.random.default_rng(7).permutation(base.triangle_count)
+    return Mesh(vertices=base.vertices, triangles=base.triangles[order])
+
+
 # SHA-256 of each Edgebreaker blob; a change here is a change of format
 PINNED_BLOBS = [
     (lambda: make_icosphere(3),
      "e4cc6e8a3c948cfc0cbb9c5b1939b13a00215335b55f1f852db6e26bd42c85d8"),
+    (lambda: make_icosphere(5),
+     "e528d60470fe4a1f5ed16c536941601354d5606f22621e5f42a3d14377f5376b"),
+    (_icosphere5_permuted,
+     "43e2e544f71cd6870fe1d352cc3a5c3a11e87a3b913da69149e5cbd82dd8d214"),
     (make_cylinder,
      "f1ecaf2960db42a4aee5ce1375d879b974b2df9fb2cc26e9a818e87a40e60560"),
     (make_slab,
@@ -100,7 +111,8 @@ PINNED_BLOBS = [
 
 
 @pytest.mark.parametrize("maker,digest", PINNED_BLOBS,
-                         ids=["icosphere3", "cylinder", "slab", "two_components"])
+                         ids=["icosphere3", "icosphere5", "icosphere5_permuted",
+                              "cylinder", "slab", "two_components"])
 def test_edgebreaker_bytes_pinned(maker, digest):
     blob = encode_connectivity(build_corner_table(maker()), "edgebreaker")
     assert hashlib.sha256(blob).hexdigest() == digest

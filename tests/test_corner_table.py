@@ -206,3 +206,50 @@ def test_closed_sphere_no_boundary(sphere_162):
     e = len(sphere_162.edges())
     f = sphere_162.triangle_count
     assert v - e + f == 2
+
+
+def test_count_outranks_orientation_in_the_report():
+    # edge 0-1 is traversed 0 -> 1 twice; edge 4-5 has three triangles, two
+    # of them traversing 4 -> 5: its count is the reason given
+    tris = [[0, 1, 2], [0, 1, 3], [4, 5, 6], [4, 5, 7], [5, 4, 8]]
+    mesh = Mesh(vertices=np.zeros((9, 3)), triangles=tris)
+    report = build_corner_table(mesh)
+    assert isinstance(report, NonManifoldReport)
+    assert report.edges == [
+        ((0, 1), "inconsistent-orientation"),
+        ((4, 5), "3 incident triangles"),
+    ]
+    assert report.vertices == []
+    assert brute_force_report(tris, 9) == (report.edges, [])
+
+
+def test_large_shuffled_subset_matches_brute_force():
+    """20,480 triangles in shuffled order, cut into two caps with one flipped
+    and small holes punched in the other: O equals the oracle's."""
+    base = make_icosphere(5)
+    tris = base.triangles[np.random.default_rng(7).permutation(base.triangle_count)]
+    z = base.vertices[:, 2][tris]
+    keep = np.all(np.abs(z) >= 0.1, axis=1)
+    # vertex-disjoint single-triangle holes, away from the cut
+    used = set()
+    for t in np.flatnonzero(np.all(z > 0.3, axis=1))[:400].tolist():
+        if used.isdisjoint(tris[t].tolist()):
+            used.update(tris[t].tolist())
+            keep[t] = False
+    lower = np.all(z < 0, axis=1)
+    tris = np.where(lower[:, None], tris[:, ::-1], tris)[keep]
+    assert np.count_nonzero(lower[keep]) > 5000 and len(used) > 30
+    table = build_corner_table(Mesh(vertices=base.vertices, triangles=tris))
+    assert isinstance(table, CornerTable)
+    assert table.boundary_corner_count() > 0
+    oracle = brute_force_opposites(tris)
+    assert table.O.tolist() == [oracle[c] for c in range(3 * len(tris))]
+
+
+def test_zero_triangles_give_an_empty_table():
+    table = build_corner_table(
+        Mesh(vertices=TET.vertices, triangles=np.zeros((0, 3), dtype=np.int32))
+    )
+    assert isinstance(table, CornerTable)
+    assert table.corner_count == 0 and table.vertex_count == 4
+    assert table.V.dtype == np.int32 and table.O.dtype == np.int32
