@@ -16,18 +16,29 @@ a candidate list holding every fine triangle for every query.
 A caller that queries the same points again and again while they move a
 little, as registration does once per iterate, can hand the query a
 NeighbourList (a Verlet list: Verlet, Phys. Rev. 159, 1967). A tree query
-then widens each ball by a skin s, half the smallest group's reach, and the
-list keeps, per point, its reference position r, its candidates with their
-exact distances d_ref from r, and its closest distance d1 there. A later
-query at p, with delta = |p - r| < s/2, scores only the listed triangles with
-d_ref <= d1 + 2 delta; a point that moved further goes back to the trees and
-its entries are replaced. This is exact, because the distance to a triangle
-is 1-Lipschitz in the point: a triangle that can win or tie at p is at most
-d1 + delta from p, so at most d1 + 2 delta < d1 + s from r. The ball held
-every triangle within d1 + s of r, so that triangle is listed, and its d_ref
-passes the filter. Scoring the survivors with the same expression and the
-same lowest-id rule gives the bits a stateless query gives. A stateless
-query is the same path with skin 0 and every point treated as moved.
+then widens each ball by a skin s, half the smallest group's reach, lists
+the ball's triangles for the point and makes its position the point's
+reference r. A later query at p, with |p - r| < s/2, looks only at the
+listed triangles; a point that moved further goes back to the trees and
+its entries are replaced. The list holds every triangle that can win or
+tie at p, because the distance to a triangle is 1-Lipschitz in the point:
+with d1 the closest distance at r, such a triangle is at most d1 + |p - r|
+from p, so less than d1 + s from r, and the ball held every triangle that
+close to r.
+
+Of the listed triangles, a query scores only those that can still win,
+with per-candidate lower bounds carried between queries the way Elkan
+carries them between k-means iterations ("Using the Triangle Inequality to
+Accelerate k-Means", ICML 2003). The list keeps, per point, its position l
+at its last query and its closest distance b there, and per listed
+triangle a lower bound lb on its distance from l. With step = |p - l|, the
+winner at p is at most b + step away and the triangle at least lb - step,
+so a triangle with lb > b + 2 step can neither win nor tie. After the
+query, a scored triangle's lb is its exact distance from p and an unscored
+one's is lb - step, still a lower bound. Scoring the survivors with the
+same expression and the same lowest-id rule gives the bits a stateless
+query gives. A stateless query is the same path with skin 0 and every
+point treated as moved.
 """
 
 from __future__ import annotations
@@ -129,13 +140,14 @@ class NeighbourList:
 
     def _start(self, bvh, n: int):
         self.bvh = bvh
-        # each point at its last tree query; NaN, before the first, is near
-        # no point
+        # each point at its last tree query and at its last query, and its
+        # closest distance there; NaN, before the first, is near no point
         self.ref = np.full((n, 3), np.nan)
-        self.best = np.full(n, np.nan)  # d1: its closest distance there
+        self.last = np.full((n, 3), np.nan)
+        self.last_best = np.full(n, np.nan)
         self.owner = np.empty(0, dtype=np.intp)  # per candidate: its point,
         self.tris = np.empty(0, dtype=np.intp)  # its triangle
-        self.dist = np.empty(0)  # and d_ref, its distance from the point's ref
+        self.lb = np.empty(0)  # and a lower bound on its distance from last
 
 
 class TriangleBvh:
@@ -172,7 +184,8 @@ class TriangleBvh:
 
         Ties go to the lowest triangle id. With a neighbour list, points that
         moved less than half the skin since their last tree query score only
-        their listed candidates, and the list is brought up to date.
+        the listed candidates that can still win, and the list is brought up
+        to date.
         """
         q = np.asarray(points, dtype=np.float64)
         q = q.reshape(-1, 3) if q.ndim < 2 else q  # [] and one 3-vector
@@ -189,40 +202,42 @@ class TriangleBvh:
             nb = neighbours
             if nb.bvh is not self or len(nb.ref) != nq:
                 nb._start(self, nq)
-            diff = q - nb.ref
-            delta = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            near = delta < 0.5 * skin
-            # a listed triangle farther than d1 + 2 delta from the reference
-            # can neither win nor tie; the slack, relative and in units of
-            # the skin, covers rounding in the distances
+            near = _norms(q - nb.ref) < 0.5 * skin
+            step = _norms(q - nb.last)
+            # a listed triangle with lb > last_best + 2 step can neither win
+            # nor tie; the slack, relative and in units of the skin, covers
+            # rounding in the distances
             o = nb.owner
-            keep = near[o] & (
-                nb.dist <= (nb.best[o] + 2.0 * delta[o]) * (1.0 + _SLACK) + _SLACK * skin
-            )
-            kept_q, kept_t = o[keep], nb.tris[keep]
+            kept = np.flatnonzero(near[o] & (
+                nb.lb <= (nb.last_best[o] + 2.0 * step[o]) * (1.0 + _SLACK) + _SLACK * skin
+            ))
+            kept_q, kept_t = o[kept], nb.tris[kept]
             moved = np.flatnonzero(~near)
 
         # the tree path, for the moved points
-        qm = q[moved]
         nm = len(moved)
-        # achieved upper bound: exact distance to each group's triangle with
-        # the nearest centroid, taken over all groups
-        seed_q = np.tile(moved, len(self.groups))
-        seeds = np.concatenate([ids[tree.query(qm)[1]] for ids, tree, _ in self.groups])
-        seed_pt, seed_d2 = self._score(q, seed_q, seeds)
-        bound = np.sqrt(seed_d2.reshape(len(self.groups), nm).min(axis=0))
-
-        # a triangle at most `bound` + skin away has its centroid within
-        # bound + skin + reach; the slack covers rounding in both distances
+        seed_q = seeds = np.empty(0, dtype=np.intp)
+        seed_pt, seed_d2 = np.empty((0, 3)), np.empty(0)
         ball_q, ball_t = [], []
-        for ids, tree, reach in self.groups:
-            hits = tree.query_ball_point(
-                qm, (bound + skin + reach) * (1.0 + _SLACK), return_sorted=False
-            )
-            counts = np.fromiter(map(len, hits), np.int64, nm)
-            flat = np.fromiter(chain.from_iterable(hits), np.int64, counts.sum())
-            ball_q.append(np.repeat(moved, counts))
-            ball_t.append(ids[flat])
+        if nm:
+            qm = q[moved]
+            # achieved upper bound: exact distance to each group's triangle
+            # with the nearest centroid, taken over all groups
+            seed_q = np.tile(moved, len(self.groups))
+            seeds = np.concatenate([ids[tree.query(qm)[1]] for ids, tree, _ in self.groups])
+            seed_pt, seed_d2 = self._score(q, seed_q, seeds)
+            bound = np.sqrt(seed_d2.reshape(len(self.groups), nm).min(axis=0))
+
+            # a triangle at most `bound` + skin away has its centroid within
+            # bound + skin + reach; the slack covers rounding in both distances
+            for ids, tree, reach in self.groups:
+                hits = tree.query_ball_point(
+                    qm, (bound + skin + reach) * (1.0 + _SLACK), return_sorted=False
+                )
+                counts = np.fromiter(map(len, hits), np.int64, nm)
+                flat = np.fromiter(chain.from_iterable(hits), np.int64, counts.sum())
+                ball_q.append(np.repeat(moved, counts))
+                ball_t.append(ids[flat])
         # one scoring pass: the balls' candidates, then the listed ones
         cand_q = np.concatenate(ball_q + [kept_q])
         cand_t = np.concatenate(ball_t + [kept_t])
@@ -241,15 +256,19 @@ class TriangleBvh:
         pts = np.concatenate([seed_pt, cand_pt])[first]
         dists = np.sqrt(d2[first])
 
-        if neighbours is not None and nm:
-            # the moved points' balls replace their old entries
-            old = near[nb.owner]
+        if neighbours is not None:
+            # scored triangles take their exact distances, the others lose
+            # the step; the moved points' balls replace their old entries
             nball = len(cand_q) - len(kept_q)
-            nb.owner = np.concatenate([nb.owner[old], cand_q[:nball]])
+            lb = nb.lb - step[o]
+            lb[kept] = np.sqrt(cand_d2[nball:])
+            old = near[o]
+            nb.owner = np.concatenate([o[old], cand_q[:nball]])
             nb.tris = np.concatenate([nb.tris[old], cand_t[:nball]])
-            nb.dist = np.concatenate([nb.dist[old], np.sqrt(cand_d2[:nball])])
-            nb.ref[moved] = qm
-            nb.best[moved] = dists[moved]
+            nb.lb = np.concatenate([lb[old], np.sqrt(cand_d2[:nball])])
+            nb.ref[moved] = q[moved]
+            nb.last = q.copy()
+            nb.last_best = dists.copy()
         return pts, dists, tris[first]
 
     def _score(self, q, qidx, tris):
@@ -260,6 +279,10 @@ class TriangleBvh:
         )
         diff = q[qidx] - pts
         return pts, np.einsum("ij,ij->i", diff, diff)
+
+
+def _norms(v):
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 def _bvh(mesh: Mesh) -> TriangleBvh:

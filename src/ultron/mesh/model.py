@@ -148,12 +148,12 @@ class Mesh:
 
     def edges(self) -> np.ndarray:
         """Unique undirected edges as a sorted (e, 2) int array."""
-        tris = self.triangles
-        pairs = np.concatenate(
-            [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0
-        )
-        pairs = np.sort(pairs, axis=1)
-        return np.unique(pairs, axis=0)
+        tris = self.triangles.astype(np.int64)
+        ends = tris[:, [1, 2, 0]]
+        # one key per edge, ordered as its (lower, higher) pair
+        n = self.vertex_count
+        keys = np.unique(np.minimum(tris, ends) * n + np.maximum(tris, ends))
+        return np.stack([keys // n, keys % n], axis=1).astype(self.triangles.dtype)
 
 
 def vertex_normals(mesh: Mesh) -> np.ndarray:

@@ -175,15 +175,18 @@ WALK_MESHES = {"icosphere": make_icosphere(2), "sphere on floor": sphere_on_floo
 
 @given(name=st.sampled_from(sorted(WALK_MESHES)),
        seed=st.integers(min_value=0, max_value=2**31),
-       steps=st.lists(st.sampled_from(["still", "rounding", "small", "past"]),
+       steps=st.lists(st.sampled_from(["still", "rounding", "small", "past", "drift"]),
                       min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_neighbour_list_matches_stateless_queries(name, seed, steps):
     """Points walked through queries that share one neighbour list get the
     same points, distances and ids as stateless queries, whether they stay,
-    move by rounding noise, move less than half the skin or move past it.
-    Points that moved less than half the skin keep their reference; the
-    others take a new one."""
+    move by rounding noise, move less than half the skin, move past it or
+    drift: several sub-skin moves toward the sphere's centre, so that the
+    distance from the reference grows past any single move. A point near
+    the centre drifts across it, the far side closing in as fast as the
+    near side recedes. Points that moved less than half the skin keep their
+    reference; the others take a new one."""
     mesh = WALK_MESHES[name]
     rng = np.random.default_rng(seed)
     v, t = mesh.vertices, mesh.triangles
@@ -194,31 +197,61 @@ def test_neighbour_list_matches_stateless_queries(name, seed, steps):
         0.5 * (v[edges[:, 0]] + v[edges[:, 1]]),
         v[rng.integers(0, len(v), 20)] + 0.05 * rng.normal(size=(20, 3)),
         rng.uniform(-3.0, 3.0, (10, 3)),
+        0.01 * rng.normal(size=(10, 3)),  # near the sphere's centre
     ])
     neighbours = NeighbourList()
-    for step in ["first"] + steps:
-        if step != "first":
-            skin = neighbours.bvh.skin
-            unit = rng.normal(size=p.shape)
-            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-            if step == "rounding":
-                length = 10.0 ** rng.uniform(-18.0, -15.0, (len(p), 1))
-            else:  # up to just under half the skin
-                length = skin * 10.0 ** rng.uniform(-6.0, np.log10(0.49), (len(p), 1))
+    got = closest_points(mesh, p, neighbours)
+    for g, w in zip(got, closest_points(mesh, p)):
+        assert np.array_equal(g, w), "first"
+    for step in steps:
+        skin = neighbours.bvh.skin
+        unit = rng.normal(size=p.shape)
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        if step == "still":
+            lengths = [np.zeros((len(p), 1))]
+        elif step == "rounding":
+            lengths = [10.0 ** rng.uniform(-18.0, -15.0, (len(p), 1))]
+        elif step == "drift":
+            unit = -p / np.linalg.norm(p, axis=1, keepdims=True)
+            lengths = [skin * rng.uniform(0.02, 0.12, (len(p), 1)) for _ in range(4)]
+        else:  # up to just under half the skin
+            length = skin * 10.0 ** rng.uniform(-6.0, np.log10(0.49), (len(p), 1))
             if step == "past":
                 far = rng.random(len(p)) < 0.5
                 length[far] = skin * rng.uniform(0.5, 3.0, (far.sum(), 1))
-            if step != "still":
-                p = p + length * unit
+            lengths = [length]
+        for length in lengths:
+            p = p + length * unit
             ref = neighbours.ref.copy()
             near = np.linalg.norm(p - ref, axis=1) < 0.5 * skin
-        got = closest_points(mesh, p, neighbours)
-        want = closest_points(mesh, p)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), step
-        if step != "first":
+            got = closest_points(mesh, p, neighbours)
+            for g, w in zip(got, closest_points(mesh, p)):
+                assert np.array_equal(g, w), step
             assert np.array_equal(neighbours.ref[near], ref[near])
             assert np.array_equal(neighbours.ref[~near], p[~near])
+
+
+def test_pruned_triangle_wins_later():
+    """Two equal triangles, B 0.475 above A. A point starts 0.1 above A and
+    rises 0.05 per query, well inside half the skin (0.25), so no query
+    after the first goes back to the trees. B is listed but cannot win at
+    the first two steps, so its bound is carried; at the third step it
+    wins by 0.025. Its bound must have dropped by both skipped steps, and
+    must be compared with the last closest distance plus twice the step."""
+    h = np.sqrt(3.0) / 2.0
+    corners = [[1, 0], [-0.5, h], [-0.5, -h]]
+    mesh = Mesh(
+        vertices=[[x, y, 0.0] for x, y in corners] + [[x, y, 0.475] for x, y in corners],
+        triangles=[[0, 1, 2], [3, 4, 5]],
+    )
+    neighbours = NeighbourList()
+    for k, want_tri in enumerate([0, 0, 0, 1, 1]):
+        p = [[0.0, 0.0, 0.1 + 0.05 * k]]
+        got = closest_points(mesh, p, neighbours)
+        assert np.array_equal(neighbours.ref, [[0.0, 0.0, 0.1]])  # no tree query
+        assert got[2][0] == want_tri
+        for g, w in zip(got, closest_points(mesh, p)):
+            assert np.array_equal(g, w)
 
 
 def test_neighbour_list_holds_what_the_skin_reaches():

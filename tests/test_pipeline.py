@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import ultron.mesh.closest
 import ultron.pipeline
+from ultron.codec import encode_container
 from ultron.mesh import Mesh
 from ultron.pipeline import (
     QualityThresholds,
@@ -300,3 +303,25 @@ class TestSegmentInvariants:
                 frames=np.stack([sphere_162.vertices] * 2),
                 frame_ids=(0, 2),
             )
+
+
+# SHA-256 of the container and of the stats CSV that the keyframe loop
+# gives two of the CI sequences; a change here changes what `ultron encode`
+# writes for them
+PINNED_ENCODES = [
+    (SynthConfig(frames=12, motion="bend", amplitude=0.4, resolution=3,
+                 remesh_every=5, colors=True, seed=5),
+     "f897e3570a5844c56860ac8e5312a235f330a88b4e0ab46598ad4a37d9500562",
+     "5b340b7043fdd0fc9230308b9833cf97546ed34477de78a848e5c5402eb01b64"),
+    (SynthConfig(frames=12, motion="translate", amplitude=0.12, resolution=3,
+                 remesh_every=1, colors=True, seed=5),
+     "1eb5fbcc9b7c19a1c831ffd9b0d64b38ec03371334d5e1207c69c457b84d3374",
+     "5ad39259cf3ede7908311443b791fff5677f2f71ae2fcb3e7b3ce888e5dccb6c"),
+]
+
+
+@pytest.mark.parametrize("cfg,container,csv", PINNED_ENCODES, ids=["bend", "capture"])
+def test_keyframe_loop_bytes_pinned(cfg, container, csv):
+    segments, stats = run_pipeline(synth_frames(cfg))
+    assert hashlib.sha256(encode_container(segments)).hexdigest() == container
+    assert hashlib.sha256(stats.to_csv().encode()).hexdigest() == csv
