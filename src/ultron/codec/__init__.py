@@ -7,12 +7,7 @@ from .quantization import (
     quantize_array,
     widen_to_f32,
 )
-from .rans import (
-    SymbolStream,
-    build_frequency_table,
-    decode_block,
-    encode_block,
-)
+from .rans import build_frequency_table, decode_block, encode_block
 from .connectivity import (
     decode_connectivity,
     encode_connectivity,
@@ -39,7 +34,7 @@ from .container import (
 __all__ = [
     "QuantizationParams", "dequantize", "dequantize_array", "half_step",
     "quantize", "quantize_array", "widen_to_f32",
-    "SymbolStream", "build_frequency_table", "decode_block", "encode_block",
+    "build_frequency_table", "decode_block", "encode_block",
     "decode_connectivity", "encode_connectivity", "unzigzag", "zigzag",
     "FLAG_COLORS", "FLAG_NORMALS", "FLAG_STORED_NORMALS", "FLAG_UV",
     "decode_segment", "encode_segment", "segment_flags",

@@ -65,7 +65,7 @@ def join_planes(planes: list[np.ndarray]) -> np.ndarray:
 
 def encode_planes(values: np.ndarray, nplanes: int) -> bytes:
     """One 256-symbol entropy block per byte plane, low plane first."""
-    return b"".join(encode_blocks(split_planes(values, nplanes), 256))
+    return b"".join(encode_blocks(split_planes(values, nplanes)))
 
 
 def read_planes(data: bytes, offset: int, count: int,
@@ -365,7 +365,7 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
                 loops.S(s, cn, cp)
 
     head = struct.pack("<III", m, n_real, n_closed)
-    clers_blob = encode_block(np.asarray(clers, dtype=np.int64), 5)
+    clers_blob = encode_block(np.asarray(clers, dtype=np.int64))
     off_blob = b"".join(
         [write_uvarint(len(offsets))] + [write_uvarint(o) for o in offsets]
     )

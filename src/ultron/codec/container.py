@@ -14,7 +14,8 @@ import struct
 from ..errors import ContainerError
 from ..pipeline import Segment
 from .quantization import QuantizationParams
-from .segments import KNOWN_FLAGS, decode_segment, encode_segment, segment_flags
+from .segments import (FLAG_NORMALS, FLAG_STORED_NORMALS, KNOWN_FLAGS,
+                       decode_segment, encode_segment, segment_flags)
 
 MAGIC = b"ULTR"
 VERSION = 3
@@ -63,8 +64,6 @@ def decode_container(data: bytes) -> tuple[list[Segment], int]:
 
 def container_frames(segments: list[Segment], flags: int):
     """Materialize every frame mesh of a decoded container, in order."""
-    from .segments import FLAG_NORMALS, FLAG_STORED_NORMALS
-
     recompute = bool(flags & FLAG_NORMALS) and not flags & FLAG_STORED_NORMALS
     for seg in segments:
         for i in range(seg.frame_count):

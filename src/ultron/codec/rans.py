@@ -16,18 +16,20 @@ ascending, and within a step lane ascending. With one lane this is the
 plain single-state layout.
 
 Lanes of different streams are as independent as lanes of one stream, so
-streams are coded in batches: streams of equal count (hence equal K and
-equal step count) advance side by side, all their lanes together, in one
-numpy lockstep run whose Python loop runs count / K (about LANE_SYMBOLS)
-times whatever the number of streams. Each stream keeps its own table and
-its own payload. A batch with fewer than NUMPY_LANES lanes in all runs a
+streams are coded in batches: encode_blocks and decode_blocks, the entry
+points of this layer, take a list of symbol arrays or parsed blocks and
+group the streams of equal count (hence equal K and equal step count).
+Each group advances side by side, all its lanes together, in one numpy
+lockstep run whose Python loop runs count / K (about LANE_SYMBOLS) times
+whatever the number of streams. Each stream keeps its own table and its
+own payload. A group with fewer than NUMPY_LANES lanes in all runs a
 scalar loop per stream instead, cycling through its lane states, since one
-numpy step costs as much as tens of scalar symbols.
+numpy step costs as much as tens of scalar symbols. encode_block and
+decode_block code one stream alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import NamedTuple
 
@@ -53,38 +55,6 @@ NUMPY_LANES = 40
 def _symbol_dtype(alphabet: int):
     """The narrowest unsigned type that holds symbols below alphabet."""
     return np.uint8 if alphabet <= 256 else np.uint16
-
-
-@dataclass(frozen=True)
-class SymbolStream:
-    """Symbols plus the static table they are coded with.
-
-    The symbols are kept in the narrowest unsigned type of the table.
-    """
-
-    symbols: np.ndarray
-    frequencies: np.ndarray  # quantized, sums to PROB_TOTAL
-
-    def __post_init__(self):
-        syms = np.asarray(self.symbols)
-        freqs = np.asarray(self.frequencies, dtype=np.int64)
-        if len(freqs) > MAX_ALPHABET:
-            raise ValueError(f"alphabet larger than {MAX_ALPHABET}")
-        if len(syms) and (syms.min() < 0 or syms.max() >= len(freqs)):
-            raise ValueError("symbol outside frequency table")
-        syms = syms.astype(_symbol_dtype(len(freqs)), copy=False)
-        if np.bincount(syms, minlength=len(freqs))[freqs == 0].any():
-            raise ValueError("symbol with zero quantized frequency")
-        object.__setattr__(self, "symbols", syms)
-        object.__setattr__(self, "frequencies", freqs)
-
-    @classmethod
-    def from_symbols(cls, symbols, alphabet_size: int | None = None):
-        syms = np.asarray(symbols)
-        if alphabet_size is None:
-            alphabet_size = int(syms.max()) + 1 if len(syms) else 1
-        counts = np.bincount(syms, minlength=alphabet_size)
-        return cls(syms, build_frequency_table(counts))
 
 
 def build_frequency_table(counts) -> np.ndarray:
@@ -132,11 +102,14 @@ def _cumulative(freqs: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(freqs)[:-1]])
 
 
-def _by_count(counts) -> dict[int, list[int]]:
-    """Indices of equal counts, grouped; each group in input order."""
+def _by_count(counts, tables) -> dict[int, list[int]]:
+    """Indices of the blocks with a payload, grouped by count; each group in
+    input order. A block with no symbols, or with a one-symbol table, has no
+    payload: it carries no information."""
     groups: dict[int, list[int]] = {}
-    for i, count in enumerate(counts):
-        groups.setdefault(count, []).append(i)
+    for i, (count, freqs) in enumerate(zip(counts, tables)):
+        if count and len(freqs) > 1:
+            groups.setdefault(count, []).append(i)
     return groups
 
 
@@ -146,59 +119,6 @@ class CodedBlock(NamedTuple):
     count: int
     frequencies: np.ndarray
     payload: bytes | memoryview
-
-
-def _encode_payloads(streams: list[SymbolStream]) -> list[bytes]:
-    """The payload of each stream, equal-count streams coded together."""
-    payloads = [b""] * len(streams)
-    for count, members in _by_count(len(s.symbols) for s in streams).items():
-        if count == 0:
-            continue
-        lanes = _lane_count(count)
-        group = [streams[i] for i in members]
-        if lanes * len(group) >= NUMPY_LANES:
-            words = _encode_lockstep(group, lanes)
-        else:
-            words = [_encode_scalar(s.symbols, s.frequencies, lanes) for s in group]
-        for i, w in zip(members, words):
-            payloads[i] = np.asarray(w, dtype="<u2").tobytes()
-    return payloads
-
-
-def _decode_payloads(blocks: list[CodedBlock]) -> list[np.ndarray]:
-    """The symbols of each block, equal-count blocks decoded together.
-
-    Every block's count, payload length and table is checked before any
-    block is decoded or anything is sized from it.
-    """
-    tables = []
-    for count, frequencies, payload in blocks:
-        freqs = np.asarray(frequencies, dtype=np.int64)
-        if count == 0:
-            if len(payload):
-                raise CorruptStreamError("nonempty payload for empty stream")
-        elif len(payload) % 2 or len(payload) < 4 * _lane_count(count):
-            raise CorruptStreamError("entropy payload has invalid length")
-        elif (len(freqs) > MAX_ALPHABET or freqs.sum() != PROB_TOTAL
-              or np.any(freqs < 0)):
-            raise CorruptStreamError("invalid frequency table")
-        tables.append(freqs)
-    out: list[np.ndarray] = [None] * len(blocks)
-    for count, members in _by_count(b.count for b in blocks).items():
-        group = [tables[i] for i in members]
-        if count == 0:
-            symbols = [np.zeros(0, dtype=_symbol_dtype(len(f))) for f in group]
-        else:
-            lanes = _lane_count(count)
-            words = [np.frombuffer(blocks[i].payload, dtype="<u2") for i in members]
-            if lanes * len(group) >= NUMPY_LANES:
-                symbols = _decode_lockstep(words, count, group, lanes)
-            else:
-                symbols = [_decode_scalar(w, count, f, lanes)
-                           for w, f in zip(words, group)]
-        for i, s in zip(members, symbols):
-            out[i] = s
-    return out
 
 
 def _encode_scalar(
@@ -234,7 +154,9 @@ def _steps(count: int, lanes: int) -> tuple[int, int]:
     return steps, count - (steps - 1) * lanes
 
 
-def _encode_lockstep(streams: list[SymbolStream], lanes: int) -> list[np.ndarray]:
+def _encode_lockstep(
+    symbols: list[np.ndarray], tables: list[np.ndarray], lanes: int
+) -> list[np.ndarray]:
     """_encode_scalar for equal-count streams, every lane of every stream
     advanced by one numpy step at a time.
 
@@ -245,27 +167,25 @@ def _encode_lockstep(streams: list[SymbolStream], lanes: int) -> list[np.ndarray
     States stay below 2**32: renormalization leaves x < f * 2**20, so
     (x // f) << PROB_BITS plus a remainder and cumulative frequency fits.
     """
-    count = len(streams[0].symbols)
+    count = len(symbols[0])
     steps, active = _steps(count, lanes)
-    tables = [s.frequencies for s in streams]
     offsets = np.cumsum([0] + [len(f) for f in tables])
     freq = np.concatenate(tables + [[PROB_TOTAL]]).astype(np.uint32)
     cum = np.concatenate([_cumulative(f) for f in tables] + [[0]]).astype(np.uint32)
     base = offsets[:-1, None]
     last_base = np.where(np.arange(lanes) < active, base, offsets[-1])
 
-    symbols = np.zeros((len(streams), steps * lanes),
-                       dtype=np.result_type(*(s.symbols for s in streams)))
-    for row, s in zip(symbols, streams):
-        row[:count] = s.symbols
-    symbols = symbols.reshape(len(streams), steps, lanes)
+    padded = np.zeros((len(symbols), steps * lanes), dtype=np.result_type(*symbols))
+    for row, s in zip(padded, symbols):
+        row[:count] = s
+    padded = padded.reshape(len(symbols), steps, lanes)
 
-    x = np.full((len(streams), lanes), RANS_L, dtype=np.uint32)
+    x = np.full((len(symbols), lanes), RANS_L, dtype=np.uint32)
     idx = np.empty(x.shape, dtype=np.intp)
-    emit = np.empty((steps, len(streams), lanes), dtype=bool)
+    emit = np.empty((steps, len(symbols), lanes), dtype=bool)
     words = []  # each step's renormalization words, stream then lane ascending
     for t in range(steps - 1, -1, -1):
-        np.add(symbols[:, t], last_base if t == steps - 1 else base, out=idx)
+        np.add(padded[:, t], last_base if t == steps - 1 else base, out=idx)
         f = freq[idx]
         e = np.greater_equal(x >> 20, f, out=emit[t])  # x >= f << 20, in 32 bits
         words.append(x[e])
@@ -421,35 +341,38 @@ def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
             raise CorruptStreamError("oversized varint")
 
 
-def encode_block(symbols, alphabet_size: int | None = None) -> bytes:
+def encode_block(symbols) -> bytes:
     """Self-contained entropy block: count, table, payload length, payload.
 
-    alphabet_size only bounds the symbols; the stored table is trimmed to
-    the largest occurring symbol so skewed streams pay almost nothing.
+    The stored table is trimmed to the largest occurring symbol so skewed
+    streams pay almost nothing.
     """
-    return encode_blocks([symbols], alphabet_size)[0]
+    return encode_blocks([symbols])[0]
 
 
-def encode_blocks(blocks, alphabet_size: int | None = None) -> list[bytes]:
-    """encode_block of each symbol array, their payloads coded together."""
-    streams = []
-    for symbols in blocks:
-        syms = np.asarray(symbols)
-        if alphabet_size is not None and len(syms) and syms.max() >= alphabet_size:
-            raise ValueError("symbol outside declared alphabet")
-        streams.append(SymbolStream.from_symbols(syms))
-    # a one-symbol alphabet carries no information: no payload at all
-    coded = [s for s in streams if len(s.frequencies) > 1]
-    payloads = iter(_encode_payloads(coded))
+def encode_blocks(blocks) -> list[bytes]:
+    """encode_block of each symbol array, equal-count payloads coded together.
+
+    A negative symbol, or one of MAX_ALPHABET or more, raises ValueError.
+    """
+    symbols = [np.asarray(block) for block in blocks]
+    tables = [build_frequency_table(np.bincount(s, minlength=1)) for s in symbols]
+    payloads = [b""] * len(symbols)
+    for count, members in _by_count(map(len, symbols), tables).items():
+        lanes = _lane_count(count)
+        syms = [symbols[i] for i in members]
+        group = [tables[i] for i in members]
+        if lanes * len(members) >= NUMPY_LANES:
+            words = _encode_lockstep(syms, group, lanes)
+        else:
+            words = [_encode_scalar(s, f, lanes) for s, f in zip(syms, group)]
+        for i, w in zip(members, words):
+            payloads[i] = np.asarray(w, dtype="<u2").tobytes()
     out = []
-    for stream in streams:
-        payload = next(payloads) if len(stream.frequencies) > 1 else b""
-        parts = [write_uvarint(len(stream.symbols))]
-        parts.append(write_uvarint(len(stream.frequencies)))
-        for f in stream.frequencies.tolist():
-            parts.append(write_uvarint(f))
-        parts.append(write_uvarint(len(payload)))
-        parts.append(payload)
+    for s, freqs, payload in zip(symbols, tables, payloads):
+        parts = [write_uvarint(len(s)), write_uvarint(len(freqs))]
+        parts += [write_uvarint(f) for f in freqs.tolist()]
+        parts += [write_uvarint(len(payload)), payload]
         out.append(b"".join(parts))
     return out
 
@@ -490,11 +413,39 @@ def read_block(
 
 
 def decode_blocks(blocks: list[CodedBlock]) -> list[np.ndarray]:
-    """The symbols of blocks parsed by read_block, payloads decoded together."""
-    coded = [b for b in blocks if len(b.frequencies) > 1]
-    decoded = iter(_decode_payloads(coded))
-    return [next(decoded) if len(b.frequencies) > 1
-            else np.zeros(b.count, dtype=np.uint8) for b in blocks]
+    """The symbols of blocks parsed by read_block, equal-count payloads
+    decoded together.
+
+    Every block's count, payload length and table is checked before any
+    block is decoded or anything is sized from it.
+    """
+    tables = [np.asarray(b.frequencies, dtype=np.int64) for b in blocks]
+    for (count, _, payload), freqs in zip(blocks, tables):
+        if len(freqs) < 2:
+            continue  # no payload: read_block refuses one
+        if count == 0:
+            if len(payload):
+                raise CorruptStreamError("nonempty payload for empty stream")
+        elif len(payload) % 2 or len(payload) < 4 * _lane_count(count):
+            raise CorruptStreamError("entropy payload has invalid length")
+        elif (len(freqs) > MAX_ALPHABET or freqs.sum() != PROB_TOTAL
+              or np.any(freqs < 0)):
+            raise CorruptStreamError("invalid frequency table")
+    out: list[np.ndarray] = [None] * len(blocks)
+    for count, members in _by_count([b.count for b in blocks], tables).items():
+        lanes = _lane_count(count)
+        words = [np.frombuffer(blocks[i].payload, dtype="<u2") for i in members]
+        group = [tables[i] for i in members]
+        if lanes * len(members) >= NUMPY_LANES:
+            symbols = _decode_lockstep(words, count, group, lanes)
+        else:
+            symbols = [_decode_scalar(w, count, f, lanes)
+                       for w, f in zip(words, group)]
+        for i, s in zip(members, symbols):
+            out[i] = s
+    # a block without a payload holds its one symbol, or none
+    return [np.zeros(b.count, dtype=_symbol_dtype(len(f))) if s is None else s
+            for b, f, s in zip(blocks, tables, out)]
 
 
 def decode_block(

@@ -203,7 +203,7 @@ def encode_segment(seg: Segment, qparams: QuantizationParams) -> bytes:
         frames += _stream_planes(q.reshape(s.frames, -1), s.bits)
 
     # every plane of every frame and attribute is coded in one batch
-    blocks = iter(encode_blocks([p for planes in frames for p in planes], 256))
+    blocks = iter(encode_blocks([p for planes in frames for p in planes]))
     parts += [_prefixed(b"".join(islice(blocks, len(planes))))
               for planes in frames]
     return b"".join(parts)

@@ -274,10 +274,11 @@ class TriangleBvh:
     def _score(self, q, qidx, tris):
         """Closest points of triangles tris to queries q[qidx], and their
         squared distances."""
+        p = q[qidx]
         pts = closest_point_on_triangles(
-            q[qidx], self.tri_a[tris], self.tri_b[tris], self.tri_c[tris]
+            p, self.tri_a[tris], self.tri_b[tris], self.tri_c[tris]
         )
-        diff = q[qidx] - pts
+        diff = p - pts
         return pts, np.einsum("ij,ij->i", diff, diff)
 
 

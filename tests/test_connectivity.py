@@ -289,7 +289,7 @@ def _blob_with_symbols(blob, symbols):
     perm = (perm + [0] * n_perm)[:n_perm]
     return b"".join(
         [struct.pack("<III", len(symbols) + seeds, n_real, max(n_closed, n_perm)),
-         encode_block(new, 5), write_uvarint(n_split)]
+         encode_block(new), write_uvarint(n_split)]
         + [write_uvarint(o) for o in offsets]
         + [write_uvarint(n_perm), write_uvarint(width), pack_bits(perm, width)]
     )

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from ultron.codec.rans import (
     CodedBlock,
     LANE_SYMBOLS,
+    MAX_ALPHABET,
     NUMPY_LANES,
     PROB_TOTAL,
-    SymbolStream,
     _decode_lockstep,
     _decode_scalar,
     _encode_lockstep,
@@ -162,18 +162,17 @@ def test_roundtrip_where_numpy_lanes_start(rng, n, skewed):
 def test_numpy_lanes_match_scalar_loop(rng, n, lanes):
     # the lockstep kernel, on the stream alone and on a batch of three
     # copies, gives the scalar loop's words and symbols for every copy
-    stream = SymbolStream.from_symbols(rng.geometric(0.2, n) % 40)
-    scalar = np.asarray(_encode_scalar(stream.symbols, stream.frequencies, lanes))
+    symbols = rng.geometric(0.2, n) % 40
+    freqs = build_frequency_table(np.bincount(symbols))
+    scalar = np.asarray(_encode_scalar(symbols, freqs, lanes))
     words = scalar.astype("<u2")
-    assert np.array_equal(_decode_scalar(words, n, stream.frequencies, lanes),
-                          stream.symbols)
+    assert np.array_equal(_decode_scalar(words, n, freqs, lanes), symbols)
     for batch in (1, 3):
-        for vector in _encode_lockstep([stream] * batch, lanes):
+        for vector in _encode_lockstep([symbols] * batch, [freqs] * batch, lanes):
             assert np.array_equal(vector, scalar)
-        back = _decode_lockstep([words] * batch, n, [stream.frequencies] * batch,
-                                lanes)
+        back = _decode_lockstep([words] * batch, n, [freqs] * batch, lanes)
         assert len(back) == batch
-        assert all(np.array_equal(b, stream.symbols) for b in back)
+        assert all(np.array_equal(b, symbols) for b in back)
 
 
 # block sizes: empty, one symbol, one lane, the largest single lane, four
@@ -363,13 +362,8 @@ def test_block_degenerate_is_tiny():
     assert len(blob) < 16
 
 
-def test_symbol_outside_declared_alphabet():
-    with pytest.raises(ValueError):
-        encode_block(np.array([0, 1, 7]), alphabet_size=4)
-
-
-def test_symbol_with_zero_frequency_refused():
-    freqs = np.array([PROB_TOTAL - 1, 0, 1])
-    SymbolStream(np.array([0, 2, 0]), freqs)
-    with pytest.raises(ValueError, match="symbol with zero quantized frequency"):
-        SymbolStream(np.array([0, 1, 2]), freqs)
+def test_symbol_outside_block_format_refused():
+    # a table holds symbols 0 .. MAX_ALPHABET - 1 and nothing else
+    for symbol in (-1, MAX_ALPHABET):
+        with pytest.raises(ValueError):
+            encode_block(np.array([0, 1, symbol]))

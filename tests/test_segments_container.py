@@ -11,8 +11,11 @@ from ultron.errors import ContainerError, CorruptStreamError
 from ultron.mesh import Aabb, Mesh, vertex_normals
 from ultron.pipeline import Segment
 from ultron.codec import (
+    FLAG_NORMALS,
+    FLAG_STORED_NORMALS,
     VERSION,
     QuantizationParams,
+    container_frames,
     decode_container,
     decode_segment,
     encode_container,
@@ -178,6 +181,24 @@ def test_stored_normals_roundtrip(rng):
     assert np.abs(dec.normal_frames - normals).max() <= bound / 2 + 1e-12
 
 
+def test_recomputed_normals_container():
+    # the key carries normals, the segment no normal_frames: the container
+    # flags normals without storing them, and decoding recomputes them
+    base = make_icosphere(2)
+    frames = np.stack([base.vertices * (1.0 + 0.01 * k) for k in range(3)])
+    key = Mesh(vertices=frames[0], triangles=base.triangles,
+               normals=vertex_normals(base))
+    seg = Segment(key=key, frames=frames, frame_ids=(0, 1, 2))
+    (dec,), flags = decode_container(encode_container([seg]))
+    assert flags & FLAG_NORMALS and not flags & FLAG_STORED_NORMALS
+    assert dec.normal_frames is None
+    meshes = list(container_frames([dec], flags))
+    assert len(meshes) == 3
+    for k, mesh in enumerate(meshes):
+        assert np.array_equal(mesh.normals, vertex_normals(dec.frame_mesh(k)))
+        assert dec.frame_mesh(k).normals is None
+
+
 def test_color_fidelity(rng):
     seg = moving_segment(rng, n_frames=3)
     dec, _ = decode_segment(
@@ -303,7 +324,7 @@ def test_color_cost_independent_of_frame_count(rng):
 def test_zero_vertex_segment_refused():
     # a raw-mode segment with no triangles, no vertices and one empty frame
     conn = encode_connectivity(np.zeros((0, 3), dtype=np.int64), "raw")
-    positions = b"".join(encode_block(np.zeros(0, dtype=np.int64), 256)
+    positions = b"".join(encode_block(np.zeros(0, dtype=np.int64))
                          for _ in range(2))
     segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, 1, len(conn))
     data = (struct.pack("<4sHHI", b"ULTR", VERSION, 0, 1) + segment + conn
