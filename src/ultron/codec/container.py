@@ -4,7 +4,9 @@ Header (12 bytes, little-endian): magic "ULTR", version u16, flags u16,
 segment-count u32. Flags: bit 0 has-uv, bit 1 has-normals, bit 2
 has-colors, bit 3 normals-stored-per-frame (otherwise decoders recompute
 normals from geometry when bit 1 is set). Unknown versions and unknown
-flag bits are rejected, as are trailing bytes.
+flag bits are rejected, as are trailing bytes. Each segment after the
+first is coded against the one before it (see segments.py), so segments
+decode in order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .segments import (FLAG_NORMALS, FLAG_STORED_NORMALS, KNOWN_FLAGS,
                        decode_segment, encode_segment, segment_flags)
 
 MAGIC = b"ULTR"
-VERSION = 3
+VERSION = 4
 
 _HEADER = struct.Struct("<4sHHI")
 
@@ -34,7 +36,8 @@ def encode_container(
                 f"segment {i} attributes disagree with container flags"
             )
     parts = [_HEADER.pack(MAGIC, VERSION, flags, len(segments))]
-    parts += [encode_segment(seg, qparams) for seg in segments]
+    parts += [encode_segment(seg, qparams, previous=prev)
+              for prev, seg in zip([None, *segments], segments)]
     return b"".join(parts)
 
 
@@ -54,7 +57,8 @@ def decode_container(data: bytes) -> tuple[list[Segment], int]:
     offset = _HEADER.size
     next_frame_id = 0
     for _ in range(count):
-        seg, offset = decode_segment(data, flags, offset, next_frame_id)
+        seg, offset = decode_segment(data, flags, offset, next_frame_id,
+                                     previous=segments[-1] if segments else None)
         next_frame_id += seg.frame_count
         segments.append(seg)
     if offset != len(data):

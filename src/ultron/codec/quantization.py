@@ -39,7 +39,6 @@ def quantize_array(values, mins, maxs, bits: int) -> np.ndarray:
     vals = np.asarray(values, dtype=np.float64)
     mins = np.asarray(mins, dtype=np.float64)
     extent = np.asarray(maxs, dtype=np.float64) - mins
-    n_steps = (1 << bits) - 1
 
     outside = (vals < mins) | (vals > mins + extent)
     if outside.any():
@@ -48,7 +47,20 @@ def quantize_array(values, mins, maxs, bits: int) -> np.ndarray:
             int(outside.sum()),
         )
         vals = np.clip(vals, mins, mins + extent)
+    return _lattice(vals, mins, extent, bits)
 
+
+def snap_to_lattice(values, mins, maxs, bits: int) -> np.ndarray:
+    """quantize_array for values that may leave the grid by design, such as
+    predictions from another segment's grid: they are clamped silently."""
+    vals = np.asarray(values, dtype=np.float64)
+    mins = np.asarray(mins, dtype=np.float64)
+    extent = np.asarray(maxs, dtype=np.float64) - mins
+    return _lattice(np.clip(vals, mins, mins + extent), mins, extent, bits)
+
+
+def _lattice(vals, mins, extent, bits: int) -> np.ndarray:
+    n_steps = (1 << bits) - 1
     safe_extent = np.where(extent > 0, extent, 1.0)
     t = (vals - mins) / safe_extent
     t = np.where(extent > 0, t, 0.0)

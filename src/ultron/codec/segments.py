@@ -2,21 +2,34 @@
 
 Layout per segment (little-endian):
   header: frame-count u32, vertex-count u32, qp u8, qt u8, qn u8,
-          grid 6 x f32 (min xyz, max xyz), connectivity-mode u8,
-          connectivity-length u64
-  connectivity blob
+          grid 6 x f32 (min xyz, max xyz), prediction u8,
+          connectivity-mode u8 (0 edgebreaker, 1 raw, 2 the previous
+          segment's), connectivity-length u64
+  connectivity blob    (empty in mode 2)
   positions            per frame: u64 length + blob (qp bits)
   [flag has-uv]        one frame: u64 length + blob (qt bits, from the key)
   [flag has-colors]    one frame: u64 length + blob (8 bits, from the key)
   [flag stored-normals] per frame: u64 length + blob (qn bits)
 
 Every attribute is one stream of lattice indices with the same coding:
-frame 0 absolute, each later frame as zigzagged deltas against the frame
-before it. A frame's blob is one entropy block per byte plane (the plane
-count follows from the bit depth). Positions are quantized on a
-per-segment f32 grid covering every frame; UVs on [0, 1], colors on
-[0, 1] and normals on [-1, 1]. One table, _streams, gives each stream's
-frames, bits and lattice range to both the encoder and the decoder.
+frame 0 absolute or against a prediction, each later frame as zigzagged
+deltas against the frame before it. A frame's blob is one entropy block
+per byte plane (the plane count follows from the bit depth). Positions are
+quantized on a per-segment f32 grid covering every frame; UVs on [0, 1],
+colors on [0, 1] and normals on [-1, 1]. One table, _streams, gives each
+stream's frames, bits and lattice range to both the encoder and the
+decoder.
+
+A segment after the first may lean on the one before it, when both keys
+have the same vertex count. Connectivity-mode 2 takes the previous
+segment's decoded triangle array, for a key whose triangle array equals
+the previous key's. Bit i of prediction codes stream i's frame 0 as
+zigzagged residuals against the previous segment's decoded last frame of
+that stream (a from-key stream: its only frame), mapped onto this
+segment's lattice with the pinned rounding and clamped to it. The encoder
+codes both frame-0 alternatives and keeps the smaller (ties: absolute),
+so prediction never grows a stream. Such a segment decodes only after the
+one before it.
 
 The byte planes of every frame and attribute are entropy-coded in one
 batch, so equal-count blocks advance in one lockstep run (see rans.py);
@@ -53,6 +66,7 @@ from .quantization import (
     QuantizationParams,
     dequantize_array,
     quantize_array,
+    snap_to_lattice,
     widen_to_f32,
 )
 from .rans import decode_blocks, encode_blocks
@@ -67,7 +81,10 @@ FLAG_COLORS = 4
 FLAG_STORED_NORMALS = 8
 KNOWN_FLAGS = FLAG_UV | FLAG_NORMALS | FLAG_COLORS | FLAG_STORED_NORMALS
 
-_HEADER = struct.Struct("<IIBBB6fBQ")
+_HEADER = struct.Struct("<IIBBB6fBBQ")
+
+# connectivity-mode value for "the previous segment's triangle array"
+MODE_PREVIOUS = 2
 
 COLOR_BITS = 8
 
@@ -85,33 +102,37 @@ def segment_flags(seg: Segment) -> int:
     return flags
 
 
-def _abs_planes(bits: int) -> int:
-    return (bits + 7) // 8
+def _frame_planes(bits: int, absolute: bool) -> int:
+    """Byte planes of one frame: bits for absolute lattice indices, one
+    more for a zigzag residual, which lies in [-(2**bits - 1), 2**bits - 1]."""
+    return (bits + 7) // 8 if absolute else (bits + 8) // 8
 
 
-def _delta_planes(bits: int) -> int:
-    return (bits + 8) // 8
-
-
-def _stream_planes(q: np.ndarray, bits: int) -> list[list[np.ndarray]]:
+def _stream_planes(q: np.ndarray, bits: int,
+                   prediction: np.ndarray | None = None) -> list[list[np.ndarray]]:
     """The byte planes of an (F, n, w) lattice-index array, one list per
-    frame: frame 0 absolute, frame k > 0 zigzag deltas against frame k - 1."""
+    frame: frame 0 absolute, or zigzag residuals against prediction (n * w
+    lattice indices) when given; frame k > 0 zigzag deltas against frame
+    k - 1."""
     q = np.asarray(q, dtype=np.int64).reshape(len(q), -1)
-    frames = [split_planes(q[0], _abs_planes(bits))]
-    frames += [split_planes(d, _delta_planes(bits))
+    first = q[0] if prediction is None else zigzag(q[0] - prediction)
+    frames = [split_planes(first, _frame_planes(bits, prediction is None))]
+    frames += [split_planes(d, _frame_planes(bits, False))
                for d in zigzag(np.diff(q, axis=0))]
     return frames
 
 
-def _join_stream(planes, frame_count: int, count: int, width: int,
-                 bits: int, what: str) -> np.ndarray:
+def _join_stream(planes, frame_count: int, count: int, width: int, bits: int,
+                 what: str, prediction: np.ndarray | None = None) -> np.ndarray:
     """Inverse of _stream_planes, taking each frame's planes from the
     iterator planes; returns (frame_count, count, width)."""
     vals = np.empty((frame_count, count * width), dtype=np.int64)
     for k in range(frame_count):
-        nplanes = _delta_planes(bits) if k else _abs_planes(bits)
-        frame = join_planes(list(islice(planes, nplanes)))
-        vals[k] = unzigzag(frame) if k else frame
+        absolute = k == 0 and prediction is None
+        frame = join_planes(list(islice(planes, _frame_planes(bits, absolute))))
+        vals[k] = frame if absolute else unzigzag(frame)
+    if prediction is not None:
+        vals[0] += prediction
     np.cumsum(vals, axis=0, out=vals)
     if vals.min() < 0 or vals.max() > (1 << bits) - 1:
         raise CorruptStreamError(f"{what}: quantized value out of range")
@@ -145,7 +166,40 @@ def _streams(flags: int, frame_count: int, qp: int, qt: int, qn: int,
     return streams
 
 
-def _pick_connectivity(key: Mesh) -> tuple[int, bytes]:
+def _last_frame(seg: Segment, s: _Stream) -> np.ndarray:
+    """Stream s's last frame in seg: its only frame for a from-key stream."""
+    if s.from_key:
+        return getattr(seg.key, s.attr)
+    return getattr(seg, s.attr)[-1]
+
+
+def _prediction(last: np.ndarray, s: _Stream) -> np.ndarray:
+    """Frame 0's prediction on stream s's lattice from the previous
+    segment's decoded last frame of that stream. Encoder and decoder both
+    call it on the same decoded values, so both get the same indices."""
+    return snap_to_lattice(last, s.lo, s.hi, s.bits).reshape(-1)
+
+
+def _grid(seg: Segment) -> Aabb:
+    return widen_to_f32(Aabb.of_points(seg.frames.reshape(-1, 3)))
+
+
+def _decoded_lasts(seg: Segment, qparams: QuantizationParams) -> list[np.ndarray]:
+    """What decode_segment gives for the last frame of each of seg's
+    streams, computed from seg itself."""
+    grid = _grid(seg)
+    return [
+        dequantize_array(snap_to_lattice(_last_frame(seg, s), s.lo, s.hi, s.bits),
+                         s.lo, s.hi, s.bits)
+        for s in _streams(segment_flags(seg), seg.frame_count, qparams.qp,
+                          qparams.qt, qparams.qn, (grid.min, grid.max))
+    ]
+
+
+def _pick_connectivity(key: Mesh, previous: Segment | None) -> tuple[int, bytes]:
+    if (previous is not None
+            and np.array_equal(key.triangles, previous.key.triangles)):
+        return MODE_PREVIOUS, b""
     table = build_corner_table(key)
     if isinstance(table, CornerTable):
         try:
@@ -176,11 +230,50 @@ class _Reader:
         return self.take(n, what)
 
 
-def encode_segment(seg: Segment, qparams: QuantizationParams) -> bytes:
-    """Compress one segment into a self-delimiting blob."""
-    all_points = seg.frames.reshape(-1, 3)
-    grid = widen_to_f32(Aabb.of_points(all_points))
-    mode, conn = _pick_connectivity(seg.key)
+def encode_segment(seg: Segment, qparams: QuantizationParams, *,
+                   previous: Segment | None = None) -> bytes:
+    """Compress one segment into a self-delimiting blob.
+
+    previous is the segment coded before seg with the same qparams and
+    attributes; when its key has as many vertices as seg's, seg may take
+    its connectivity and each stream's frame 0 from previous's decoded
+    data, and its blob then decodes only after previous."""
+    grid = _grid(seg)
+    flags = segment_flags(seg)
+    if previous is not None and (previous.key.vertex_count != seg.key.vertex_count
+                                 or segment_flags(previous) != flags):
+        previous = None
+    mode, conn = _pick_connectivity(seg.key, previous)
+    streams = _streams(flags, seg.frame_count, qparams.qp, qparams.qt,
+                       qparams.qn, (grid.min, grid.max))
+    lasts = (_decoded_lasts(previous, qparams) if previous is not None
+             else [None] * len(streams))
+
+    # per stream, the planes of each frame, with frame 0's predicted
+    # alternative second when there is a prediction
+    coded = []
+    for s, last in zip(streams, lasts):
+        values = getattr(seg.key if s.from_key else seg, s.attr)
+        q = quantize_array(values, s.lo, s.hi, s.bits).reshape(s.frames, -1)
+        frames = _stream_planes(q, s.bits)
+        if last is not None:
+            frames.insert(1, _stream_planes(q[:1], s.bits, _prediction(last, s))[0])
+        coded.append(frames)
+
+    # every plane of every frame, alternative and attribute is coded in one
+    # batch; each stream keeps the smaller frame 0 (ties: absolute)
+    blocks = iter(encode_blocks([p for frames in coded for planes in frames
+                                 for p in planes]))
+    prediction = 0
+    body = []
+    for i, (frames, last) in enumerate(zip(coded, lasts)):
+        blobs = [b"".join(islice(blocks, len(planes))) for planes in frames]
+        if last is not None:
+            predicted = blobs.pop(1)
+            if len(predicted) < len(blobs[0]):
+                blobs[0] = predicted
+                prediction |= 1 << i
+        body += [_prefixed(blob) for blob in blobs]
 
     header = _HEADER.pack(
         seg.frame_count,
@@ -190,68 +283,76 @@ def encode_segment(seg: Segment, qparams: QuantizationParams) -> bytes:
         qparams.qn,
         *np.asarray(grid.min, dtype=np.float32),
         *np.asarray(grid.max, dtype=np.float32),
+        prediction,
         mode,
         len(conn),
     )
-    parts = [header, conn]
-
-    frames = []
-    for s in _streams(segment_flags(seg), seg.frame_count, qparams.qp,
-                      qparams.qt, qparams.qn, (grid.min, grid.max)):
-        values = getattr(seg.key if s.from_key else seg, s.attr)
-        q = quantize_array(values, s.lo, s.hi, s.bits)
-        frames += _stream_planes(q.reshape(s.frames, -1), s.bits)
-
-    # every plane of every frame and attribute is coded in one batch
-    blocks = iter(encode_blocks([p for planes in frames for p in planes]))
-    parts += [_prefixed(b"".join(islice(blocks, len(planes))))
-              for planes in frames]
-    return b"".join(parts)
+    return b"".join([header, conn, *body])
 
 
 def decode_segment(
-    data: bytes, flags: int, offset: int = 0, first_frame_id: int = 0
+    data: bytes, flags: int, offset: int = 0, first_frame_id: int = 0, *,
+    previous: Segment | None = None,
 ) -> tuple[Segment, int]:
-    """Decode one segment blob; returns the segment and the end offset."""
+    """Decode one segment blob; returns the segment and the end offset.
+
+    previous is the segment decoded just before it, which a segment that
+    predicts from its predecessor needs."""
     reader = _Reader(data, offset)
     head = reader.take(_HEADER.size, "segment header")
     (frame_count, vertex_count, qp, qt, qn,
-     g0, g1, g2, g3, g4, g5, mode, conn_len) = _HEADER.unpack(head)
+     g0, g1, g2, g3, g4, g5, prediction, mode, conn_len) = _HEADER.unpack(head)
     if frame_count == 0:
         raise ContainerError("segment declares zero frames")
     if vertex_count == 0:
         raise ContainerError("segment declares zero vertices")
     if not (1 <= qp <= 30 and 1 <= qt <= 30 and 1 <= qn <= 30):
         raise ContainerError("quantization bits out of range")
-    if mode not in (MODE_EDGEBREAKER, MODE_RAW):
+    if mode not in (MODE_EDGEBREAKER, MODE_RAW, MODE_PREVIOUS):
         raise ContainerError(f"unknown connectivity mode {mode}")
+    if mode == MODE_PREVIOUS and conn_len:
+        raise ContainerError("connectivity by reference carries a blob")
     gmin = np.array([g0, g1, g2], dtype=np.float64)
     gmax = np.array([g3, g4, g5], dtype=np.float64)
     if np.any(~np.isfinite(gmin)) or np.any(~np.isfinite(gmax)) or np.any(gmin > gmax):
         raise ContainerError("invalid quantization grid")
+    streams = _streams(flags, frame_count, qp, qt, qn, (gmin, gmax))
+    if prediction >> len(streams):
+        raise ContainerError(f"prediction bits {prediction:#04x} name absent streams")
+    if mode == MODE_PREVIOUS or prediction:
+        if previous is None:
+            raise ContainerError("segment predicts from a segment that does not precede it")
+        if previous.key.vertex_count != vertex_count:
+            raise ContainerError(
+                f"predicted segment has {vertex_count} vertices, "
+                f"its predecessor {previous.key.vertex_count}")
+    predicted = [bool(prediction >> i & 1) for i in range(len(streams))]
 
     conn = reader.take(conn_len, "connectivity blob")
-    mode_name = "edgebreaker" if mode == MODE_EDGEBREAKER else "raw"
-    triangles = decode_connectivity(conn, mode_name)
-    if len(triangles) and triangles.max() >= vertex_count:
-        raise CorruptStreamError("triangle index exceeds vertex count")
+    if mode == MODE_PREVIOUS:
+        triangles = previous.key.triangles
+    else:
+        mode_name = "edgebreaker" if mode == MODE_EDGEBREAKER else "raw"
+        triangles = decode_connectivity(conn, mode_name)
+        if len(triangles) and triangles.max() >= vertex_count:
+            raise CorruptStreamError("triangle index exceeds vertex count")
 
-    streams = _streams(flags, frame_count, qp, qt, qn, (gmin, gmax))
     # every block header is checked before any payload is decoded, and
     # every payload is decoded, in one batch, before any value is built
     coded = [
         block
-        for s in streams
+        for s, p in zip(streams, predicted)
         for k in range(s.frames)
         for block in read_planes(reader.take_prefixed(s.what), 0,
                                  vertex_count * s.width,
-                                 _delta_planes(s.bits) if k else _abs_planes(s.bits))
+                                 _frame_planes(s.bits, k == 0 and not p))
     ]
     planes = iter(decode_blocks(coded))
     values = {}
-    for s in streams:
+    for s, p in zip(streams, predicted):
+        pred = _prediction(_last_frame(previous, s), s) if p else None
         v = dequantize_array(
-            _join_stream(planes, s.frames, vertex_count, s.width, s.bits, s.what),
+            _join_stream(planes, s.frames, vertex_count, s.width, s.bits, s.what, pred),
             s.lo, s.hi, s.bits)
         values[s.attr] = v[0] if s.from_key else v
     frames = values["frames"]

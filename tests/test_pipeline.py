@@ -1,11 +1,12 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
 
 import ultron.mesh.closest
 import ultron.pipeline
-from ultron.codec import encode_container
+from ultron.codec import decode_container, encode_container
 from ultron.mesh import Mesh
 from ultron.pipeline import (
     QualityThresholds,
@@ -306,22 +307,49 @@ class TestSegmentInvariants:
 
 
 # SHA-256 of the container and of the stats CSV that the keyframe loop
-# gives two of the CI sequences; a change here changes what `ultron encode`
-# writes for them
+# gives two of the CI sequences, and of the decoded frames, key colors and
+# triangle arrays; a change to the first two changes what `ultron encode`
+# writes for them, a change to the third what `ultron decode` gives back
 PINNED_ENCODES = [
     (SynthConfig(frames=12, motion="bend", amplitude=0.4, resolution=3,
                  remesh_every=5, colors=True, seed=5),
-     "f897e3570a5844c56860ac8e5312a235f330a88b4e0ab46598ad4a37d9500562",
-     "5b340b7043fdd0fc9230308b9833cf97546ed34477de78a848e5c5402eb01b64"),
+     "584c82969863d31d9d846211f548cb5e06473053e40b20bc22437d77602eaf5a",
+     "5b340b7043fdd0fc9230308b9833cf97546ed34477de78a848e5c5402eb01b64",
+     "34c69ea2d68b7b6af08bb3e83496c40a9f6917e2532e52c542836f756143ca9a"),
     (SynthConfig(frames=12, motion="translate", amplitude=0.12, resolution=3,
                  remesh_every=1, colors=True, seed=5),
-     "1eb5fbcc9b7c19a1c831ffd9b0d64b38ec03371334d5e1207c69c457b84d3374",
-     "5ad39259cf3ede7908311443b791fff5677f2f71ae2fcb3e7b3ce888e5dccb6c"),
+     "3f3e460a4b8d24c1eea5ccb6a624d74b21b5f6a57f7d2384cdad6d434da1463a",
+     "5ad39259cf3ede7908311443b791fff5677f2f71ae2fcb3e7b3ce888e5dccb6c",
+     "398208a9c0cdfc573ac0544860dcd2d848c6b889280b21cbd721accafec390f7"),
 ]
 
 
-@pytest.mark.parametrize("cfg,container,csv", PINNED_ENCODES, ids=["bend", "capture"])
-def test_keyframe_loop_bytes_pinned(cfg, container, csv):
+@pytest.mark.parametrize("cfg,container,csv,decoded", PINNED_ENCODES,
+                         ids=["bend", "capture"])
+def test_keyframe_loop_bytes_pinned(cfg, container, csv, decoded):
     segments, stats = run_pipeline(synth_frames(cfg))
     assert hashlib.sha256(encode_container(segments)).hexdigest() == container
     assert hashlib.sha256(stats.to_csv().encode()).hexdigest() == csv
+
+
+@pytest.mark.parametrize("cfg,container,csv,decoded", PINNED_ENCODES,
+                         ids=["bend", "capture"])
+def test_decoded_arrays_pinned(cfg, container, csv, decoded):
+    # these digests predate coding a segment against the one before it:
+    # prediction changes the bytes, never what they decode to
+    segments, _ = run_pipeline(synth_frames(cfg))
+    back, _ = decode_container(encode_container(segments))
+    digest = hashlib.sha256()
+    for seg in back:
+        for arr in (seg.frames, seg.key.colors, seg.key.triangles):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == decoded
+
+
+def test_bend_encode_logs_no_warning(caplog):
+    # predictions from the previous segment's grid leave this segment's
+    # grid by design; they are clamped without a warning
+    with caplog.at_level(logging.WARNING):
+        segments, _ = run_pipeline(synth_frames(PINNED_ENCODES[0][0]))
+        encode_container(segments)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]

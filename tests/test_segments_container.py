@@ -238,7 +238,7 @@ def test_bad_magic_and_version(rng):
     bad_magic = bytes(b"XLTR" + data[4:])
     with pytest.raises(ContainerError, match="magic"):
         decode_container(bad_magic)
-    for version in (1, 2, VERSION + 1):
+    for version in (1, 2, 3, VERSION + 1):
         bad_version = bytes(data[:4] + struct.pack("<H", version) + data[6:])
         with pytest.raises(ContainerError, match="version"):
             decode_container(bad_version)
@@ -286,10 +286,13 @@ def normals_segment(rng, n_frames=3, subdiv=1):
                    normal_frames=normals)
 
 
-@pytest.mark.parametrize("make", [moving_segment, normals_segment],
-                         ids=["colors_uvs", "stored_normals"])
+@pytest.mark.parametrize("make", [
+    lambda rng: [moving_segment(rng, 3)],
+    lambda rng: [normals_segment(rng, 3)],
+    lambda rng: list(predicted_pair(rng)),
+], ids=["colors_uvs", "stored_normals", "predicted_pair"])
 def test_body_fuzz_never_crashes(rng, make):
-    data = encode_container([make(rng, 3)], QuantizationParams())
+    data = encode_container(make(rng), QuantizationParams())
     random.seed(99)
     for _ in range(400):
         corrupted = bytearray(data)
@@ -326,7 +329,7 @@ def test_zero_vertex_segment_refused():
     conn = encode_connectivity(np.zeros((0, 3), dtype=np.int64), "raw")
     positions = b"".join(encode_block(np.zeros(0, dtype=np.int64))
                          for _ in range(2))
-    segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, 1, len(conn))
+    segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, 0, 1, len(conn))
     data = (struct.pack("<4sHHI", b"ULTR", VERSION, 0, 1) + segment + conn
             + struct.pack("<Q", len(positions)) + positions)
     with pytest.raises(ContainerError, match="zero vertices"):
@@ -402,15 +405,16 @@ def raw_torus_segment():
 
 @pytest.mark.parametrize("make,digest", [
     (multi_lane_segment,
-     "0e876f8cfa21940163f6c595de1d8493987c7dd3efc09eeeff382afd712b143a"),
+     "a3938c05d792d9b75d55c1babee292cb276897f429b861cc82b679ce9f01983e"),
     # 642 vertices, 60 frames: about 120 single-lane blocks in one batch
     (lambda: synth_segment(60, 3),
-     "dff7e1ccdd8d9944e7968e3024c47fa0efbdd45521981510e68bc06622e27b6d"),
+     "01a72adb7aa69813f4c7257ef4006b447d7f042f443eac8c472d7e1affd160dd"),
     (raw_torus_segment,
-     "4bdbc48abdd3498f375d4fed7b0cfc6a103a8f1039f259314037f3e400bf1ed2"),
+     "d357227dc66cd550b15fe35a7ab3c3494f983d6aecfe35f520108290087ef825"),
 ], ids=["icosphere5_3_frames", "smooth_60_frames", "raw_torus"])
 def test_container_bytes_pinned(make, digest):
-    # these containers' bytes predate coding a segment's blocks in batches
+    # apart from the version field and the zero prediction byte, these
+    # containers' bytes predate coding a segment's blocks in batches
     data = encode_container([make()], QuantizationParams())
     assert hashlib.sha256(data).hexdigest() == digest
 
@@ -472,3 +476,161 @@ def test_multi_lane_container_roundtrip(monkeypatch):
     (again,), _ = decode_container(data)
     assert np.array_equal(again.frames, back.frames)
     assert np.array_equal(again.normal_frames, back.normal_frames)
+
+
+# offsets of the prediction and connectivity-mode bytes in a segment header
+_PREDICTION_AT = _HEADER.size - 10
+_MODE_AT = _HEADER.size - 9
+
+
+def predicted_pair(rng):
+    """Two segments of one colored sphere moving 0.002 a frame; the second
+    key has the first's triangles, UVs and colors."""
+    whole = moving_segment(rng, n_frames=6)
+    first = Segment(key=whole.key, frames=whole.frames[:3], frame_ids=(0, 1, 2))
+    second = Segment(key=whole.key.with_vertices(whole.frames[3]),
+                     frames=whole.frames[3:], frame_ids=(3, 4, 5))
+    return first, second
+
+
+def _second_segment(data, flags):
+    """Offset of a two-segment container's second segment."""
+    return decode_segment(data, flags, 12)[1]
+
+
+def _patched(data, offset, fmt, value):
+    out = bytearray(data)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+def test_predicted_segment_decodes_to_its_unpredicted_arrays(rng):
+    first, second = predicted_pair(rng)
+    qp = QuantizationParams()
+    data = encode_container([first, second], qp)
+    flags = segment_flags(first)
+    at = _second_segment(data, flags)
+    assert data[at + _MODE_AT] == 2
+    # positions, UVs and colors all chose the prediction
+    assert data[at + _PREDICTION_AT] == 0b111
+    (_, back), _ = decode_container(data)
+    (alone,), _ = decode_container(encode_container([second], qp))
+    for a, b in ((back.frames, alone.frames), (back.key.triangles, alone.key.triangles),
+                 (back.key.colors, alone.key.colors), (back.key.uvs, alone.key.uvs)):
+        assert np.array_equal(a, b)
+    assert len(data) - at < len(encode_segment(second, qp)) // 4
+
+
+def test_each_stream_keeps_the_smaller_frame_0(rng):
+    # fresh random colors predict badly: that stream stays absolute, and
+    # no stream's frame 0 grows
+    first, second = predicted_pair(rng)
+    key = Mesh(vertices=second.key.vertices, triangles=second.key.triangles,
+               uvs=second.key.uvs, colors=rng.random((second.key.vertex_count, 3)))
+    second = Segment(key=key, frames=second.frames, frame_ids=second.frame_ids)
+    qp = QuantizationParams()
+    predicted = encode_segment(second, qp, previous=first)
+    assert predicted[_PREDICTION_AT] == 0b011
+    assert len(predicted) < len(encode_segment(second, qp))
+    (_, back), _ = decode_container(encode_container([first, second], qp))
+    (alone,), _ = decode_container(encode_container([second], qp))
+    assert np.array_equal(back.key.colors, alone.key.colors)
+
+
+def test_no_prediction_across_vertex_counts(rng):
+    first, _ = predicted_pair(rng)
+    other = moving_segment(rng, n_frames=2, subdiv=1)
+    qp = QuantizationParams()
+    assert (encode_segment(other, qp, previous=first)
+            == encode_segment(other, qp))
+
+
+def test_first_segment_cannot_predict(rng):
+    first, second = predicted_pair(rng)
+    data = encode_container([first, second], QuantizationParams())
+    at = _second_segment(data, segment_flags(first))
+    # the predicted segment alone: connectivity-mode 2 and prediction bits
+    alone = data[:8] + struct.pack("<I", 1) + data[at:]
+    with pytest.raises(ContainerError, match="does not precede"):
+        decode_container(alone)
+    # any prediction bit on an otherwise absolute first segment
+    for bit in range(3):
+        flagged = _patched(data, 12 + _PREDICTION_AT, "<B", 1 << bit)
+        with pytest.raises(ContainerError, match="does not precede"):
+            decode_container(flagged)
+    # connectivity-mode 2 on a first segment that carries its own blob
+    with pytest.raises(ContainerError, match="carries a blob"):
+        decode_container(_patched(data, 12 + _MODE_AT, "<B", 2))
+
+
+def test_decode_segment_needs_the_previous_segment(rng):
+    first, second = predicted_pair(rng)
+    data = encode_container([first, second], QuantizationParams())
+    flags = segment_flags(first)
+    at = _second_segment(data, flags)
+    with pytest.raises(ContainerError, match="does not precede"):
+        decode_segment(data, flags, at)
+    previous, _ = decode_segment(data, flags, 12)
+    seg, end = decode_segment(data, flags, at, 3, previous=previous)
+    assert end == len(data) and seg.frame_ids == (3, 4, 5)
+
+
+def test_connectivity_by_reference_carries_no_blob(rng):
+    first, second = predicted_pair(rng)
+    data = encode_container([first, second], QuantizationParams())
+    at = _second_segment(data, segment_flags(first))
+    conn_at = at + _HEADER.size - 8
+    crafted = (_patched(data, conn_at, "<Q", 4)[:at + _HEADER.size]
+               + b"\0" * 4 + data[at + _HEADER.size:])
+    with pytest.raises(ContainerError, match="carries a blob"):
+        decode_container(crafted)
+
+
+def test_predicted_vertex_count_must_match(rng):
+    first, second = predicted_pair(rng)
+    data = encode_container([first, second], QuantizationParams())
+    at = _second_segment(data, segment_flags(first))
+    # a count that would size gigabytes of streams is refused before
+    # anything is allocated from it
+    for count in (first.key.vertex_count - 1, 0xFFFFFFFF):
+        crafted = _patched(data, at + 4, "<I", count)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerError, match="predecessor"):
+                decode_container(crafted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_prediction_bits_beyond_the_streams_refused(rng):
+    first, second = predicted_pair(rng)
+    data = encode_container([first, second], QuantizationParams())
+    at = _second_segment(data, segment_flags(first))
+    for bits in (0b1000, 0b1111, 0xFF):
+        with pytest.raises(ContainerError, match="absent streams"):
+            decode_container(_patched(data, at + _PREDICTION_AT, "<B", bits))
+
+
+def test_predicted_segment_behind_a_corrupted_predecessor(rng):
+    first, second = predicted_pair(rng)
+    data = encode_container([first, second], QuantizationParams())
+    at = _second_segment(data, segment_flags(first))
+    random.seed(7)
+    refused = 0
+    for _ in range(300):
+        corrupted = bytearray(data)
+        corrupted[random.randrange(12, at)] ^= 1 << random.randrange(8)
+        try:
+            decode_container(bytes(corrupted))
+        except ContainerError:
+            refused += 1
+    assert refused > 250
+    # a predecessor that decodes to other lattice values moves its
+    # successor's prediction; out-of-range values are refused
+    previous, _ = decode_segment(data, segment_flags(first), 12)
+    shifted = Segment(key=previous.key.with_vertices(previous.frames[0] + 1.0),
+                      frames=previous.frames + 1.0, frame_ids=previous.frame_ids)
+    with pytest.raises(CorruptStreamError, match="out of range"):
+        decode_segment(data, segment_flags(first), at, previous=shifted)
