@@ -1,9 +1,7 @@
 from .quantization import (
     QuantizationParams,
-    dequantize,
     dequantize_array,
     half_step,
-    quantize,
     quantize_array,
     widen_to_f32,
 )
@@ -32,8 +30,8 @@ from .container import (
 )
 
 __all__ = [
-    "QuantizationParams", "dequantize", "dequantize_array", "half_step",
-    "quantize", "quantize_array", "widen_to_f32",
+    "QuantizationParams", "dequantize_array", "half_step", "quantize_array",
+    "widen_to_f32",
     "build_frequency_table", "decode_block", "encode_block",
     "decode_connectivity", "encode_connectivity", "unzigzag", "zigzag",
     "FLAG_COLORS", "FLAG_NORMALS", "FLAG_STORED_NORMALS", "FLAG_UV",

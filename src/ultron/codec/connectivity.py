@@ -69,9 +69,10 @@ def encode_planes(values: np.ndarray, nplanes: int) -> bytes:
 
 
 def read_planes(data: bytes, offset: int, count: int,
-                nplanes: int) -> list[CodedBlock]:
-    """Parse the blocks encode_planes wrote from offset to the end of data,
-    without decoding them; every plane must hold exactly count symbols."""
+                nplanes: int) -> tuple[list[CodedBlock], int]:
+    """Parse the nplanes blocks encode_planes wrote at offset, without
+    decoding them; every plane must hold exactly count symbols. Returns the
+    blocks and their end offset."""
     if not 1 <= nplanes <= 8:
         raise CorruptStreamError(f"plane count {nplanes} out of range")
     planes = []
@@ -80,15 +81,16 @@ def read_planes(data: bytes, offset: int, count: int,
         if plane.count != count:
             raise CorruptStreamError("plane symbol count mismatch")
         planes.append(plane)
-    if offset != len(data):
-        raise CorruptStreamError("trailing bytes after byte planes")
-    return planes
+    return planes, offset
 
 
 def decode_planes(data: bytes, offset: int, count: int,
                   nplanes: int) -> np.ndarray:
     """Inverse of encode_planes for the blocks from offset to the end of data."""
-    return join_planes(decode_blocks(read_planes(data, offset, count, nplanes)))
+    planes, end = read_planes(data, offset, count, nplanes)
+    if end != len(data):
+        raise CorruptStreamError("trailing bytes after byte planes")
+    return join_planes(decode_blocks(planes))
 
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:

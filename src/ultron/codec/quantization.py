@@ -35,31 +35,26 @@ class QuantizationParams:
 
 
 def quantize_array(values, mins, maxs, bits: int) -> np.ndarray:
-    """Map values in [mins, maxs] (per column) to integer lattice indices."""
+    """Map values in [mins, maxs] (per column) to integer lattice indices;
+    values outside are clamped with a warning."""
     vals = np.asarray(values, dtype=np.float64)
-    mins = np.asarray(mins, dtype=np.float64)
-    extent = np.asarray(maxs, dtype=np.float64) - mins
-
-    outside = (vals < mins) | (vals > mins + extent)
+    outside = (vals < mins) | (vals > maxs)
     if outside.any():
         logger.warning(
             "%d coordinate(s) outside the quantization grid were clamped",
             int(outside.sum()),
         )
-        vals = np.clip(vals, mins, mins + extent)
-    return _lattice(vals, mins, extent, bits)
+    return snap_to_lattice(vals, mins, maxs, bits)
 
 
 def snap_to_lattice(values, mins, maxs, bits: int) -> np.ndarray:
-    """quantize_array for values that may leave the grid by design, such as
-    predictions from another segment's grid: they are clamped silently."""
+    """Map values to lattice indices on [mins, maxs] (per column), clamping
+    values outside silently: for values that may leave the grid by design,
+    such as predictions from another segment's grid."""
     vals = np.asarray(values, dtype=np.float64)
     mins = np.asarray(mins, dtype=np.float64)
     extent = np.asarray(maxs, dtype=np.float64) - mins
-    return _lattice(np.clip(vals, mins, mins + extent), mins, extent, bits)
-
-
-def _lattice(vals, mins, extent, bits: int) -> np.ndarray:
+    vals = np.clip(vals, mins, mins + extent)
     n_steps = (1 << bits) - 1
     safe_extent = np.where(extent > 0, extent, 1.0)
     t = (vals - mins) / safe_extent
@@ -74,15 +69,6 @@ def dequantize_array(indices, mins, maxs, bits: int) -> np.ndarray:
     extent = np.asarray(maxs, dtype=np.float64) - mins
     n_steps = (1 << bits) - 1
     return mins + idx / n_steps * extent
-
-
-def quantize(points, grid: Aabb, bits: int) -> np.ndarray:
-    """Quantize 3D points on an Aabb grid."""
-    return quantize_array(points, grid.min, grid.max, bits)
-
-
-def dequantize(indices, grid: Aabb, bits: int) -> np.ndarray:
-    return dequantize_array(indices, grid.min, grid.max, bits)
 
 
 def half_step(grid: Aabb, bits: int) -> np.ndarray:

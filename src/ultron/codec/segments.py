@@ -2,41 +2,40 @@
 
 Layout per segment (little-endian):
   header: frame-count u32, vertex-count u32, qp u8, qt u8, qn u8,
-          grid 6 x f32 (min xyz, max xyz), prediction u8,
-          connectivity-mode u8 (0 edgebreaker, 1 raw, 2 the previous
-          segment's), connectivity-length u64
+          grid 6 x f32 (min xyz, max xyz), connectivity-mode u8
+          (0 edgebreaker, 1 raw, 2 the previous segment's),
+          connectivity-length u64
   connectivity blob    (empty in mode 2)
-  positions            per frame: u64 length + blob (qp bits)
-  [flag has-uv]        one frame: u64 length + blob (qt bits, from the key)
-  [flag has-colors]    one frame: u64 length + blob (8 bits, from the key)
-  [flag stored-normals] per frame: u64 length + blob (qn bits)
+  positions            per frame: one entropy block per byte plane (qp bits)
+  [flag has-uv]        one frame, from the key (qt bits)
+  [flag has-colors]    one frame, from the key (8 bits)
+  [flag stored-normals] per frame (qn bits)
 
 Every attribute is one stream of lattice indices with the same coding:
 frame 0 absolute or against a prediction, each later frame as zigzagged
-deltas against the frame before it. A frame's blob is one entropy block
-per byte plane (the plane count follows from the bit depth). Positions are
-quantized on a per-segment f32 grid covering every frame; UVs on [0, 1],
-colors on [0, 1] and normals on [-1, 1]. One table, _streams, gives each
-stream's frames, bits and lattice range to both the encoder and the
-decoder.
+deltas against the frame before it. A frame is one entropy block per byte
+plane, written back to back with no length: the plane count follows from
+the bit depth, and each block declares its symbol count, table and payload
+length. Positions are quantized on a per-segment f32 grid covering every
+frame; UVs on [0, 1], colors on [0, 1] and normals on [-1, 1]. One table,
+_streams, gives each stream's frames, bits and lattice range to both the
+encoder and the decoder.
 
-A segment after the first may lean on the one before it, when both keys
-have the same vertex count. Connectivity-mode 2 takes the previous
-segment's decoded triangle array, for a key whose triangle array equals
-the previous key's. Bit i of prediction codes stream i's frame 0 as
-zigzagged residuals against the previous segment's decoded last frame of
-that stream (a from-key stream: its only frame), mapped onto this
-segment's lattice with the pinned rounding and clamped to it. The encoder
-codes both frame-0 alternatives and keeps the smaller (ties: absolute),
-so prediction never grows a stream. Such a segment decodes only after the
-one before it.
+A segment after the first may lean on the one before it. Connectivity-mode
+2 takes the previous segment's decoded triangle array, for a key with the
+previous key's vertex count and triangle array. A mode-2 segment codes
+every stream's frame 0 as zigzagged residuals against the previous
+segment's decoded last frame of that stream (a from-key stream: its only
+frame), mapped onto this segment's lattice with the pinned rounding and
+clamped to it; every other segment codes frame 0 as absolute values. A
+mode-2 segment decodes only after the one before it.
 
 The byte planes of every frame and attribute are entropy-coded in one
 batch, so equal-count blocks advance in one lockstep run (see rans.py);
 the bytes are those of each block coded alone. The decoder checks every
-block header of the segment (count, table, payload length, plane count,
-trailing bytes) before it decodes any payload, and decodes every payload
-before it joins planes and rebuilds frames.
+block header of the segment (count, table, payload length) before it
+decodes any payload, and decodes every payload before it joins planes and
+rebuilds frames.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ FLAG_COLORS = 4
 FLAG_STORED_NORMALS = 8
 KNOWN_FLAGS = FLAG_UV | FLAG_NORMALS | FLAG_COLORS | FLAG_STORED_NORMALS
 
-_HEADER = struct.Struct("<IIBBB6fBBQ")
+_HEADER = struct.Struct("<IIBBB6fBQ")
 
 # connectivity-mode value for "the previous segment's triangle array"
 MODE_PREVIOUS = 2
@@ -109,17 +108,17 @@ def _frame_planes(bits: int, absolute: bool) -> int:
 
 
 def _stream_planes(q: np.ndarray, bits: int,
-                   prediction: np.ndarray | None = None) -> list[list[np.ndarray]]:
-    """The byte planes of an (F, n, w) lattice-index array, one list per
+                   prediction: np.ndarray | None = None) -> list[np.ndarray]:
+    """The byte planes of an (F, n * w) lattice-index array, frame by
     frame: frame 0 absolute, or zigzag residuals against prediction (n * w
     lattice indices) when given; frame k > 0 zigzag deltas against frame
     k - 1."""
-    q = np.asarray(q, dtype=np.int64).reshape(len(q), -1)
+    q = np.asarray(q, dtype=np.int64)
     first = q[0] if prediction is None else zigzag(q[0] - prediction)
-    frames = [split_planes(first, _frame_planes(bits, prediction is None))]
-    frames += [split_planes(d, _frame_planes(bits, False))
-               for d in zigzag(np.diff(q, axis=0))]
-    return frames
+    planes = split_planes(first, _frame_planes(bits, prediction is None))
+    for d in zigzag(np.diff(q, axis=0)):
+        planes += split_planes(d, _frame_planes(bits, False))
+    return planes
 
 
 def _join_stream(planes, frame_count: int, count: int, width: int, bits: int,
@@ -209,25 +208,10 @@ def _pick_connectivity(key: Mesh, previous: Segment | None) -> tuple[int, bytes]
     return MODE_RAW, encode_connectivity(key.triangles, "raw")
 
 
-def _prefixed(blob: bytes) -> bytes:
-    return struct.pack("<Q", len(blob)) + blob
-
-
-class _Reader:
-    def __init__(self, data: bytes, offset: int):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
-            raise ContainerError(f"truncated stream while reading {what}")
-        out = self.data[self.offset:self.offset + n]
-        self.offset += n
-        return out
-
-    def take_prefixed(self, what: str) -> bytes:
-        (n,) = struct.unpack("<Q", self.take(8, what + " length"))
-        return self.take(n, what)
+def _take(data: bytes, offset: int, n: int, what: str) -> tuple[bytes, int]:
+    if offset + n > len(data):
+        raise ContainerError(f"truncated stream while reading {what}")
+    return data[offset:offset + n], offset + n
 
 
 def encode_segment(seg: Segment, qparams: QuantizationParams, *,
@@ -235,9 +219,10 @@ def encode_segment(seg: Segment, qparams: QuantizationParams, *,
     """Compress one segment into a self-delimiting blob.
 
     previous is the segment coded before seg with the same qparams and
-    attributes; when its key has as many vertices as seg's, seg may take
-    its connectivity and each stream's frame 0 from previous's decoded
-    data, and its blob then decodes only after previous."""
+    attributes; when its key has seg's key's vertex count and triangle
+    array, seg takes its connectivity and codes each stream's frame 0
+    against previous's decoded data, and its blob then decodes only after
+    previous."""
     grid = _grid(seg)
     flags = segment_flags(seg)
     if previous is not None and (previous.key.vertex_count != seg.key.vertex_count
@@ -246,34 +231,16 @@ def encode_segment(seg: Segment, qparams: QuantizationParams, *,
     mode, conn = _pick_connectivity(seg.key, previous)
     streams = _streams(flags, seg.frame_count, qparams.qp, qparams.qt,
                        qparams.qn, (grid.min, grid.max))
-    lasts = (_decoded_lasts(previous, qparams) if previous is not None
+    lasts = (_decoded_lasts(previous, qparams) if mode == MODE_PREVIOUS
              else [None] * len(streams))
 
-    # per stream, the planes of each frame, with frame 0's predicted
-    # alternative second when there is a prediction
-    coded = []
+    # every plane of every frame and attribute is coded in one batch
+    planes = []
     for s, last in zip(streams, lasts):
         values = getattr(seg.key if s.from_key else seg, s.attr)
         q = quantize_array(values, s.lo, s.hi, s.bits).reshape(s.frames, -1)
-        frames = _stream_planes(q, s.bits)
-        if last is not None:
-            frames.insert(1, _stream_planes(q[:1], s.bits, _prediction(last, s))[0])
-        coded.append(frames)
-
-    # every plane of every frame, alternative and attribute is coded in one
-    # batch; each stream keeps the smaller frame 0 (ties: absolute)
-    blocks = iter(encode_blocks([p for frames in coded for planes in frames
-                                 for p in planes]))
-    prediction = 0
-    body = []
-    for i, (frames, last) in enumerate(zip(coded, lasts)):
-        blobs = [b"".join(islice(blocks, len(planes))) for planes in frames]
-        if last is not None:
-            predicted = blobs.pop(1)
-            if len(predicted) < len(blobs[0]):
-                blobs[0] = predicted
-                prediction |= 1 << i
-        body += [_prefixed(blob) for blob in blobs]
+        planes += _stream_planes(q, s.bits,
+                                 None if last is None else _prediction(last, s))
 
     header = _HEADER.pack(
         seg.frame_count,
@@ -283,11 +250,10 @@ def encode_segment(seg: Segment, qparams: QuantizationParams, *,
         qparams.qn,
         *np.asarray(grid.min, dtype=np.float32),
         *np.asarray(grid.max, dtype=np.float32),
-        prediction,
         mode,
         len(conn),
     )
-    return b"".join([header, conn, *body])
+    return b"".join([header, conn, *encode_blocks(planes)])
 
 
 def decode_segment(
@@ -296,12 +262,11 @@ def decode_segment(
 ) -> tuple[Segment, int]:
     """Decode one segment blob; returns the segment and the end offset.
 
-    previous is the segment decoded just before it, which a segment that
-    predicts from its predecessor needs."""
-    reader = _Reader(data, offset)
-    head = reader.take(_HEADER.size, "segment header")
+    previous is the segment decoded just before it, which a
+    connectivity-mode 2 segment needs."""
+    head, offset = _take(data, offset, _HEADER.size, "segment header")
     (frame_count, vertex_count, qp, qt, qn,
-     g0, g1, g2, g3, g4, g5, prediction, mode, conn_len) = _HEADER.unpack(head)
+     g0, g1, g2, g3, g4, g5, mode, conn_len) = _HEADER.unpack(head)
     if frame_count == 0:
         raise ContainerError("segment declares zero frames")
     if vertex_count == 0:
@@ -310,26 +275,24 @@ def decode_segment(
         raise ContainerError("quantization bits out of range")
     if mode not in (MODE_EDGEBREAKER, MODE_RAW, MODE_PREVIOUS):
         raise ContainerError(f"unknown connectivity mode {mode}")
-    if mode == MODE_PREVIOUS and conn_len:
-        raise ContainerError("connectivity by reference carries a blob")
-    gmin = np.array([g0, g1, g2], dtype=np.float64)
-    gmax = np.array([g3, g4, g5], dtype=np.float64)
-    if np.any(~np.isfinite(gmin)) or np.any(~np.isfinite(gmax)) or np.any(gmin > gmax):
-        raise ContainerError("invalid quantization grid")
-    streams = _streams(flags, frame_count, qp, qt, qn, (gmin, gmax))
-    if prediction >> len(streams):
-        raise ContainerError(f"prediction bits {prediction:#04x} name absent streams")
-    if mode == MODE_PREVIOUS or prediction:
+    predicted = mode == MODE_PREVIOUS
+    if predicted:
+        if conn_len:
+            raise ContainerError("connectivity by reference carries a blob")
         if previous is None:
             raise ContainerError("segment predicts from a segment that does not precede it")
         if previous.key.vertex_count != vertex_count:
             raise ContainerError(
                 f"predicted segment has {vertex_count} vertices, "
                 f"its predecessor {previous.key.vertex_count}")
-    predicted = [bool(prediction >> i & 1) for i in range(len(streams))]
+    gmin = np.array([g0, g1, g2], dtype=np.float64)
+    gmax = np.array([g3, g4, g5], dtype=np.float64)
+    if np.any(~np.isfinite(gmin)) or np.any(~np.isfinite(gmax)) or np.any(gmin > gmax):
+        raise ContainerError("invalid quantization grid")
+    streams = _streams(flags, frame_count, qp, qt, qn, (gmin, gmax))
 
-    conn = reader.take(conn_len, "connectivity blob")
-    if mode == MODE_PREVIOUS:
+    conn, offset = _take(data, offset, conn_len, "connectivity blob")
+    if predicted:
         triangles = previous.key.triangles
     else:
         mode_name = "edgebreaker" if mode == MODE_EDGEBREAKER else "raw"
@@ -339,18 +302,16 @@ def decode_segment(
 
     # every block header is checked before any payload is decoded, and
     # every payload is decoded, in one batch, before any value is built
-    coded = [
-        block
-        for s, p in zip(streams, predicted)
-        for k in range(s.frames)
-        for block in read_planes(reader.take_prefixed(s.what), 0,
-                                 vertex_count * s.width,
-                                 _frame_planes(s.bits, k == 0 and not p))
-    ]
+    coded = []
+    for s in streams:
+        for k in range(s.frames):
+            nplanes = _frame_planes(s.bits, k == 0 and not predicted)
+            blocks, offset = read_planes(data, offset, vertex_count * s.width, nplanes)
+            coded += blocks
     planes = iter(decode_blocks(coded))
     values = {}
-    for s, p in zip(streams, predicted):
-        pred = _prediction(_last_frame(previous, s), s) if p else None
+    for s in streams:
+        pred = _prediction(_last_frame(previous, s), s) if predicted else None
         v = dequantize_array(
             _join_stream(planes, s.frames, vertex_count, s.width, s.bits, s.what, pred),
             s.lo, s.hi, s.bits)
@@ -375,4 +336,4 @@ def decode_segment(
     except InvalidMeshError as exc:
         # corrupt streams can decode into structurally invalid meshes
         raise CorruptStreamError(f"decoded segment is invalid: {exc}")
-    return seg, reader.offset
+    return seg, offset

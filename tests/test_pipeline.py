@@ -313,12 +313,12 @@ class TestSegmentInvariants:
 PINNED_ENCODES = [
     (SynthConfig(frames=12, motion="bend", amplitude=0.4, resolution=3,
                  remesh_every=5, colors=True, seed=5),
-     "584c82969863d31d9d846211f548cb5e06473053e40b20bc22437d77602eaf5a",
+     "115985bdf228de544eb66c70e2e15f090d21ff2161c12212e3131bc2f6ee0735",
      "5b340b7043fdd0fc9230308b9833cf97546ed34477de78a848e5c5402eb01b64",
      "34c69ea2d68b7b6af08bb3e83496c40a9f6917e2532e52c542836f756143ca9a"),
     (SynthConfig(frames=12, motion="translate", amplitude=0.12, resolution=3,
                  remesh_every=1, colors=True, seed=5),
-     "3f3e460a4b8d24c1eea5ccb6a624d74b21b5f6a57f7d2384cdad6d434da1463a",
+     "4974fc4371d15490fda420b1fa82ef7b7843397690a583c1466e528e7fd0c3cd",
      "5ad39259cf3ede7908311443b791fff5677f2f71ae2fcb3e7b3ce888e5dccb6c",
      "398208a9c0cdfc573ac0544860dcd2d848c6b889280b21cbd721accafec390f7"),
 ]

@@ -27,7 +27,7 @@ from ultron.codec import (
 )
 from ultron.codec import rans
 from ultron.codec.connectivity import encode_connectivity
-from ultron.codec.rans import PROB_TOTAL, encode_block, write_uvarint
+from ultron.codec.rans import PROB_TOTAL, encode_block, read_block, write_uvarint
 from ultron.codec.segments import _HEADER
 from ultron.synth import SynthConfig, make_icosphere, synth_frames
 
@@ -73,20 +73,23 @@ def test_quantized_positions_bit_exact(rng):
         assert np.array_equal(q_orig, q_back)
 
 
-def _position_payload(blob, frame_count):
-    import struct
-    from ultron.codec.segments import _HEADER
+def _blocks(blob):
+    """(start, end) of each entropy block after a segment's connectivity."""
+    offset = _HEADER.size + _HEADER.unpack_from(blob)[-1]
+    spans = []
+    while offset < len(blob):
+        start = offset
+        _, offset = read_block(blob, offset)
+        spans.append((start, offset))
+    return spans
 
-    (conn_len,) = struct.unpack_from("<Q", blob, _HEADER.size - 8)
-    off = _HEADER.size + conn_len
-    total = 0
-    sizes = []
-    for _ in range(frame_count):
-        (length,) = struct.unpack_from("<Q", blob, off)
-        off += 8 + length
-        total += 8 + length
-        sizes.append(length)
-    return total, sizes
+
+def _position_payload(blob, frame_count):
+    """Total and per-frame sizes of the position frames of a 10-bit segment
+    without prediction: two byte planes per frame."""
+    spans = _blocks(blob)
+    sizes = [spans[2 * k + 1][1] - spans[2 * k][0] for k in range(frame_count)]
+    return sum(sizes), sizes
 
 
 def test_static_segment_position_payload_near_one_frame(rng):
@@ -107,19 +110,10 @@ def test_static_segment_position_payload_near_one_frame(rng):
 
 
 def test_smooth_motion_deltas_are_cheap(rng):
-    import struct
-    from ultron.codec.segments import _HEADER
-
     # motion below one lattice step per frame
     seg = moving_segment(rng, n_frames=20, step=0.0015, with_attrs=False)
     blob = encode_segment(seg, QuantizationParams())
-    (conn_len,) = struct.unpack_from("<Q", blob, _HEADER.size - 8)
-    off = _HEADER.size + conn_len
-    sizes = []
-    for _ in range(20):
-        (length,) = struct.unpack_from("<Q", blob, off)
-        off += 8 + length
-        sizes.append(length)
+    _, sizes = _position_payload(blob, 20)
     assert np.mean(sizes[1:]) < 0.15 * sizes[0]
 
 
@@ -238,7 +232,7 @@ def test_bad_magic_and_version(rng):
     bad_magic = bytes(b"XLTR" + data[4:])
     with pytest.raises(ContainerError, match="magic"):
         decode_container(bad_magic)
-    for version in (1, 2, 3, VERSION + 1):
+    for version in (1, 2, 3, 4, VERSION + 1):
         bad_version = bytes(data[:4] + struct.pack("<H", version) + data[6:])
         with pytest.raises(ContainerError, match="version"):
             decode_container(bad_version)
@@ -329,9 +323,9 @@ def test_zero_vertex_segment_refused():
     conn = encode_connectivity(np.zeros((0, 3), dtype=np.int64), "raw")
     positions = b"".join(encode_block(np.zeros(0, dtype=np.int64))
                          for _ in range(2))
-    segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, 0, 1, len(conn))
+    segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, 1, len(conn))
     data = (struct.pack("<4sHHI", b"ULTR", VERSION, 0, 1) + segment + conn
-            + struct.pack("<Q", len(positions)) + positions)
+            + positions)
     with pytest.raises(ContainerError, match="zero vertices"):
         decode_container(data)
 
@@ -354,7 +348,7 @@ def test_huge_plane_count_refused(rng):
         write_uvarint(1 << 40) + write_uvarint(1)
         + write_uvarint(PROB_TOTAL) + write_uvarint(0)
     )
-    crafted = blob[:positions] + struct.pack("<Q", len(block)) + block
+    crafted = blob[:positions] + block
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError):
@@ -405,16 +399,16 @@ def raw_torus_segment():
 
 @pytest.mark.parametrize("make,digest", [
     (multi_lane_segment,
-     "a3938c05d792d9b75d55c1babee292cb276897f429b861cc82b679ce9f01983e"),
+     "17355fc38ae566deb037703ed3ffc5cea89718cb222a25d06e862507ca85ede6"),
     # 642 vertices, 60 frames: about 120 single-lane blocks in one batch
     (lambda: synth_segment(60, 3),
-     "01a72adb7aa69813f4c7257ef4006b447d7f042f443eac8c472d7e1affd160dd"),
+     "a2af82ef4d573de77f53bea6dabd25b8c6e0c8a3e8a9dcaf3e08b2576b8ceb7f"),
     (raw_torus_segment,
-     "d357227dc66cd550b15fe35a7ab3c3494f983d6aecfe35f520108290087ef825"),
+     "2e8cbb3104629a2d8c61719960b3e42cee1bf8f422a20bfd2e21daa92944e6c2"),
 ], ids=["icosphere5_3_frames", "smooth_60_frames", "raw_torus"])
 def test_container_bytes_pinned(make, digest):
-    # apart from the version field and the zero prediction byte, these
-    # containers' bytes predate coding a segment's blocks in batches
+    # these containers' entropy blocks predate coding a segment's blocks in
+    # batches
     data = encode_container([make()], QuantizationParams())
     assert hashlib.sha256(data).hexdigest() == digest
 
@@ -425,15 +419,12 @@ def test_late_huge_plane_refused_before_decoding():
     # decoding the 150 position frames in front of it (2.3 MB as int64)
     seg = synth_segment(150, 3)
     blob = encode_segment(seg, QuantizationParams())
-    offset = _HEADER.size + _HEADER.unpack_from(blob)[-1]
-    while offset < len(blob):
-        last = offset
-        offset += 8 + struct.unpack_from("<Q", blob, offset)[0]
+    last, _ = _blocks(blob)[-1]
     block = (
         write_uvarint(1 << 40) + write_uvarint(1)
         + write_uvarint(PROB_TOTAL) + write_uvarint(0)
     )
-    crafted = blob[:last] + struct.pack("<Q", len(block)) + block
+    crafted = blob[:last] + block
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError, match="at most"):
@@ -478,8 +469,7 @@ def test_multi_lane_container_roundtrip(monkeypatch):
     assert np.array_equal(again.normal_frames, back.normal_frames)
 
 
-# offsets of the prediction and connectivity-mode bytes in a segment header
-_PREDICTION_AT = _HEADER.size - 10
+# offset of the connectivity-mode byte in a segment header
 _MODE_AT = _HEADER.size - 9
 
 
@@ -511,8 +501,6 @@ def test_predicted_segment_decodes_to_its_unpredicted_arrays(rng):
     flags = segment_flags(first)
     at = _second_segment(data, flags)
     assert data[at + _MODE_AT] == 2
-    # positions, UVs and colors all chose the prediction
-    assert data[at + _PREDICTION_AT] == 0b111
     (_, back), _ = decode_container(data)
     (alone,), _ = decode_container(encode_container([second], qp))
     for a, b in ((back.frames, alone.frames), (back.key.triangles, alone.key.triangles),
@@ -521,20 +509,34 @@ def test_predicted_segment_decodes_to_its_unpredicted_arrays(rng):
     assert len(data) - at < len(encode_segment(second, qp)) // 4
 
 
-def test_each_stream_keeps_the_smaller_frame_0(rng):
-    # fresh random colors predict badly: that stream stays absolute, and
-    # no stream's frame 0 grows
+def test_mode_2_predicts_badly_predicted_colors(rng):
+    # fresh random colors predict badly; the segment still takes the
+    # previous triangles, predicts every stream and decodes to the arrays
+    # it decodes to alone
     first, second = predicted_pair(rng)
     key = Mesh(vertices=second.key.vertices, triangles=second.key.triangles,
                uvs=second.key.uvs, colors=rng.random((second.key.vertex_count, 3)))
     second = Segment(key=key, frames=second.frames, frame_ids=second.frame_ids)
     qp = QuantizationParams()
-    predicted = encode_segment(second, qp, previous=first)
-    assert predicted[_PREDICTION_AT] == 0b011
-    assert len(predicted) < len(encode_segment(second, qp))
-    (_, back), _ = decode_container(encode_container([first, second], qp))
+    data = encode_container([first, second], qp)
+    assert data[_second_segment(data, segment_flags(first)) + _MODE_AT] == 2
+    (_, back), _ = decode_container(data)
     (alone,), _ = decode_container(encode_container([second], qp))
-    assert np.array_equal(back.key.colors, alone.key.colors)
+    for a, b in ((back.frames, alone.frames), (back.key.triangles, alone.key.triangles),
+                 (back.key.colors, alone.key.colors), (back.key.uvs, alone.key.uvs)):
+        assert np.array_equal(a, b)
+
+
+def test_no_prediction_across_triangle_arrays(rng):
+    # the same vertex count and mesh, but the triangles in another order:
+    # not connectivity-mode 2, so frame 0 is coded absolutely
+    first, second = predicted_pair(rng)
+    key = Mesh(vertices=second.key.vertices, triangles=second.key.triangles[::-1],
+               uvs=second.key.uvs, colors=second.key.colors)
+    second = Segment(key=key, frames=second.frames, frame_ids=second.frame_ids)
+    qp = QuantizationParams()
+    assert (encode_segment(second, qp, previous=first)
+            == encode_segment(second, qp))
 
 
 def test_no_prediction_across_vertex_counts(rng):
@@ -549,15 +551,10 @@ def test_first_segment_cannot_predict(rng):
     first, second = predicted_pair(rng)
     data = encode_container([first, second], QuantizationParams())
     at = _second_segment(data, segment_flags(first))
-    # the predicted segment alone: connectivity-mode 2 and prediction bits
+    # the predicted segment alone: connectivity-mode 2 with no predecessor
     alone = data[:8] + struct.pack("<I", 1) + data[at:]
     with pytest.raises(ContainerError, match="does not precede"):
         decode_container(alone)
-    # any prediction bit on an otherwise absolute first segment
-    for bit in range(3):
-        flagged = _patched(data, 12 + _PREDICTION_AT, "<B", 1 << bit)
-        with pytest.raises(ContainerError, match="does not precede"):
-            decode_container(flagged)
     # connectivity-mode 2 on a first segment that carries its own blob
     with pytest.raises(ContainerError, match="carries a blob"):
         decode_container(_patched(data, 12 + _MODE_AT, "<B", 2))
@@ -602,15 +599,6 @@ def test_predicted_vertex_count_must_match(rng):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-
-def test_prediction_bits_beyond_the_streams_refused(rng):
-    first, second = predicted_pair(rng)
-    data = encode_container([first, second], QuantizationParams())
-    at = _second_segment(data, segment_flags(first))
-    for bits in (0b1000, 0b1111, 0xFF):
-        with pytest.raises(ContainerError, match="absent streams"):
-            decode_container(_patched(data, at + _PREDICTION_AT, "<B", bits))
 
 
 def test_predicted_segment_behind_a_corrupted_predecessor(rng):
