@@ -150,10 +150,13 @@ def _output_path(pattern: str, index: int, fmt: str) -> Path:
 
 
 def cmd_decode(args) -> int:
+    out_pattern = args.output
+    is_pattern = _is_output_pattern(out_pattern)
+    if is_pattern:
+        _check_output_file(Path(_fill(out_pattern, 0)))
     data = Path(args.input).read_bytes()
     segments, flags = decode_container(data)
-    out_pattern = args.output
-    if not _is_output_pattern(out_pattern):
+    if not is_pattern:
         Path(out_pattern).mkdir(parents=True, exist_ok=True)
     written = []
     try:

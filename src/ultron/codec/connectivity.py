@@ -17,6 +17,13 @@ rotated corners, i.e. the same mesh, not the same array.
 
 Raw mode delta-codes the flattened index list (zigzag, byte planes) and is
 bit-exact; it is the fallback for anything Edgebreaker cannot represent.
+
+A blob of either mode frames itself: it ends where its own counts say, so
+it is decoded in place at an offset and returns its end. An Edgebreaker
+blob does not store the real vertex count; the decoder takes it from the
+segment header. Modes are the segment header's integers: MODE_EDGEBREAKER,
+MODE_RAW and MODE_PREVIOUS, the previous segment's triangle array, which
+the segment layer resolves without a blob.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ C, L, E, R, S = range(5)
 
 MODE_EDGEBREAKER = 0
 MODE_RAW = 1
+MODE_PREVIOUS = 2
 
 
 # --- helpers ----------------------------------------------------------------
@@ -63,16 +71,11 @@ def join_planes(planes: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def encode_planes(values: np.ndarray, nplanes: int) -> bytes:
-    """One 256-symbol entropy block per byte plane, low plane first."""
-    return b"".join(encode_blocks(split_planes(values, nplanes)))
-
-
 def read_planes(data: bytes, offset: int, count: int,
                 nplanes: int) -> tuple[list[CodedBlock], int]:
-    """Parse the nplanes blocks encode_planes wrote at offset, without
-    decoding them; every plane must hold exactly count symbols. Returns the
-    blocks and their end offset."""
+    """Parse the nplanes byte-plane blocks at offset, low plane first,
+    without decoding them; every plane must hold exactly count symbols.
+    Returns the blocks and their end offset."""
     if not 1 <= nplanes <= 8:
         raise CorruptStreamError(f"plane count {nplanes} out of range")
     planes = []
@@ -82,15 +85,6 @@ def read_planes(data: bytes, offset: int, count: int,
             raise CorruptStreamError("plane symbol count mismatch")
         planes.append(plane)
     return planes, offset
-
-
-def decode_planes(data: bytes, offset: int, count: int,
-                  nplanes: int) -> np.ndarray:
-    """Inverse of encode_planes for the blocks from offset to the end of data."""
-    planes, end = read_planes(data, offset, count, nplanes)
-    if end != len(data):
-        raise CorruptStreamError("trailing bytes after byte planes")
-    return join_planes(decode_blocks(planes))
 
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:
@@ -294,8 +288,6 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
         table = corner_table_from_triangles(tris_closed, n_closed)
         if isinstance(table, NonManifoldReport):
             raise EdgebreakerUnsupported(f"closed mesh: {table}")
-    if table.boundary_corner_count():
-        raise EdgebreakerUnsupported("open edge inside closed conquest")
     # the conquest reads V and O at scattered corners: a memoryview reads
     # the compact int32 arrays, a list would chase one pointer per entry
     V = memoryview(table.V)
@@ -366,7 +358,7 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
                 offsets.append(steps)
                 loops.S(s, cn, cp)
 
-    head = struct.pack("<III", m, n_real, n_closed)
+    head = struct.pack("<II", m, n_closed)
     clers_blob = encode_block(np.asarray(clers, dtype=np.int64))
     off_blob = b"".join(
         [write_uvarint(len(offsets))] + [write_uvarint(o) for o in offsets]
@@ -383,19 +375,20 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
 
 # --- edgebreaker decode -----------------------------------------------------
 
-def _decode_edgebreaker(data: bytes) -> np.ndarray:
+def _decode_edgebreaker(data: bytes, offset: int,
+                        n_real: int) -> tuple[np.ndarray, int]:
     # every count is checked before anything is sized from it
-    if len(data) < 12:
+    if len(data) - offset < 8:
         raise CorruptStreamError("connectivity blob too short")
-    m, n_real, n_closed = struct.unpack_from("<III", data, 0)
+    m, n_closed = struct.unpack_from("<II", data, offset)
     if n_closed < n_real:
         raise CorruptStreamError("virtual vertex count below real count")
     # Each vertex costs at least one permutation bit and a closed genus-0
-    # component has F = 2V - 4 triangles, so m < 2 * 8 * len(data).
-    if m >= 16 * len(data):
+    # component has F = 2V - 4 triangles, so m < 2 * 8 * (bytes left).
+    if m >= 16 * (len(data) - offset):
         raise CorruptStreamError("triangle count exceeds what the blob can hold")
     # one symbol per triangle except the seed triangle of each component
-    clers, offset = decode_block(data, 12, max_count=max(m - 1, 0))
+    clers, offset = decode_block(data, offset + 8, max_count=max(m - 1, 0))
     n_off, offset = read_uvarint(data, offset)
     if n_off != np.count_nonzero(clers == S):
         raise CorruptStreamError("split offset count differs from S symbols")
@@ -411,10 +404,9 @@ def _decode_edgebreaker(data: bytes) -> np.ndarray:
     seeds, rest = divmod(n_perm - int(np.count_nonzero(clers == C)), 3)
     if rest or seeds < min(m, 1) or m != len(clers) + seeds:
         raise CorruptStreamError("triangle count disagrees with CLERS stream")
-    perm = unpack_bits(data[offset:], n_perm, width)
-    offset += (n_perm * width + 7) // 8
-    if offset != len(data):
-        raise CorruptStreamError("trailing bytes in connectivity blob")
+    need = (n_perm * width + 7) // 8
+    perm = unpack_bits(data[offset:offset + need], n_perm, width)
+    offset += need
     if np.any(perm >= n_closed):
         raise CorruptStreamError("permutation entry out of range")
 
@@ -485,7 +477,7 @@ def _decode_edgebreaker(data: bytes) -> np.ndarray:
         raise CorruptStreamError("unused symbols in connectivity blob")
     mapped = perm[np.asarray(triangles, dtype=np.int64).reshape(-1, 3)]
     real = ~np.any(mapped >= n_real, axis=1)
-    return mapped[real].astype(np.int32)
+    return mapped[real].astype(np.int32), offset
 
 
 # --- raw mode ---------------------------------------------------------------
@@ -497,42 +489,38 @@ def _encode_raw(triangles: np.ndarray) -> bytes:
     zz = zigzag(deltas)
     top = int(zz.max()) if len(zz) else 0
     nplanes = max((top.bit_length() + 7) // 8, 1)
-    return struct.pack("<IB", len(tris), nplanes) + encode_planes(zz, nplanes)
+    return b"".join([struct.pack("<IB", len(tris), nplanes),
+                     *encode_blocks(split_planes(zz, nplanes))])
 
 
-def _decode_raw(data: bytes) -> np.ndarray:
-    if len(data) < 5:
+def _decode_raw(data: bytes, offset: int) -> tuple[np.ndarray, int]:
+    if len(data) - offset < 5:
         raise CorruptStreamError("raw connectivity blob too short")
-    count, nplanes = struct.unpack_from("<IB", data, 0)
-    flat = np.cumsum(unzigzag(decode_planes(data, 5, 3 * count, nplanes)))
+    count, nplanes = struct.unpack_from("<IB", data, offset)
+    planes, offset = read_planes(data, offset + 5, 3 * count, nplanes)
+    flat = np.cumsum(unzigzag(join_planes(decode_blocks(planes))))
     tris = flat.reshape(-1, 3)
     if len(tris) and tris.min() < 0:
         raise CorruptStreamError("negative vertex index after delta decode")
-    return tris.astype(np.int32)
+    return tris.astype(np.int32), offset
 
 
 # --- public surface ---------------------------------------------------------
 
-def encode_connectivity(source, mode: str) -> bytes:
-    """Encode triangle connectivity.
-
-    mode 'edgebreaker' takes a CornerTable (manifold input); mode 'raw'
-    takes a triangle index array. Raises EdgebreakerUnsupported when the
-    traversal coder cannot represent the input.
-    """
-    if mode == "edgebreaker":
-        if not isinstance(source, CornerTable):
-            raise TypeError("edgebreaker mode needs a CornerTable")
+def encode_connectivity(source, mode: int) -> bytes:
+    """Encode triangle connectivity: MODE_EDGEBREAKER takes a CornerTable
+    (manifold input), MODE_RAW a triangle index array. Raises
+    EdgebreakerUnsupported when the traversal coder cannot represent the
+    input."""
+    if mode == MODE_EDGEBREAKER:
         return _encode_edgebreaker(source)
-    if mode == "raw":
-        return _encode_raw(source)
-    raise ValueError(f"unknown connectivity mode {mode!r}")
+    return _encode_raw(source)
 
 
-def decode_connectivity(data: bytes, mode: str) -> np.ndarray:
-    if mode == "edgebreaker":
-        return _decode_edgebreaker(data)
-    if mode == "raw":
-        return _decode_raw(data)
-    raise ValueError(f"unknown connectivity mode {mode!r}")
-
+def decode_connectivity(data: bytes, offset: int, mode: int,
+                        vertex_count: int) -> tuple[np.ndarray, int]:
+    """Decode the MODE_EDGEBREAKER or MODE_RAW blob at offset of a segment
+    with vertex_count vertices; returns the triangles and the blob's end."""
+    if mode == MODE_EDGEBREAKER:
+        return _decode_edgebreaker(data, offset, vertex_count)
+    return _decode_raw(data, offset)

@@ -3,9 +3,8 @@
 Layout per segment (little-endian):
   header: frame-count u32, vertex-count u32, qp u8, qt u8, qn u8,
           grid 6 x f32 (min xyz, max xyz), connectivity-mode u8
-          (0 edgebreaker, 1 raw, 2 the previous segment's),
-          connectivity-length u64
-  connectivity blob    (empty in mode 2)
+          (0 edgebreaker, 1 raw, 2 the previous segment's)
+  connectivity blob    (modes 0 and 1; it ends where its counts say)
   positions            per frame: one entropy block per byte plane (qp bits)
   [flag has-uv]        one frame, from the key (qt bits)
   [flag has-colors]    one frame, from the key (8 bits)
@@ -21,14 +20,18 @@ frame; UVs on [0, 1], colors on [0, 1] and normals on [-1, 1]. One table,
 _streams, gives each stream's frames, bits and lattice range to both the
 encoder and the decoder.
 
+No length precedes the connectivity blob: both of its coders write blobs
+that end where their own counts say (see connectivity.py), and an
+Edgebreaker blob takes its real vertex count from this header.
+
 A segment after the first may lean on the one before it. Connectivity-mode
-2 takes the previous segment's decoded triangle array, for a key with the
-previous key's vertex count and triangle array. A mode-2 segment codes
-every stream's frame 0 as zigzagged residuals against the previous
-segment's decoded last frame of that stream (a from-key stream: its only
-frame), mapped onto this segment's lattice with the pinned rounding and
-clamped to it; every other segment codes frame 0 as absolute values. A
-mode-2 segment decodes only after the one before it.
+2 takes the previous segment's decoded triangle array, with no blob, for a
+key with the previous key's vertex count and triangle array. A mode-2
+segment codes every stream's frame 0 as zigzagged residuals against the
+previous segment's decoded last frame of that stream (a from-key stream:
+its only frame), mapped onto this segment's lattice with the pinned
+rounding and clamped to it; every other segment codes frame 0 as absolute
+values. A mode-2 segment decodes only after the one before it.
 
 The byte planes of every frame and attribute are entropy-coded in one
 batch, so equal-count blocks advance in one lockstep run (see rans.py);
@@ -52,6 +55,7 @@ from ..mesh import Aabb, CornerTable, Mesh, build_corner_table
 from ..pipeline import Segment
 from .connectivity import (
     MODE_EDGEBREAKER,
+    MODE_PREVIOUS,
     MODE_RAW,
     decode_connectivity,
     encode_connectivity,
@@ -80,10 +84,7 @@ FLAG_COLORS = 4
 FLAG_STORED_NORMALS = 8
 KNOWN_FLAGS = FLAG_UV | FLAG_NORMALS | FLAG_COLORS | FLAG_STORED_NORMALS
 
-_HEADER = struct.Struct("<IIBBB6fBQ")
-
-# connectivity-mode value for "the previous segment's triangle array"
-MODE_PREVIOUS = 2
+_HEADER = struct.Struct("<IIBBB6fB")
 
 COLOR_BITS = 8
 
@@ -202,16 +203,10 @@ def _pick_connectivity(key: Mesh, previous: Segment | None) -> tuple[int, bytes]
     table = build_corner_table(key)
     if isinstance(table, CornerTable):
         try:
-            return MODE_EDGEBREAKER, encode_connectivity(table, "edgebreaker")
+            return MODE_EDGEBREAKER, encode_connectivity(table, MODE_EDGEBREAKER)
         except EdgebreakerUnsupported:
             pass
-    return MODE_RAW, encode_connectivity(key.triangles, "raw")
-
-
-def _take(data: bytes, offset: int, n: int, what: str) -> tuple[bytes, int]:
-    if offset + n > len(data):
-        raise ContainerError(f"truncated stream while reading {what}")
-    return data[offset:offset + n], offset + n
+    return MODE_RAW, encode_connectivity(key.triangles, MODE_RAW)
 
 
 def encode_segment(seg: Segment, qparams: QuantizationParams, *,
@@ -251,7 +246,6 @@ def encode_segment(seg: Segment, qparams: QuantizationParams, *,
         *np.asarray(grid.min, dtype=np.float32),
         *np.asarray(grid.max, dtype=np.float32),
         mode,
-        len(conn),
     )
     return b"".join([header, conn, *encode_blocks(planes)])
 
@@ -264,9 +258,11 @@ def decode_segment(
 
     previous is the segment decoded just before it, which a
     connectivity-mode 2 segment needs."""
-    head, offset = _take(data, offset, _HEADER.size, "segment header")
+    if len(data) - offset < _HEADER.size:
+        raise ContainerError("truncated stream while reading segment header")
     (frame_count, vertex_count, qp, qt, qn,
-     g0, g1, g2, g3, g4, g5, mode, conn_len) = _HEADER.unpack(head)
+     g0, g1, g2, g3, g4, g5, mode) = _HEADER.unpack_from(data, offset)
+    offset += _HEADER.size
     if frame_count == 0:
         raise ContainerError("segment declares zero frames")
     if vertex_count == 0:
@@ -277,8 +273,6 @@ def decode_segment(
         raise ContainerError(f"unknown connectivity mode {mode}")
     predicted = mode == MODE_PREVIOUS
     if predicted:
-        if conn_len:
-            raise ContainerError("connectivity by reference carries a blob")
         if previous is None:
             raise ContainerError("segment predicts from a segment that does not precede it")
         if previous.key.vertex_count != vertex_count:
@@ -291,12 +285,10 @@ def decode_segment(
         raise ContainerError("invalid quantization grid")
     streams = _streams(flags, frame_count, qp, qt, qn, (gmin, gmax))
 
-    conn, offset = _take(data, offset, conn_len, "connectivity blob")
     if predicted:
         triangles = previous.key.triangles
     else:
-        mode_name = "edgebreaker" if mode == MODE_EDGEBREAKER else "raw"
-        triangles = decode_connectivity(conn, mode_name)
+        triangles, offset = decode_connectivity(data, offset, mode, vertex_count)
         if len(triangles) and triangles.max() >= vertex_count:
             raise CorruptStreamError("triangle index exceeds vertex count")
 

@@ -101,10 +101,9 @@ def closest_point_on_triangles(p, a, b, c):
     out = np.where(cond_b[:, None], b, out)
     out = np.where(cond_a[:, None], a, out)
 
-    # geometrically degenerate (collinear) triangles: best of the three edges
-    degenerate = ~(cond_a | cond_b | cond_ab | cond_c | cond_ac | cond_bc) & (
-        denom <= 0
-    )
+    # zero-area triangles (coincident corners or collinear): the region
+    # tests above can pick a wrong corner, so take the best of the three edges
+    degenerate = denom <= 0
     if degenerate.any():
         idx = np.flatnonzero(degenerate)
         best = None

@@ -103,7 +103,8 @@ def test_criterion_1_lossless_plumbing(random_segment_suite):
             q_orig = quantize_array(seg.frames[k], grid.min, grid.max, qp.qp)
             q_back = quantize_array(dec.frames[k], grid.min, grid.max, qp.qp)
             assert np.array_equal(q_orig, q_back), "quantized indices differ"
-        (mode,) = struct.unpack_from("<B", blob, 12 + _SEG_HEADER.size - 9)
+        # connectivity-mode is the segment header's last byte
+        (mode,) = struct.unpack_from("<B", blob, 12 + _SEG_HEADER.size - 1)
         if mode == MODE_EDGEBREAKER:
             assert np.array_equal(
                 canonical_triangles(dec.key.triangles),

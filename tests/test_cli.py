@@ -278,6 +278,42 @@ def test_unfillable_output_pattern_is_refused_before_decoding(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ultn"]
 
 
+def test_decode_ply_to_an_output_pattern(static_sequence, tmp_path):
+    seq_dir, _ = static_sequence
+    ultn = tmp_path / "seq.ultn"
+    assert run_cli("encode", seq_dir / "frame_%04d.obj", "--output", ultn) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("decode", ultn, "--format", "ply", "--output", out / "f%02d.ply") == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == [f"f{i:02d}.ply" for i in range(5)]
+    segments, flags = decode_container(ultn.read_bytes())
+    for name, mesh in zip(names, container_frames(segments, flags)):
+        data = (out / name).read_bytes()
+        assert data.startswith(b"ply\nformat ascii 1.0\n")
+        back = load_mesh(out / name)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.triangles, mesh.triangles)
+
+
+def test_output_pattern_in_a_missing_directory_is_refused_before_decoding(
+        static_sequence, tmp_path, capsys, monkeypatch):
+    seq_dir, _ = static_sequence
+    ultn = tmp_path / "seq.ultn"
+    assert run_cli("encode", seq_dir / "frame_%04d.obj", "--output", ultn) == 0
+    capsys.readouterr()
+
+    def no_decode(data):
+        raise AssertionError("the container was decoded before the output was checked")
+
+    monkeypatch.setattr("ultron.cli.decode_container", no_decode)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("decode", ultn, "--output", tmp_path / "missing" / "f%d.obj") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no such directory" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_existing_output_directory_with_percent_is_a_directory(tmp_path):
     frames = synth_frames(SynthConfig(shape="sphere", frames=2, resolution=1))
     segments, _ = run_pipeline(iter(frames))

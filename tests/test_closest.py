@@ -42,6 +42,53 @@ def test_orthogonal_projection_onto_triangle():
     assert np.allclose(points, [[0.25, 0.25, 0.0], [0.5, 0.125, 0.0]], atol=1e-15)
 
 
+def _segment_reference(p, corners):
+    """Closest point to p on the union of a triangle's three edges."""
+    best = None
+    for s, e in ((0, 1), (0, 2), (1, 2)):
+        s, e = corners[s], corners[e]
+        seg = e - s
+        t = 0.0 if not seg @ seg else np.clip((p - s) @ seg / (seg @ seg), 0.0, 1.0)
+        cand = s + t * seg
+        if best is None or (p - cand) @ (p - cand) < (p - best) @ (p - best):
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("corners", [
+    [[0, 0, 0], [0, 0, 0], [1, 0, 0]],   # a == b
+    [[1, 0, 0], [0, 0, 0], [0, 0, 0]],   # b == c
+    [[0, 0, 0], [1, 0, 0], [0, 0, 0]],   # a == c
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],   # a point
+    [[0, 0, 0], [2, 0, 0], [1, 0, 0]],   # collinear, c between
+    [[1, 0, 0], [0, 0, 0], [2, 0, 0]],   # collinear, a between
+    [[0, 2, 0], [0, 1, 0], [0, -3, 0]],  # collinear, b between
+], ids=["ab", "bc", "ac", "point", "collinear_c_inside", "collinear_a_inside",
+        "collinear_b_inside"])
+def test_zero_area_triangles_match_segment_reference(corners, rng):
+    # corners on one axis, so the zero area is exact in floating point
+    corners = np.asarray(corners, dtype=np.float64)
+    queries = np.concatenate([
+        [[0.5, 1.0, 0.0], [-1.0, 0.5, 0.0], [3.0, -1.0, 2.0]],
+        rng.normal(scale=2.0, size=(200, 3)),
+    ])
+    k = len(queries)
+    out = closest_point_on_triangles(queries, *(np.tile(c, (k, 1)) for c in corners))
+    expected = np.array([_segment_reference(q, corners) for q in queries])
+    dist = np.linalg.norm(queries - out, axis=1)
+    assert dist == pytest.approx(np.linalg.norm(queries - expected, axis=1),
+                                 rel=1e-12, abs=1e-12)
+    assert np.allclose(out, expected, atol=1e-12)
+
+
+def test_coincident_corners_through_closest_points():
+    # corner a is not the closest point of a == b, c on the x axis
+    mesh = Mesh(vertices=[[0, 0, 0], [0, 0, 0], [1, 0, 0]], triangles=[[0, 1, 2]])
+    points, dists, tris = closest_points(mesh, [[0.5, 1.0, 0.0]])
+    assert np.array_equal(points, [[0.5, 0.0, 0.0]])
+    assert dists == pytest.approx([1.0], abs=1e-15)
+
+
 def test_empty_mesh_raises():
     mesh = Mesh(vertices=np.zeros((3, 3)), triangles=np.zeros((0, 3), dtype=int))
     with pytest.raises(EmptyMeshError):

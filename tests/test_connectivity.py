@@ -9,7 +9,8 @@ from conftest import canonical_triangles
 from ultron.errors import CorruptStreamError, EdgebreakerUnsupported
 from ultron.mesh import CornerTable, Mesh, build_corner_table
 from ultron.codec import decode_connectivity, encode_connectivity
-from ultron.codec.connectivity import C, S, pack_bits, unpack_bits
+from ultron.codec.connectivity import (MODE_EDGEBREAKER, MODE_RAW, C, S,
+                                       pack_bits, unpack_bits)
 from ultron.codec.rans import (
     PROB_TOTAL,
     decode_block,
@@ -25,11 +26,18 @@ TET = Mesh(
 )
 
 
+def decode_whole(blob, mode, vertex_count):
+    """Decode a blob that must end where the bytes do."""
+    tris, end = decode_connectivity(blob, 0, mode, vertex_count)
+    assert end == len(blob)
+    return tris
+
+
 def eb_roundtrip(mesh):
     table = build_corner_table(mesh)
     assert isinstance(table, CornerTable)
-    blob = encode_connectivity(table, "edgebreaker")
-    decoded = decode_connectivity(blob, "edgebreaker")
+    blob = encode_connectivity(table, MODE_EDGEBREAKER)
+    decoded = decode_whole(blob, MODE_EDGEBREAKER, mesh.vertex_count)
     assert np.array_equal(
         canonical_triangles(decoded), canonical_triangles(mesh.triangles)
     )
@@ -58,14 +66,14 @@ def test_tetrahedron_isomorphic():
 def test_sphere_rate_under_guarantee():
     sphere = make_icosphere(4)  # 5120 triangles
     blob, _ = eb_roundtrip(sphere)
-    # the CLERS block after the 12-byte header, then the split offsets
-    _, offset = decode_block(blob, 12)
+    # the CLERS block after the 8-byte header, then the split offsets
+    _, offset = decode_block(blob, 8)
     n_off, offset = read_uvarint(blob, offset)
     for _ in range(n_off):
         _, offset = read_uvarint(blob, offset)
-    clers_bits = 8 * (offset - 12)
+    clers_bits = 8 * (offset - 8)
     assert clers_bits / sphere.triangle_count < 2.5
-    raw = encode_connectivity(sphere.triangles, "raw")
+    raw = encode_connectivity(sphere.triangles, MODE_RAW)
     assert len(raw) > len(blob)
 
 
@@ -96,17 +104,17 @@ def _icosphere5_permuted():
 # SHA-256 of each Edgebreaker blob; a change here is a change of format
 PINNED_BLOBS = [
     (lambda: make_icosphere(3),
-     "e4cc6e8a3c948cfc0cbb9c5b1939b13a00215335b55f1f852db6e26bd42c85d8"),
+     "a281bf98ffbb4a6fe910ddd82fe99b39aa7888d485b4afcbd884fac692a0ad53"),
     (lambda: make_icosphere(5),
-     "e528d60470fe4a1f5ed16c536941601354d5606f22621e5f42a3d14377f5376b"),
+     "ecf4fa6ef981becd8cf4b227495a029408a1b539a10a569624ababacc1100fcf"),
     (_icosphere5_permuted,
-     "43e2e544f71cd6870fe1d352cc3a5c3a11e87a3b913da69149e5cbd82dd8d214"),
+     "a5d6d75ab664351fb8b379ea6b6570e28e61b18712552216757c0f8a87e3fef3"),
     (make_cylinder,
-     "f1ecaf2960db42a4aee5ce1375d879b974b2df9fb2cc26e9a818e87a40e60560"),
+     "9b23328ab9776647e5fab7c819489c8acbc57a2e3496b8720ff99bd38ed5515b"),
     (make_slab,
-     "793297c6eba3b39b7a7ad6904fd7263cde6f6779a7145587e0ed909b1c313d6b"),
+     "ba31dbd2a4024f25738918dded3467817ee043c7f8ddfe62992abd47365f9d22"),
     (_slab_and_sphere,
-     "304d442a6eda877cdd7bd435b6abe0951d14fc907d2de9e916dc719435a77333"),
+     "772d80a8aa5f8fe53282551bfc6cd30ca27a7c3576cdb76d7e5f3d93c5a01c96"),
 ]
 
 
@@ -114,7 +122,7 @@ PINNED_BLOBS = [
                          ids=["icosphere3", "icosphere5", "icosphere5_permuted",
                               "cylinder", "slab", "two_components"])
 def test_edgebreaker_bytes_pinned(maker, digest):
-    blob = encode_connectivity(build_corner_table(maker()), "edgebreaker")
+    blob = encode_connectivity(build_corner_table(maker()), MODE_EDGEBREAKER)
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -167,8 +175,8 @@ def test_boundary_fuzz(rng):
         mesh = Mesh(vertices=base.vertices, triangles=tris)
         table = build_corner_table(mesh)
         assert isinstance(table, CornerTable)
-        blob = encode_connectivity(table, "edgebreaker")
-        decoded = decode_connectivity(blob, "edgebreaker")
+        blob = encode_connectivity(table, MODE_EDGEBREAKER)
+        decoded = decode_whole(blob, MODE_EDGEBREAKER, mesh.vertex_count)
         assert np.array_equal(
             canonical_triangles(decoded), canonical_triangles(tris)
         )
@@ -216,10 +224,11 @@ def test_torus_rejected(maker):
     table = build_corner_table(torus)
     assert isinstance(table, CornerTable)
     with pytest.raises(EdgebreakerUnsupported):
-        encode_connectivity(table, "edgebreaker")
+        encode_connectivity(table, MODE_EDGEBREAKER)
     # raw fallback is exact
-    raw = encode_connectivity(torus.triangles, "raw")
-    assert np.array_equal(decode_connectivity(raw, "raw"), torus.triangles)
+    raw = encode_connectivity(torus.triangles, MODE_RAW)
+    assert np.array_equal(decode_whole(raw, MODE_RAW, torus.vertex_count),
+                          torus.triangles)
 
 
 def test_raw_roundtrip_bit_exact(rng):
@@ -234,12 +243,12 @@ def test_raw_roundtrip_bit_exact(rng):
         tris = tris[ok]
         if len(tris) == 0:
             continue
-        blob = encode_connectivity(tris, "raw")
-        assert np.array_equal(decode_connectivity(blob, "raw"), tris)
+        blob = encode_connectivity(tris, MODE_RAW)
+        assert np.array_equal(decode_whole(blob, MODE_RAW, n), tris)
 
 
 def test_corrupt_streams_raise(rng):
-    blob = bytearray(encode_connectivity(build_corner_table(TET), "edgebreaker"))
+    blob = bytearray(encode_connectivity(build_corner_table(TET), MODE_EDGEBREAKER))
     import random
 
     random.seed(3)
@@ -247,7 +256,7 @@ def test_corrupt_streams_raise(rng):
         b = bytearray(blob)
         b[random.randrange(len(b))] ^= 1 << random.randrange(8)
         try:
-            decode_connectivity(bytes(b), "edgebreaker")
+            decode_connectivity(bytes(b), 0, MODE_EDGEBREAKER, 4)
         except CorruptStreamError:
             pass
         # decoding to a *different but structurally valid* mesh is possible
@@ -271,8 +280,8 @@ def _blob_with_symbols(blob, symbols):
     with the new symbols (the original offsets and ids, cut or padded), so
     the count checks pass and the conquest itself must judge the symbols.
     """
-    m, n_real, n_closed = struct.unpack_from("<III", blob)
-    old, offset = decode_block(blob, 12)
+    m, n_closed = struct.unpack_from("<II", blob)
+    old, offset = decode_block(blob, 8)
     n_off, offset = read_uvarint(blob, offset)
     offsets = []
     for _ in range(n_off):
@@ -288,7 +297,7 @@ def _blob_with_symbols(blob, symbols):
     n_perm = 3 * seeds + int(np.count_nonzero(new == C))
     perm = (perm + [0] * n_perm)[:n_perm]
     return b"".join(
-        [struct.pack("<III", len(symbols) + seeds, n_real, max(n_closed, n_perm)),
+        [struct.pack("<II", len(symbols) + seeds, max(n_closed, n_perm)),
          encode_block(new), write_uvarint(n_split)]
         + [write_uvarint(o) for o in offsets]
         + [write_uvarint(n_perm), write_uvarint(width), pack_bits(perm, width)]
@@ -297,16 +306,17 @@ def _blob_with_symbols(blob, symbols):
 
 def test_mutated_symbols_decode_or_raise():
     slab = make_slab(5, 4)
-    blob = encode_connectivity(build_corner_table(slab), "edgebreaker")
-    symbols = decode_block(blob, 12)[0].tolist()
+    blob = encode_connectivity(build_corner_table(slab), MODE_EDGEBREAKER)
+    symbols = decode_block(blob, 8)[0].tolist()
     # the slab's CLERS string uses every symbol and splits twice
     assert set(symbols) == set(range(5)) and symbols.count(S) == 2
     assert _blob_with_symbols(blob, symbols) == blob
     outcomes = {"decoded": 0, "refused": 0}
     for mutated in _symbol_mutations(symbols):
         try:
-            tris = decode_connectivity(
-                _blob_with_symbols(blob, mutated), "edgebreaker"
+            tris, _ = decode_connectivity(
+                _blob_with_symbols(blob, mutated), 0, MODE_EDGEBREAKER,
+                slab.vertex_count
             )
         except CorruptStreamError:
             outcomes["refused"] += 1
@@ -320,16 +330,17 @@ def test_mutated_symbols_decode_or_raise():
 
 def _tet_blob_parts():
     """Split the tetrahedron's Edgebreaker blob into header, CLERS, rest."""
-    blob = encode_connectivity(build_corner_table(TET), "edgebreaker")
-    _, clers_end = decode_block(blob, 12)
-    return blob[:12], blob[12:clers_end], blob[clers_end:]
+    blob = encode_connectivity(build_corner_table(TET), MODE_EDGEBREAKER)
+    _, clers_end = decode_block(blob, 8)
+    return blob[:8], blob[8:clers_end], blob[clers_end:]
 
 
-def _refused_without_large_allocation(blob, mode="edgebreaker", match=None):
+def _refused_without_large_allocation(blob, mode=MODE_EDGEBREAKER, match=None,
+                                      vertex_count=4):
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError, match=match):
-            decode_connectivity(blob, mode)
+            decode_connectivity(blob, 0, mode, vertex_count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -338,12 +349,12 @@ def _refused_without_large_allocation(blob, mode="edgebreaker", match=None):
 
 def test_huge_triangle_count_refused():
     head, clers, rest = _tet_blob_parts()
-    _, n_real, n_closed = struct.unpack("<III", head)
-    huge = struct.pack("<III", 0xFFFFFFFF, n_real, n_closed)
+    _, n_closed = struct.unpack("<II", head)
+    huge = struct.pack("<II", 0xFFFFFFFF, n_closed)
     _refused_without_large_allocation(huge + clers + rest)
     # a triangle count the blob could hold but its CLERS stream does not give
     assert struct.unpack_from("<I", head)[0] == 4
-    wrong = struct.pack("<III", 5, n_real, n_closed)
+    wrong = struct.pack("<II", 5, n_closed)
     _refused_without_large_allocation(wrong + clers + rest)
 
 
@@ -376,14 +387,16 @@ def test_huge_split_offset_count_refused():
 
 def test_huge_split_offset_refused():
     # a split offset past int64: the walk wraps the loop, nothing overflows
-    blob = encode_connectivity(build_corner_table(make_slab(5, 4)), "edgebreaker")
-    _, offset = decode_block(blob, 12)
+    slab = make_slab(5, 4)
+    blob = encode_connectivity(build_corner_table(slab), MODE_EDGEBREAKER)
+    _, offset = decode_block(blob, 8)
     n_off, offset = read_uvarint(blob, offset)
     assert n_off == 2
     _, end = read_uvarint(blob, offset)
     huge = blob[:offset] + write_uvarint((1 << 64) - 1) + blob[end:]
     # the header and the offset parse; the walk refuses the offset
-    _refused_without_large_allocation(huge, match="split offset wraps the loop")
+    _refused_without_large_allocation(huge, match="split offset wraps the loop",
+                                      vertex_count=slab.vertex_count)
 
 
 def test_huge_raw_plane_count_refused():
@@ -394,7 +407,7 @@ def test_huge_raw_plane_count_refused():
         write_uvarint(1 << 40) + write_uvarint(1)
         + write_uvarint(PROB_TOTAL) + write_uvarint(0)
     )
-    _refused_without_large_allocation(head + block, mode="raw")
+    _refused_without_large_allocation(head + block, mode=MODE_RAW)
 
 
 def test_raw_plane_count_out_of_range_refused():
@@ -402,4 +415,4 @@ def test_raw_plane_count_out_of_range_refused():
     # planes than a 64-bit index needs
     for nplanes in (0, 9):
         with pytest.raises(CorruptStreamError, match="plane count"):
-            decode_connectivity(struct.pack("<IB", 4, nplanes), "raw")
+            decode_connectivity(struct.pack("<IB", 4, nplanes), 0, MODE_RAW, 4)

@@ -67,6 +67,42 @@ def test_obj_attrs_roundtrip_records(rng):
     assert np.array_equal(back.normals, mesh.normals)
 
 
+_TRIANGLE = b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+def test_obj_face_texcoords_gathered_per_vertex():
+    # as many vt records as vertices, but not in vertex order
+    data = _TRIANGLE + b"vt 0.1 0.2\nvt 0.3 0.4\nvt 0.5 0.6\nf 1/2 2/3 3/1\n"
+    mesh = parse_mesh(data, "obj")
+    assert np.array_equal(mesh.uvs, [[0.3, 0.4], [0.5, 0.6], [0.1, 0.2]])
+    assert mesh.normals is None
+    # fewer records than vertices; a vertex no face names reads zeros
+    data = (_TRIANGLE + b"v 1 1 0\nvt 0.1 0.2\nvt 0.3 0.4\nf 1/2 2/1 3/2\n")
+    mesh = parse_mesh(data, "obj")
+    assert np.array_equal(mesh.uvs, [[0.3, 0.4], [0.1, 0.2], [0.3, 0.4], [0.0, 0.0]])
+
+
+def test_obj_vertex_normal_corners():
+    data = _TRIANGLE + b"vn 0 0 1\nvn 0 1 0\nf 1//2 2//1 3//1\n"
+    mesh = parse_mesh(data, "obj")
+    assert np.array_equal(mesh.normals, [[0, 1, 0], [0, 0, 1], [0, 0, 1]])
+    assert mesh.uvs is None
+    assert np.array_equal(mesh.triangles, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("faces,error,match,line", [
+    (b"f -1 -2 -3\n", UnsupportedElementError,
+     "relative \\(negative\\) OBJ indices are not supported", 4),
+    (b"f 0 1 2\n", MeshParseError, "OBJ indices are 1-based; 0 is invalid", 4),
+    (b"vt 0 0\nvt 1 0\nf 1/1 2/1 3/1\nf 1/2 3/1 2/1\n", UnsupportedElementError,
+     "vertex 1 referenced with conflicting uv indices", 7),
+], ids=["negative", "zero", "conflicting_vt"])
+def test_obj_face_index_refusals(faces, error, match, line):
+    with pytest.raises(error, match=match) as err:
+        parse_mesh(_TRIANGLE + faces, "obj")
+    assert err.value.line == line
+
+
 def test_ply_binary_cube_roundtrip():
     verts = np.array([
         [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],

@@ -313,12 +313,12 @@ class TestSegmentInvariants:
 PINNED_ENCODES = [
     (SynthConfig(frames=12, motion="bend", amplitude=0.4, resolution=3,
                  remesh_every=5, colors=True, seed=5),
-     "115985bdf228de544eb66c70e2e15f090d21ff2161c12212e3131bc2f6ee0735",
+     "fea5d7bf906134263a2ab8c429e978e1d36c0d8aafc808b4dd845e042db320bd",
      "5b340b7043fdd0fc9230308b9833cf97546ed34477de78a848e5c5402eb01b64",
      "34c69ea2d68b7b6af08bb3e83496c40a9f6917e2532e52c542836f756143ca9a"),
     (SynthConfig(frames=12, motion="translate", amplitude=0.12, resolution=3,
                  remesh_every=1, colors=True, seed=5),
-     "4974fc4371d15490fda420b1fa82ef7b7843397690a583c1466e528e7fd0c3cd",
+     "bce2841089ac3aa94e62e3dc0e72b8f2cdb9790b1ff405e560c2929cd478cffb",
      "5ad39259cf3ede7908311443b791fff5677f2f71ae2fcb3e7b3ce888e5dccb6c",
      "398208a9c0cdfc573ac0544860dcd2d848c6b889280b21cbd721accafec390f7"),
 ]

@@ -26,7 +26,9 @@ from ultron.codec import (
     widen_to_f32,
 )
 from ultron.codec import rans
-from ultron.codec.connectivity import encode_connectivity
+from ultron.codec.connectivity import (MODE_EDGEBREAKER, MODE_PREVIOUS, MODE_RAW,
+                                       C, S, decode_connectivity,
+                                       encode_connectivity, pack_bits)
 from ultron.codec.rans import PROB_TOTAL, encode_block, read_block, write_uvarint
 from ultron.codec.segments import _HEADER
 from ultron.synth import SynthConfig, make_icosphere, synth_frames
@@ -73,9 +75,15 @@ def test_quantized_positions_bit_exact(rng):
         assert np.array_equal(q_orig, q_back)
 
 
+def _connectivity_end(blob):
+    """End offset of the connectivity blob of a segment that carries one."""
+    head = _HEADER.unpack_from(blob)
+    return decode_connectivity(blob, _HEADER.size, head[-1], head[1])[1]
+
+
 def _blocks(blob):
     """(start, end) of each entropy block after a segment's connectivity."""
-    offset = _HEADER.size + _HEADER.unpack_from(blob)[-1]
+    offset = _connectivity_end(blob)
     spans = []
     while offset < len(blob):
         start = offset
@@ -193,6 +201,21 @@ def test_recomputed_normals_container():
         assert dec.frame_mesh(k).normals is None
 
 
+def test_stored_normals_container(rng):
+    # stored normals come back frame by frame as decoded, not recomputed
+    seg = normals_segment(rng, 3)
+    (dec,), flags = decode_container(encode_container([seg]))
+    assert flags & FLAG_NORMALS and flags & FLAG_STORED_NORMALS
+    meshes = list(container_frames([dec], flags))
+    assert len(meshes) == 3
+    for k, mesh in enumerate(meshes):
+        assert np.array_equal(mesh.normals, dec.normal_frames[k])
+        assert not np.array_equal(mesh.normals, vertex_normals(mesh))
+        assert np.array_equal(mesh.vertices, dec.frames[k])
+        assert np.array_equal(mesh.colors, dec.key.colors)
+        assert np.array_equal(mesh.uvs, dec.key.uvs)
+
+
 def test_color_fidelity(rng):
     seg = moving_segment(rng, n_frames=3)
     dec, _ = decode_segment(
@@ -232,7 +255,7 @@ def test_bad_magic_and_version(rng):
     bad_magic = bytes(b"XLTR" + data[4:])
     with pytest.raises(ContainerError, match="magic"):
         decode_container(bad_magic)
-    for version in (1, 2, 3, 4, VERSION + 1):
+    for version in (1, 2, 3, 4, 5, VERSION + 1):
         bad_version = bytes(data[:4] + struct.pack("<H", version) + data[6:])
         with pytest.raises(ContainerError, match="version"):
             decode_container(bad_version)
@@ -320,14 +343,70 @@ def test_color_cost_independent_of_frame_count(rng):
 
 def test_zero_vertex_segment_refused():
     # a raw-mode segment with no triangles, no vertices and one empty frame
-    conn = encode_connectivity(np.zeros((0, 3), dtype=np.int64), "raw")
+    conn = encode_connectivity(np.zeros((0, 3), dtype=np.int64), MODE_RAW)
     positions = b"".join(encode_block(np.zeros(0, dtype=np.int64))
                          for _ in range(2))
-    segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, 1, len(conn))
+    segment = _HEADER.pack(1, 0, 10, 11, 10, *(0.0,) * 6, MODE_RAW)
     data = (struct.pack("<4sHHI", b"ULTR", VERSION, 0, 1) + segment + conn
             + positions)
     with pytest.raises(ContainerError, match="zero vertices"):
         decode_container(data)
+
+
+def _one_segment(conn=b"", *, frames=1, mode=MODE_RAW):
+    """A container of one three-vertex segment without attributes, its
+    header followed by conn."""
+    head = _HEADER.pack(frames, 3, 10, 11, 10, *(0.0,) * 3, *(1.0,) * 3, mode)
+    return struct.pack("<4sHHI", b"ULTR", VERSION, 0, 1) + head + conn
+
+
+def _edgebreaker_blob(symbols, seeds, offsets=()):
+    """An Edgebreaker blob whose counts agree with its CLERS symbols, so
+    that the conquest itself judges them; the permutation is the identity."""
+    n_perm = 3 * seeds + symbols.count(C)
+    return b"".join([
+        struct.pack("<II", len(symbols) + seeds, n_perm),
+        encode_block(np.asarray(symbols)), write_uvarint(len(offsets)),
+        *map(write_uvarint, offsets),
+        write_uvarint(n_perm), write_uvarint(8), pack_bits(np.arange(n_perm), 8),
+    ])
+
+
+# one raw byte plane of no symbols, with a two-symbol table and a payload
+_EMPTY_PLANE_WITH_PAYLOAD = (write_uvarint(0) + write_uvarint(2)
+                             + 2 * write_uvarint(PROB_TOTAL // 2)
+                             + write_uvarint(2) + b"\0\0")
+
+
+@pytest.mark.parametrize("data,match", [
+    (_one_segment(frames=0), "segment declares zero frames"),
+    (_one_segment(mode=3), "unknown connectivity mode 3"),
+    (_one_segment(mode=MODE_PREVIOUS), "does not precede"),
+    (_one_segment(struct.pack("<I", 1)), "raw connectivity blob too short"),
+    (_one_segment(encode_connectivity(np.full((1, 3), -1), MODE_RAW)),
+     "negative vertex index after delta decode"),
+    (_one_segment(struct.pack("<IB", 0, 1) + _EMPTY_PLANE_WITH_PAYLOAD),
+     "nonempty payload for empty stream"),
+    (_one_segment(struct.pack("<IB", 1, 1) + b"\xff" * 10), "oversized varint"),
+    # the first of two components opens a loop that its one symbol leaves open
+    (_one_segment(_edgebreaker_blob([C], seeds=2), mode=MODE_EDGEBREAKER),
+     "CLERS stream exhausted early"),
+    (_one_segment(_edgebreaker_blob([S], seeds=1, offsets=[1]), mode=MODE_EDGEBREAKER),
+     "split offset too small"),
+    (_one_segment(_edgebreaker_blob([5], seeds=1), mode=MODE_EDGEBREAKER),
+     "unknown CLERS symbol 5"),
+], ids=["zero_frames", "unknown_mode", "first_segment_mode_2", "raw_too_short",
+        "raw_negative_index", "empty_plane_payload", "oversized_varint",
+        "clers_exhausted", "split_offset_too_small", "unknown_clers_symbol"])
+def test_hostile_bytes_refused(data, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match=match):
+            decode_container(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_inconsistent_segment_attributes_rejected(rng):
@@ -340,8 +419,7 @@ def test_inconsistent_segment_attributes_rejected(rng):
 def test_huge_plane_count_refused(rng):
     seg = moving_segment(rng, n_frames=1, subdiv=1, with_attrs=False)
     blob = encode_segment(seg, QuantizationParams())
-    conn_len = _HEADER.unpack_from(blob)[-1]
-    positions = _HEADER.size + conn_len
+    positions = _connectivity_end(blob)
     # frame 0's first position plane declares 2**40 symbols with a
     # one-symbol alphabet, which needs no payload
     block = (
@@ -399,12 +477,12 @@ def raw_torus_segment():
 
 @pytest.mark.parametrize("make,digest", [
     (multi_lane_segment,
-     "17355fc38ae566deb037703ed3ffc5cea89718cb222a25d06e862507ca85ede6"),
+     "bc3757cd9fbd4f19698045af30e6556074976f50979913b2678eb99fb1c24b1e"),
     # 642 vertices, 60 frames: about 120 single-lane blocks in one batch
     (lambda: synth_segment(60, 3),
-     "a2af82ef4d573de77f53bea6dabd25b8c6e0c8a3e8a9dcaf3e08b2576b8ceb7f"),
+     "865c03959eb8225c96a0b6c10dda5083074330cf5a8ce4b92655669d58b86d4b"),
     (raw_torus_segment,
-     "2e8cbb3104629a2d8c61719960b3e42cee1bf8f422a20bfd2e21daa92944e6c2"),
+     "e98996014337dba0ba71f88e68d36f6edc18494fedc461555fee324779ba04cf"),
 ], ids=["icosphere5_3_frames", "smooth_60_frames", "raw_torus"])
 def test_container_bytes_pinned(make, digest):
     # these containers' entropy blocks predate coding a segment's blocks in
@@ -470,7 +548,7 @@ def test_multi_lane_container_roundtrip(monkeypatch):
 
 
 # offset of the connectivity-mode byte in a segment header
-_MODE_AT = _HEADER.size - 9
+_MODE_AT = _HEADER.size - 1
 
 
 def predicted_pair(rng):
@@ -555,8 +633,9 @@ def test_first_segment_cannot_predict(rng):
     alone = data[:8] + struct.pack("<I", 1) + data[at:]
     with pytest.raises(ContainerError, match="does not precede"):
         decode_container(alone)
-    # connectivity-mode 2 on a first segment that carries its own blob
-    with pytest.raises(ContainerError, match="carries a blob"):
+    # connectivity-mode 2 on a first segment: refused before its blob would
+    # be read as streams
+    with pytest.raises(ContainerError, match="does not precede"):
         decode_container(_patched(data, 12 + _MODE_AT, "<B", 2))
 
 
@@ -573,13 +652,20 @@ def test_decode_segment_needs_the_previous_segment(rng):
 
 
 def test_connectivity_by_reference_carries_no_blob(rng):
+    # a mode-2 segment's stream blocks start right after its header: one
+    # block per byte plane of three position frames (the first a residual),
+    # the UVs and the colors
     first, second = predicted_pair(rng)
     data = encode_container([first, second], QuantizationParams())
     at = _second_segment(data, segment_flags(first))
-    conn_at = at + _HEADER.size - 8
-    crafted = (_patched(data, conn_at, "<Q", 4)[:at + _HEADER.size]
-               + b"\0" * 4 + data[at + _HEADER.size:])
-    with pytest.raises(ContainerError, match="carries a blob"):
+    offset, blocks = at + _HEADER.size, 0
+    while offset < len(data):
+        _, offset = read_block(data, offset)
+        blocks += 1
+    assert blocks == 3 * 2 + 2 + 2
+    # four bytes where a blob would be are read as a stream block
+    crafted = data[:at + _HEADER.size] + b"\0" * 4 + data[at + _HEADER.size:]
+    with pytest.raises(ContainerError):
         decode_container(crafted)
 
 
