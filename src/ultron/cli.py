@@ -50,6 +50,13 @@ def _fill(pattern: str, index: int) -> str:
         raise MeshParseError(f"cannot fill {pattern!r}: {exc}") from None
 
 
+def _check_pattern(pattern: str) -> None:
+    """Refuse a printf pattern that one frame number cannot fill, or whose
+    fill ignores the frame number, so that every frame names one file."""
+    if _fill(pattern, 0) == _fill(pattern, 1):
+        raise MeshParseError(f"{pattern!r} names the same file for every frame")
+
+
 def resolve_inputs(inputs: list[str], manifest: str | None = None) -> list[Path]:
     """Input frames from an explicit list, a printf pattern, or a manifest.
     A single input that names an existing file is that file, even if it
@@ -61,6 +68,7 @@ def resolve_inputs(inputs: list[str], manifest: str | None = None) -> list[Path]
         stripped = (l.strip() for l in lines)
         paths = [Path(l) for l in stripped if l and not l.startswith("#")]
     elif len(inputs) == 1 and "%" in inputs[0] and not Path(inputs[0]).is_file():
+        _check_pattern(inputs[0])
         paths = []
         i = 0
         while True:
@@ -363,7 +371,7 @@ def main(argv=None) -> int:
         elif args.command == "synth":
             args.configs = _synth_config(args)
         elif args.command == "decode" and _is_output_pattern(args.output):
-            _fill(args.output, 0)
+            _check_pattern(args.output)
     except ValueError as exc:
         flag = "--" + str(exc).split()[0].replace("_", "-")
         args.command_parser.error(f"argument {flag}: {exc}")

@@ -15,6 +15,13 @@ decoded triangles reference the original vertex order (attribute streams
 stay aligned); the triangle list itself comes back in conquest order with
 rotated corners, i.e. the same mesh, not the same array.
 
+An Edgebreaker blob is the triangle count m (u32) and the closed vertex
+count n_closed (u32, virtual apexes included), the seed count (uvarint,
+one seed triangle per component), the CLERS block of m - seeds symbols, one
+uvarint offset per S symbol, then 3 * seeds + (C symbols) permutation
+entries of bitlen(n_closed - 1) bits each. Every other count follows from
+these, so none is stored.
+
 Raw mode delta-codes the flattened index list (zigzag, byte planes) and is
 bit-exact; it is the fallback for anything Edgebreaker cannot represent.
 
@@ -73,16 +80,14 @@ def join_planes(planes: list[np.ndarray]) -> np.ndarray:
 
 def read_planes(data: bytes, offset: int, count: int,
                 nplanes: int) -> tuple[list[CodedBlock], int]:
-    """Parse the nplanes byte-plane blocks at offset, low plane first,
-    without decoding them; every plane must hold exactly count symbols.
-    Returns the blocks and their end offset."""
+    """Parse the nplanes byte-plane blocks of count symbols each at offset,
+    low plane first, without decoding them. Returns the blocks and their
+    end offset."""
     if not 1 <= nplanes <= 8:
         raise CorruptStreamError(f"plane count {nplanes} out of range")
     planes = []
     for _ in range(nplanes):
-        plane, offset = read_block(data, offset, max_count=count)
-        if plane.count != count:
-            raise CorruptStreamError("plane symbol count mismatch")
+        plane, offset = read_block(data, offset, count)
         planes.append(plane)
     return planes, offset
 
@@ -303,9 +308,11 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
     conquer_C, conquer_R, conquer_L = loops.C, loops.R, loops.L
     emit, add_vertex = clers.append, perm.append
 
+    seeds = 0
     for seed in range(m):
         if tri_visited[seed]:
             continue
+        seeds += 1
         tri_visited[seed] = 1
         c = 3 * seed
         x, y, z = V[c], V[c + 1], V[c + 2]
@@ -358,19 +365,13 @@ def _encode_edgebreaker(table: CornerTable) -> bytes:
                 offsets.append(steps)
                 loops.S(s, cn, cp)
 
-    head = struct.pack("<II", m, n_closed)
-    clers_blob = encode_block(np.asarray(clers, dtype=np.int64))
-    off_blob = b"".join(
-        [write_uvarint(len(offsets))] + [write_uvarint(o) for o in offsets]
-    )
-    width = max(int(n_closed - 1).bit_length(), 1)
-    perm_arr = np.asarray(perm, dtype=np.int64)
-    perm_blob = (
-        write_uvarint(len(perm_arr))
-        + write_uvarint(width)
-        + pack_bits(perm_arr, width)
-    )
-    return head + clers_blob + off_blob + perm_blob
+    return b"".join([
+        struct.pack("<II", m, n_closed),
+        write_uvarint(seeds),
+        encode_block(np.asarray(clers, dtype=np.int64)),
+        *map(write_uvarint, offsets),
+        pack_bits(np.asarray(perm, dtype=np.int64), int(n_closed - 1).bit_length()),
+    ])
 
 
 # --- edgebreaker decode -----------------------------------------------------
@@ -387,23 +388,20 @@ def _decode_edgebreaker(data: bytes, offset: int,
     # component has F = 2V - 4 triangles, so m < 2 * 8 * (bytes left).
     if m >= 16 * (len(data) - offset):
         raise CorruptStreamError("triangle count exceeds what the blob can hold")
+    seeds, offset = read_uvarint(data, offset + 8)
+    if not min(m, 1) <= seeds <= m:
+        raise CorruptStreamError(f"{seeds} components for {m} triangles")
     # one symbol per triangle except the seed triangle of each component
-    clers, offset = decode_block(data, offset + 8, max_count=max(m - 1, 0))
-    n_off, offset = read_uvarint(data, offset)
-    if n_off != np.count_nonzero(clers == S):
-        raise CorruptStreamError("split offset count differs from S symbols")
+    clers, offset = decode_block(data, offset, m - seeds)
     offsets = []
-    for _ in range(n_off):
+    for _ in range(np.count_nonzero(clers == S)):
         steps, offset = read_uvarint(data, offset)
         offsets.append(steps)
-    n_perm, offset = read_uvarint(data, offset)
-    width, offset = read_uvarint(data, offset)
-    if width > 32 or n_perm > n_closed:
-        raise CorruptStreamError("invalid permutation header")
     # each component seeds 3 vertices, each C symbol adds one
-    seeds, rest = divmod(n_perm - int(np.count_nonzero(clers == C)), 3)
-    if rest or seeds < min(m, 1) or m != len(clers) + seeds:
-        raise CorruptStreamError("triangle count disagrees with CLERS stream")
+    n_perm = 3 * seeds + int(np.count_nonzero(clers == C))
+    if n_perm > n_closed:
+        raise CorruptStreamError("permutation longer than the vertex count")
+    width = (n_closed - 1).bit_length()
     need = (n_perm * width + 7) // 8
     perm = unpack_bits(data[offset:offset + need], n_perm, width)
     offset += need
@@ -412,7 +410,7 @@ def _decode_edgebreaker(data: bytes, offset: int,
 
     symbols = clers.tolist()
     n_sym = len(symbols)
-    # one offset per S symbol, as checked above
+    # one offset per S symbol, as read above
     split_offsets = iter(offsets)
     triangles = []  # flattened rows
     loops = _ActiveLoops()
@@ -473,8 +471,6 @@ def _decode_edgebreaker(data: bytes, offset: int,
                 raise CorruptStreamError(f"unknown CLERS symbol {sym}")
             triangles += (b, a, w)
 
-    if pos != n_sym:
-        raise CorruptStreamError("unused symbols in connectivity blob")
     mapped = perm[np.asarray(triangles, dtype=np.int64).reshape(-1, 3)]
     real = ~np.any(mapped >= n_real, axis=1)
     return mapped[real].astype(np.int32), offset

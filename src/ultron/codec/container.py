@@ -20,7 +20,7 @@ from .segments import (FLAG_NORMALS, FLAG_STORED_NORMALS, KNOWN_FLAGS,
                        decode_segment, encode_segment, segment_flags)
 
 MAGIC = b"ULTR"
-VERSION = 6
+VERSION = 7
 
 _HEADER = struct.Struct("<4sHHI")
 

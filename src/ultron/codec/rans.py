@@ -1,7 +1,9 @@
 """Range-variant asymmetric numeral systems entropy coder.
 
 32-bit state, 16-bit renormalization, static frequency tables quantized to
-a 12-bit total and stored alongside each stream. The encoder walks the
+a 12-bit total and stored alongside each stream. A stream's symbol count is
+not stored: whoever reads a block passes the count it already knows, and
+read_block checks the block against it. The encoder walks the
 symbols backwards so the decoder emits them forwards; each final encoder
 state is flushed as 4 bytes and doubles as an integrity check (the decoder
 must land back on the initial state with no bytes left over).
@@ -114,7 +116,8 @@ def _by_count(counts, tables) -> dict[int, list[int]]:
 
 
 class CodedBlock(NamedTuple):
-    """A stream's declared count, its table and its undecoded payload."""
+    """A stream's count, which its caller knows, its table and its
+    undecoded payload."""
 
     count: int
     frequencies: np.ndarray
@@ -342,7 +345,8 @@ def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
 
 
 def encode_block(symbols) -> bytes:
-    """Self-contained entropy block: count, table, payload length, payload.
+    """Entropy block: alphabet, table, payload length, payload. The symbol
+    count is not stored: the decoder's caller knows it.
 
     The stored table is trimmed to the largest occurring symbol so skewed
     streams pay almost nothing.
@@ -369,68 +373,50 @@ def encode_blocks(blocks) -> list[bytes]:
         for i, w in zip(members, words):
             payloads[i] = np.asarray(w, dtype="<u2").tobytes()
     out = []
-    for s, freqs, payload in zip(symbols, tables, payloads):
-        parts = [write_uvarint(len(s)), write_uvarint(len(freqs))]
+    for freqs, payload in zip(tables, payloads):
+        parts = [write_uvarint(len(freqs))]
         parts += [write_uvarint(f) for f in freqs.tolist()]
         parts += [write_uvarint(len(payload)), payload]
         out.append(b"".join(parts))
     return out
 
 
-def read_block(
-    data: bytes, offset: int = 0, max_count: int | None = None
-) -> tuple[CodedBlock, int]:
-    """Parse one block written by encode_block without decoding its payload;
-    returns the block and its end offset.
+def read_block(data: bytes, offset: int, count: int) -> tuple[CodedBlock, int]:
+    """Parse the block of count symbols at offset without decoding its
+    payload; returns the block and its end offset.
 
-    max_count, when given, bounds the declared symbol count: a larger count
-    raises CorruptStreamError before anything is sized from it.
+    This is where a block is checked: its table must sum to PROB_TOTAL, and
+    its payload must be empty when it carries no information (no symbols,
+    or a one-symbol table) and otherwise hold whole words and every lane's
+    final state. A block that passes is safe to size count symbols from
+    once the caller has bounded count.
     """
-    count, offset = read_uvarint(data, offset)
-    if max_count is not None and count > max_count:
-        raise CorruptStreamError(
-            f"entropy block declares {count} symbols, at most {max_count} allowed"
-        )
     alphabet, offset = read_uvarint(data, offset)
     if alphabet == 0 or alphabet > MAX_ALPHABET:
         raise CorruptStreamError(f"invalid alphabet size {alphabet}")
-    freqs = np.zeros(alphabet, dtype=np.int64)
-    for i in range(alphabet):
+    freqs = []
+    for _ in range(alphabet):
         freq, offset = read_uvarint(data, offset)
-        if freq > PROB_TOTAL:
-            raise CorruptStreamError(f"symbol frequency {freq} over {PROB_TOTAL}")
-        freqs[i] = freq
+        freqs.append(freq)
+    total = sum(freqs)
+    if total != PROB_TOTAL:
+        raise CorruptStreamError(f"frequency table sums to {total}, not {PROB_TOTAL}")
     length, offset = read_uvarint(data, offset)
     if offset + length > len(data):
         raise CorruptStreamError("entropy block overruns its container")
-    if alphabet == 1:
+    if count == 0 or alphabet == 1:
         if length:
-            raise CorruptStreamError("unexpected payload for trivial alphabet")
-        if freqs[0] != PROB_TOTAL:
-            raise CorruptStreamError("invalid trivial frequency table")
+            raise CorruptStreamError("nonempty payload for a block without one")
+    elif length % 2 or length < 4 * _lane_count(count):
+        raise CorruptStreamError("entropy payload has invalid length")
     payload = memoryview(data)[offset:offset + length]
-    return CodedBlock(count, freqs, payload), offset + length
+    return CodedBlock(count, np.asarray(freqs, dtype=np.int64), payload), offset + length
 
 
 def decode_blocks(blocks: list[CodedBlock]) -> list[np.ndarray]:
     """The symbols of blocks parsed by read_block, equal-count payloads
-    decoded together.
-
-    Every block's count, payload length and table is checked before any
-    block is decoded or anything is sized from it.
-    """
-    tables = [np.asarray(b.frequencies, dtype=np.int64) for b in blocks]
-    for (count, _, payload), freqs in zip(blocks, tables):
-        if len(freqs) < 2:
-            continue  # no payload: read_block refuses one
-        if count == 0:
-            if len(payload):
-                raise CorruptStreamError("nonempty payload for empty stream")
-        elif len(payload) % 2 or len(payload) < 4 * _lane_count(count):
-            raise CorruptStreamError("entropy payload has invalid length")
-        elif (len(freqs) > MAX_ALPHABET or freqs.sum() != PROB_TOTAL
-              or np.any(freqs < 0)):
-            raise CorruptStreamError("invalid frequency table")
+    decoded together."""
+    tables = [b.frequencies for b in blocks]
     out: list[np.ndarray] = [None] * len(blocks)
     for count, members in _by_count([b.count for b in blocks], tables).items():
         lanes = _lane_count(count)
@@ -448,12 +434,8 @@ def decode_blocks(blocks: list[CodedBlock]) -> list[np.ndarray]:
             for b, f, s in zip(blocks, tables, out)]
 
 
-def decode_block(
-    data: bytes, offset: int = 0, max_count: int | None = None
-) -> tuple[np.ndarray, int]:
-    """Decode one block written by encode_block; returns (symbols, end offset).
-
-    max_count bounds the declared symbol count, as in read_block.
-    """
-    block, end = read_block(data, offset, max_count)
+def decode_block(data: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
+    """Decode the block of count symbols at offset; returns the symbols and
+    the block's end offset."""
+    block, end = read_block(data, offset, count)
     return decode_blocks([block])[0], end

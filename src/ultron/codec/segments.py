@@ -14,11 +14,11 @@ Every attribute is one stream of lattice indices with the same coding:
 frame 0 absolute or against a prediction, each later frame as zigzagged
 deltas against the frame before it. A frame is one entropy block per byte
 plane, written back to back with no length: the plane count follows from
-the bit depth, and each block declares its symbol count, table and payload
-length. Positions are quantized on a per-segment f32 grid covering every
-frame; UVs on [0, 1], colors on [0, 1] and normals on [-1, 1]. One table,
-_streams, gives each stream's frames, bits and lattice range to both the
-encoder and the decoder.
+the bit depth, and each plane holds vertex-count x width symbols, so a
+block stores only its table and payload length. Positions are quantized on
+a per-segment f32 grid covering every frame; UVs on [0, 1], colors on
+[0, 1] and normals on [-1, 1]. One table, _streams, gives each stream's
+frames, bits and lattice range to both the encoder and the decoder.
 
 No length precedes the connectivity blob: both of its coders write blobs
 that end where their own counts say (see connectivity.py), and an
@@ -36,9 +36,9 @@ values. A mode-2 segment decodes only after the one before it.
 The byte planes of every frame and attribute are entropy-coded in one
 batch, so equal-count blocks advance in one lockstep run (see rans.py);
 the bytes are those of each block coded alone. The decoder checks every
-block header of the segment (count, table, payload length) before it
-decodes any payload, and decodes every payload before it joins planes and
-rebuilds frames.
+block of the segment (table, payload length; see rans.read_block) before
+it decodes any payload, and decodes every payload before it joins planes
+and rebuilds frames.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def decode_segment(
         if len(triangles) and triangles.max() >= vertex_count:
             raise CorruptStreamError("triangle index exceeds vertex count")
 
-    # every block header is checked before any payload is decoded, and
+    # every block is checked before any payload is decoded, and
     # every payload is decoded, in one batch, before any value is built
     coded = []
     for s in streams:

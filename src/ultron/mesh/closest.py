@@ -102,8 +102,12 @@ def closest_point_on_triangles(p, a, b, c):
     out = np.where(cond_a[:, None], a, out)
 
     # zero-area triangles (coincident corners or collinear): the region
-    # tests above can pick a wrong corner, so take the best of the three edges
-    degenerate = denom <= 0
+    # tests above can pick a wrong corner, so take the best of the three
+    # edges. denom is |ab x ac|^2 = |ab|^2 |ac|^2 sin^2(angle at a), which
+    # rounding leaves a tiny positive number on a collinear triangle.
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    ac2 = np.einsum("ij,ij->i", ac, ac)
+    degenerate = denom <= 1e-12 * ab2 * ac2
     if degenerate.any():
         idx = np.flatnonzero(degenerate)
         best = None

@@ -361,7 +361,7 @@ def test_criterion_8_entropy_coder(rng):
         ("skewed", rng.geometric(0.2, 400_000) % 256),
     ]
     for name, symbols in streams:
-        block, _ = read_block(encode_block(symbols))
+        block, _ = read_block(encode_block(symbols), 0, len(symbols))
         back = decode_blocks([block])[0]
         assert np.array_equal(back, symbols), f"{name} roundtrip failed"
         total_symbols += len(symbols)

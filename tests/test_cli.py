@@ -278,6 +278,31 @@ def test_unfillable_output_pattern_is_refused_before_decoding(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ultn"]
 
 
+def test_input_pattern_ignoring_the_frame_number_is_a_parse_error(tmp_path, capsys):
+    # every fill is frame_.obj: listing frames until one is missing would
+    # never end
+    save_mesh(make_slab(4, 3), tmp_path / "frame_.obj")
+    pattern = tmp_path / "frame_%.0s.obj"
+    for command in (("encode", pattern, "--output", tmp_path / "x.ultn"),
+                    ("eval", "--original", pattern, "--decoded", tmp_path / "x.ultn")):
+        assert run_cli(*command) == 3
+        assert "names the same file for every frame" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frame_.obj"]
+
+
+def test_output_pattern_ignoring_the_frame_number_is_refused_before_decoding(
+        tmp_path, capsys):
+    ultn = tmp_path / "in.ultn"
+    ultn.write_bytes(b"not a container")
+    with pytest.raises(SystemExit) as err:
+        run_cli("decode", ultn, "--output", tmp_path / "out_%.0s.obj")
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ultron decode ")
+    assert "argument --output: " in err and "names the same file for every frame" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ultn"]
+
+
 def test_decode_ply_to_an_output_pattern(static_sequence, tmp_path):
     seq_dir, _ = static_sequence
     ultn = tmp_path / "seq.ultn"

@@ -81,6 +81,23 @@ def test_zero_area_triangles_match_segment_reference(corners, rng):
     assert np.allclose(out, expected, atol=1e-12)
 
 
+def test_collinear_triangles_off_axis(rng):
+    # corners on random lines: rounding leaves |ab x ac|^2 a tiny positive
+    # number, yet the closest point is on the segment the corners span
+    k = 10_000
+    origin = rng.normal(size=(k, 3))
+    direction = rng.normal(size=(k, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    t = rng.uniform(-2.0, 2.0, size=(k, 3))
+    corners = [origin + t[:, i:i + 1] * direction for i in range(3)]
+    queries = origin + rng.normal(scale=2.0, size=(k, 3))
+    out = closest_point_on_triangles(queries, *corners)
+    along = np.einsum("ij,ij->i", queries - origin, direction)
+    expected = origin + np.clip(along, t.min(axis=1), t.max(axis=1))[:, None] * direction
+    assert np.linalg.norm(queries - out, axis=1) == pytest.approx(
+        np.linalg.norm(queries - expected, axis=1), rel=0, abs=1e-9)
+
+
 def test_coincident_corners_through_closest_points():
     # corner a is not the closest point of a == b, c on the x axis
     mesh = Mesh(vertices=[[0, 0, 0], [0, 0, 0], [1, 0, 0]], triangles=[[0, 1, 2]])

@@ -33,6 +33,32 @@ def decode_whole(blob, mode, vertex_count):
     return tris
 
 
+def eb_fields(blob):
+    """An Edgebreaker blob's n_closed, seed count, CLERS symbols and split
+    offsets, with the offsets where its split offsets and its permutation
+    start."""
+    m, n_closed = struct.unpack_from("<II", blob)
+    seeds, offset = read_uvarint(blob, 8)
+    clers, splits_at = decode_block(blob, offset, m - seeds)
+    clers = clers.tolist()
+    offsets, perm_at = [], splits_at
+    for _ in range(clers.count(S)):
+        steps, perm_at = read_uvarint(blob, perm_at)
+        offsets.append(steps)
+    return dict(n_closed=n_closed, seeds=seeds, clers=clers, offsets=offsets,
+                splits_at=splits_at, perm_at=perm_at)
+
+
+def eb_blob(seeds, symbols, offsets, perm, n_closed):
+    """The Edgebreaker blob of these fields; m is seeds plus symbols."""
+    return b"".join([
+        struct.pack("<II", len(symbols) + seeds, n_closed), write_uvarint(seeds),
+        encode_block(np.asarray(symbols, dtype=np.int64)),
+        *map(write_uvarint, offsets),
+        pack_bits(np.asarray(perm, dtype=np.int64), (n_closed - 1).bit_length()),
+    ])
+
+
 def eb_roundtrip(mesh):
     table = build_corner_table(mesh)
     assert isinstance(table, CornerTable)
@@ -66,12 +92,9 @@ def test_tetrahedron_isomorphic():
 def test_sphere_rate_under_guarantee():
     sphere = make_icosphere(4)  # 5120 triangles
     blob, _ = eb_roundtrip(sphere)
-    # the CLERS block after the 8-byte header, then the split offsets
-    _, offset = decode_block(blob, 8)
-    n_off, offset = read_uvarint(blob, offset)
-    for _ in range(n_off):
-        _, offset = read_uvarint(blob, offset)
-    clers_bits = 8 * (offset - 8)
+    # the seed count and the CLERS block after the 8-byte header, then the
+    # split offsets
+    clers_bits = 8 * (eb_fields(blob)["perm_at"] - 8)
     assert clers_bits / sphere.triangle_count < 2.5
     raw = encode_connectivity(sphere.triangles, MODE_RAW)
     assert len(raw) > len(blob)
@@ -104,17 +127,17 @@ def _icosphere5_permuted():
 # SHA-256 of each Edgebreaker blob; a change here is a change of format
 PINNED_BLOBS = [
     (lambda: make_icosphere(3),
-     "a281bf98ffbb4a6fe910ddd82fe99b39aa7888d485b4afcbd884fac692a0ad53"),
+     "764d7cda0e1dcac9e6eef6408903f63dd12cb453f9e470cb87247de98b828a81"),
     (lambda: make_icosphere(5),
-     "ecf4fa6ef981becd8cf4b227495a029408a1b539a10a569624ababacc1100fcf"),
+     "717199bf7265136f62336bc242ec6f31c0aadf3d66810df46eb2077d63e8537d"),
     (_icosphere5_permuted,
-     "a5d6d75ab664351fb8b379ea6b6570e28e61b18712552216757c0f8a87e3fef3"),
+     "1ca5609fdd34dd34c83cf935490c008d3ec7f77f3ab888261cb9d5f226e41bf2"),
     (make_cylinder,
-     "9b23328ab9776647e5fab7c819489c8acbc57a2e3496b8720ff99bd38ed5515b"),
+     "9efe8f80b258c1f38efd9efbe8aca190798696ee0790071cdbbbdb516f5eb669"),
     (make_slab,
-     "ba31dbd2a4024f25738918dded3467817ee043c7f8ddfe62992abd47365f9d22"),
+     "15022b73a67b024d45b6564c9b197b1e526072653aa12a36ee90eecb350ee131"),
     (_slab_and_sphere,
-     "772d80a8aa5f8fe53282551bfc6cd30ca27a7c3576cdb76d7e5f3d93c5a01c96"),
+     "8898e752d0b25592b966c104108d5a9ed2a695661e5bf81e0cac5976b070e0e2"),
 ]
 
 
@@ -276,38 +299,27 @@ def _symbol_mutations(symbols):
 def _blob_with_symbols(blob, symbols):
     """blob's Edgebreaker stream with its CLERS symbols replaced.
 
-    The header counts, split offsets and permutation are resized to agree
-    with the new symbols (the original offsets and ids, cut or padded), so
-    the count checks pass and the conquest itself must judge the symbols.
+    The triangle count, split offsets and permutation are resized to agree
+    with the new symbols (the original offsets and ids, cut or padded), and
+    the vertex count grown to hold the permutation, so the count checks
+    pass and the conquest itself must judge the symbols.
     """
-    m, n_closed = struct.unpack_from("<II", blob)
-    old, offset = decode_block(blob, 8)
-    n_off, offset = read_uvarint(blob, offset)
-    offsets = []
-    for _ in range(n_off):
-        steps, offset = read_uvarint(blob, offset)
-        offsets.append(steps)
-    n_perm, offset = read_uvarint(blob, offset)
-    width, offset = read_uvarint(blob, offset)
-    perm = list(unpack_bits(blob[offset:], n_perm, width))
-    seeds = m - len(old)
-    new = np.asarray(symbols, dtype=np.int64)
-    n_split = int(np.count_nonzero(new == S))
-    offsets = (offsets + [2] * n_split)[:n_split]
-    n_perm = 3 * seeds + int(np.count_nonzero(new == C))
+    f = eb_fields(blob)
+    seeds, n_closed = f["seeds"], f["n_closed"]
+    n_perm = 3 * seeds + f["clers"].count(C)
+    perm = list(unpack_bits(blob[f["perm_at"]:], n_perm,
+                            (n_closed - 1).bit_length()))
+    n_split = symbols.count(S)
+    offsets = (f["offsets"] + [2] * n_split)[:n_split]
+    n_perm = 3 * seeds + symbols.count(C)
     perm = (perm + [0] * n_perm)[:n_perm]
-    return b"".join(
-        [struct.pack("<II", len(symbols) + seeds, max(n_closed, n_perm)),
-         encode_block(new), write_uvarint(n_split)]
-        + [write_uvarint(o) for o in offsets]
-        + [write_uvarint(n_perm), write_uvarint(width), pack_bits(perm, width)]
-    )
+    return eb_blob(seeds, symbols, offsets, perm, max(n_closed, n_perm))
 
 
 def test_mutated_symbols_decode_or_raise():
     slab = make_slab(5, 4)
     blob = encode_connectivity(build_corner_table(slab), MODE_EDGEBREAKER)
-    symbols = decode_block(blob, 8)[0].tolist()
+    symbols = eb_fields(blob)["clers"]
     # the slab's CLERS string uses every symbol and splits twice
     assert set(symbols) == set(range(5)) and symbols.count(S) == 2
     assert _blob_with_symbols(blob, symbols) == blob
@@ -329,9 +341,10 @@ def test_mutated_symbols_decode_or_raise():
 
 
 def _tet_blob_parts():
-    """Split the tetrahedron's Edgebreaker blob into header, CLERS, rest."""
+    """Split the tetrahedron's Edgebreaker blob into the 8-byte header, the
+    seed count and CLERS block, and the rest."""
     blob = encode_connectivity(build_corner_table(TET), MODE_EDGEBREAKER)
-    _, clers_end = decode_block(blob, 8)
+    clers_end = eb_fields(blob)["splits_at"]
     return blob[:8], blob[8:clers_end], blob[clers_end:]
 
 
@@ -358,40 +371,25 @@ def test_huge_triangle_count_refused():
     _refused_without_large_allocation(wrong + clers + rest)
 
 
-def test_huge_clers_count_refused():
-    head, _, rest = _tet_blob_parts()
-    # one-symbol alphabet: no payload, so any count fits in four bytes
-    block = (
-        write_uvarint(1 << 40) + write_uvarint(1)
-        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
-    )
-    _refused_without_large_allocation(head + block + rest)
-
-
 def test_connectivity_stats_refuses_hostile_bytes():
     head, _, rest = _tet_blob_parts()
-    # one-symbol alphabet: no payload, so any count fits in four bytes
+    # one seed, then a one-symbol alphabet with no payload: three C
+    # symbols, which need 3 + 3 permutation entries for 4 vertices
     block = (
-        write_uvarint(1 << 40) + write_uvarint(1)
+        write_uvarint(1) + write_uvarint(1)
         + write_uvarint(PROB_TOTAL) + write_uvarint(0)
     )
     for blob in (head + block, head + block + rest, b"\x04\x00"):
         _refused_without_large_allocation(blob)
 
 
-def test_huge_split_offset_count_refused():
-    head, clers, _ = _tet_blob_parts()
-    offsets = write_uvarint(1 << 40) + bytes(16)
-    _refused_without_large_allocation(head + clers + offsets)
-
-
 def test_huge_split_offset_refused():
     # a split offset past int64: the walk wraps the loop, nothing overflows
     slab = make_slab(5, 4)
     blob = encode_connectivity(build_corner_table(slab), MODE_EDGEBREAKER)
-    _, offset = decode_block(blob, 8)
-    n_off, offset = read_uvarint(blob, offset)
-    assert n_off == 2
+    f = eb_fields(blob)
+    assert len(f["offsets"]) == 2
+    offset = f["splits_at"]
     _, end = read_uvarint(blob, offset)
     huge = blob[:offset] + write_uvarint((1 << 64) - 1) + blob[end:]
     # the header and the offset parse; the walk refuses the offset
@@ -400,14 +398,16 @@ def test_huge_split_offset_refused():
 
 
 def test_huge_raw_plane_count_refused():
-    # four triangles, one byte plane: the plane must hold 12 symbols
-    head = struct.pack("<IB", 4, 1)
-    # one-symbol alphabet: no payload, so any count fits in four bytes
+    # 2**32 - 1 triangles, one byte plane: the plane holds 3 * (2**32 - 1)
+    # symbols on 12,582,911 lanes, whose final states its four-byte
+    # payload cannot hold
+    head = struct.pack("<IB", 0xFFFFFFFF, 1)
     block = (
-        write_uvarint(1 << 40) + write_uvarint(1)
-        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
+        write_uvarint(2) + 2 * write_uvarint(PROB_TOTAL // 2)
+        + write_uvarint(4) + bytes(4)
     )
-    _refused_without_large_allocation(head + block, mode=MODE_RAW)
+    _refused_without_large_allocation(head + block, mode=MODE_RAW,
+                                      match="invalid length")
 
 
 def test_raw_plane_count_out_of_range_refused():

@@ -313,12 +313,12 @@ class TestSegmentInvariants:
 PINNED_ENCODES = [
     (SynthConfig(frames=12, motion="bend", amplitude=0.4, resolution=3,
                  remesh_every=5, colors=True, seed=5),
-     "fea5d7bf906134263a2ab8c429e978e1d36c0d8aafc808b4dd845e042db320bd",
+     "56f06f09651e3eaa6e9a0ca150dcfb5613399749657b7646a09f89322c7336ad",
      "5b340b7043fdd0fc9230308b9833cf97546ed34477de78a848e5c5402eb01b64",
      "34c69ea2d68b7b6af08bb3e83496c40a9f6917e2532e52c542836f756143ca9a"),
     (SynthConfig(frames=12, motion="translate", amplitude=0.12, resolution=3,
                  remesh_every=1, colors=True, seed=5),
-     "bce2841089ac3aa94e62e3dc0e72b8f2cdb9790b1ff405e560c2929cd478cffb",
+     "612c8e55cba378d3342fc74cc0b51c0a475937e49a63ad5e506b4defe5edb320",
      "5ad39259cf3ede7908311443b791fff5677f2f71ae2fcb3e7b3ce888e5dccb6c",
      "398208a9c0cdfc573ac0544860dcd2d848c6b889280b21cbd721accafec390f7"),
 ]

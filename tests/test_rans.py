@@ -31,7 +31,7 @@ from ultron.errors import CorruptStreamError
 def coded(symbols):
     """symbols as one block, parsed but not decoded."""
     blob = encode_block(symbols)
-    block, end = read_block(blob)
+    block, end = read_block(blob, 0, len(symbols))
     assert end == len(blob)
     return block
 
@@ -213,7 +213,7 @@ def test_batch_matches_single_blocks(members, seed):
     data = b"".join(coded)
     parsed, offset = [], 0
     for b in blocks:
-        block, offset = read_block(data, offset, max_count=len(b))
+        block, offset = read_block(data, offset, len(b))
         parsed.append(block)
     assert offset == len(data)
     for got, want in zip(decode_blocks(parsed), blocks):
@@ -222,20 +222,20 @@ def test_batch_matches_single_blocks(members, seed):
 
 def test_single_lane_bytes_pinned():
     # a 2,047-symbol block is the largest that stays on one lane; its bytes
-    # are the single-state coder's from before lanes existed
+    # are the single-state coder's from before lanes existed, without the
+    # symbol count blocks no longer store
     i = np.arange(2047, dtype=np.int64)
     s = i * 40503 % 65536
     blob = encode_block((s * s) >> 26)
-    assert len(blob) == 1511
+    assert len(blob) == 1509
     assert hashlib.sha256(blob).hexdigest() == (
-        "0e1f330753f4cfd5665ec7ff758c653569f0c14f8afbbbab1eede10f6914a613"
+        "321fd5b2eebb472554f2b411ca69f75e379fa3ee09575c4f041c311c5ae2b562"
     )
 
 
 def _with_payload(blob, payload):
     """blob, an encode_block output, with its payload replaced."""
-    _, off = read_uvarint(blob, 0)
-    alphabet, off = read_uvarint(blob, off)
+    alphabet, off = read_uvarint(blob, 0)
     for _ in range(alphabet):
         _, off = read_uvarint(blob, off)
     return blob[:off] + write_uvarint(len(payload)) + payload
@@ -266,13 +266,13 @@ def test_hostile_multi_lane_payloads_refused(rng, n, case):
     symbols = rng.geometric(0.2, n) % 60
     blob = encode_block(symbols)
     lanes = n // LANE_SYMBOLS
-    payload = bytes(read_block(blob)[0].payload)
+    payload = bytes(read_block(blob, 0, n)[0].payload)
     hostile = _with_payload(blob, _hostile_payloads(payload, lanes)[case])
-    assert np.array_equal(decode_block(blob)[0], symbols)
+    assert np.array_equal(decode_block(blob, 0, n)[0], symbols)
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError):
-            decode_block(hostile, 0, max_count=n)
+            decode_block(hostile, 0, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -288,7 +288,7 @@ def test_hostile_batch_member_refused(rng, n, case):
     blocks = [rng.geometric(0.2, n) % 60 for _ in range(3)]
     blobs = encode_blocks(blocks)
     lanes = n // LANE_SYMBOLS
-    payload = bytes(read_block(blobs[1])[0].payload)
+    payload = bytes(read_block(blobs[1], 0, n)[0].payload)
     blobs[1] = _with_payload(blobs[1], _hostile_payloads(payload, lanes)[case])
     data = b"".join(blobs)
     tracemalloc.start()
@@ -296,7 +296,7 @@ def test_hostile_batch_member_refused(rng, n, case):
         with pytest.raises(CorruptStreamError):
             parsed, offset = [], 0
             for _ in blocks:
-                block, offset = read_block(data, offset, max_count=n)
+                block, offset = read_block(data, offset, n)
                 parsed.append(block)
             decode_blocks(parsed)
         _, peak = tracemalloc.get_traced_memory()
@@ -306,10 +306,10 @@ def test_hostile_batch_member_refused(rng, n, case):
 
 
 def test_decode_rejects_wrong_count(rng):
-    block = coded(rng.integers(0, 50, 5000))
+    blob = encode_block(rng.integers(0, 50, 5000))
     for bad_count in (4999, 5001):
         with pytest.raises(CorruptStreamError):
-            decode_blocks([block._replace(count=bad_count)])
+            decode_block(blob, 0, bad_count)
 
 
 def test_decode_rejects_truncation(rng):
@@ -322,8 +322,8 @@ def test_block_roundtrip_and_offsets(rng):
     a = rng.integers(0, 16, 300)
     b = rng.integers(0, 200, 500)
     blob = encode_block(a) + encode_block(b)
-    da, off = decode_block(blob, 0)
-    db, end = decode_block(blob, off)
+    da, off = decode_block(blob, 0, 300)
+    db, end = decode_block(blob, off, 500)
     assert np.array_equal(da, a) and np.array_equal(db, b)
     assert end == len(blob)
 
@@ -331,17 +331,16 @@ def test_block_roundtrip_and_offsets(rng):
 def test_block_count_bound(rng):
     symbols = rng.integers(0, 5, 40)
     blob = encode_block(symbols)
-    back, end = decode_block(blob, 0, max_count=40)
+    back, end = decode_block(blob, 0, 40)
     assert np.array_equal(back, symbols) and end == len(blob)
     with pytest.raises(CorruptStreamError):
-        decode_block(blob, 0, max_count=39)
-    # a one-symbol block declaring 2**40 symbols is refused before allocating
-    huge = encode_block(np.zeros(1, dtype=int))
-    huge = write_uvarint(1 << 40) + huge[1:]
+        decode_block(blob, 0, 39)
+    # a caller's count of 2**40 needs a payload of 2**30 lane states: the
+    # block's payload is too short, and is refused before allocating
     tracemalloc.start()
     try:
-        with pytest.raises(CorruptStreamError):
-            decode_block(huge, 0, max_count=1000)
+        with pytest.raises(CorruptStreamError, match="invalid length"):
+            decode_block(blob, 0, 1 << 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -349,12 +348,12 @@ def test_block_count_bound(rng):
 
 
 def test_block_frequency_over_total_refused():
-    # count 4, alphabet 2, then a first frequency past the int64 range
+    # alphabet 2, then a first frequency past PROB_TOTAL or the int64 range
     for freq in (PROB_TOTAL + 1, 1 << 63):
-        blob = (write_uvarint(4) + write_uvarint(2) + write_uvarint(freq)
+        blob = (write_uvarint(2) + write_uvarint(freq)
                 + write_uvarint(1) + write_uvarint(0))
         with pytest.raises(CorruptStreamError, match="frequency"):
-            decode_block(blob)
+            decode_block(blob, 0, 4)
 
 
 def test_block_degenerate_is_tiny():

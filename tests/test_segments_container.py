@@ -27,7 +27,7 @@ from ultron.codec import (
 )
 from ultron.codec import rans
 from ultron.codec.connectivity import (MODE_EDGEBREAKER, MODE_PREVIOUS, MODE_RAW,
-                                       C, S, decode_connectivity,
+                                       C, E, S, decode_connectivity,
                                        encode_connectivity, pack_bits)
 from ultron.codec.rans import PROB_TOTAL, encode_block, read_block, write_uvarint
 from ultron.codec.segments import _HEADER
@@ -82,12 +82,15 @@ def _connectivity_end(blob):
 
 
 def _blocks(blob):
-    """(start, end) of each entropy block after a segment's connectivity."""
+    """(start, end) of each entropy block after the connectivity of a
+    segment whose streams all have three values per vertex (positions,
+    colors, normals): every block holds 3 x vertex-count symbols."""
     offset = _connectivity_end(blob)
+    count = 3 * _HEADER.unpack_from(blob)[1]
     spans = []
     while offset < len(blob):
         start = offset
-        _, offset = read_block(blob, offset)
+        _, offset = read_block(blob, offset, count)
         spans.append((start, offset))
     return spans
 
@@ -255,7 +258,7 @@ def test_bad_magic_and_version(rng):
     bad_magic = bytes(b"XLTR" + data[4:])
     with pytest.raises(ContainerError, match="magic"):
         decode_container(bad_magic)
-    for version in (1, 2, 3, 4, 5, VERSION + 1):
+    for version in (1, 2, 3, 4, 5, 6, VERSION + 1):
         bad_version = bytes(data[:4] + struct.pack("<H", version) + data[6:])
         with pytest.raises(ContainerError, match="version"):
             decode_container(bad_version)
@@ -360,22 +363,25 @@ def _one_segment(conn=b"", *, frames=1, mode=MODE_RAW):
     return struct.pack("<4sHHI", b"ULTR", VERSION, 0, 1) + head + conn
 
 
-def _edgebreaker_blob(symbols, seeds, offsets=()):
+def _edgebreaker_blob(symbols, seeds, offsets=(), *, m=None, n_closed=None,
+                      perm=None):
     """An Edgebreaker blob whose counts agree with its CLERS symbols, so
-    that the conquest itself judges them; the permutation is the identity."""
-    n_perm = 3 * seeds + symbols.count(C)
+    that the conquest itself judges them, unless m (default: symbols plus
+    seeds), n_closed (default: the permutation's length) or perm (default:
+    the identity) say otherwise."""
+    if perm is None:
+        perm = np.arange(3 * seeds + symbols.count(C))
+    n_closed = len(perm) if n_closed is None else n_closed
     return b"".join([
-        struct.pack("<II", len(symbols) + seeds, n_perm),
-        encode_block(np.asarray(symbols)), write_uvarint(len(offsets)),
+        struct.pack("<II", len(symbols) + seeds if m is None else m, n_closed),
+        write_uvarint(seeds), encode_block(np.asarray(symbols, dtype=np.int64)),
         *map(write_uvarint, offsets),
-        write_uvarint(n_perm), write_uvarint(8), pack_bits(np.arange(n_perm), 8),
+        pack_bits(np.asarray(perm), (n_closed - 1).bit_length()),
     ])
 
 
-# one raw byte plane of no symbols, with a two-symbol table and a payload
-_EMPTY_PLANE_WITH_PAYLOAD = (write_uvarint(0) + write_uvarint(2)
-                             + 2 * write_uvarint(PROB_TOTAL // 2)
-                             + write_uvarint(2) + b"\0\0")
+# a two-symbol table that sums to PROB_TOTAL, before a block's payload length
+_HALVES = write_uvarint(2) + 2 * write_uvarint(PROB_TOTAL // 2)
 
 
 @pytest.mark.parametrize("data,match", [
@@ -385,8 +391,9 @@ _EMPTY_PLANE_WITH_PAYLOAD = (write_uvarint(0) + write_uvarint(2)
     (_one_segment(struct.pack("<I", 1)), "raw connectivity blob too short"),
     (_one_segment(encode_connectivity(np.full((1, 3), -1), MODE_RAW)),
      "negative vertex index after delta decode"),
-    (_one_segment(struct.pack("<IB", 0, 1) + _EMPTY_PLANE_WITH_PAYLOAD),
-     "nonempty payload for empty stream"),
+    # one raw byte plane of no symbols, with a two-symbol table and a payload
+    (_one_segment(struct.pack("<IB", 0, 1) + _HALVES + write_uvarint(2) + b"\0\0"),
+     "nonempty payload for a block without one"),
     (_one_segment(struct.pack("<IB", 1, 1) + b"\xff" * 10), "oversized varint"),
     # the first of two components opens a loop that its one symbol leaves open
     (_one_segment(_edgebreaker_blob([C], seeds=2), mode=MODE_EDGEBREAKER),
@@ -395,9 +402,31 @@ _EMPTY_PLANE_WITH_PAYLOAD = (write_uvarint(0) + write_uvarint(2)
      "split offset too small"),
     (_one_segment(_edgebreaker_blob([5], seeds=1), mode=MODE_EDGEBREAKER),
      "unknown CLERS symbol 5"),
+    # counts a block or an Edgebreaker head no longer stores are derived,
+    # and what is left is range-checked before anything is sized
+    (_one_segment(_edgebreaker_blob([], seeds=2, m=1), mode=MODE_EDGEBREAKER),
+     "2 components for 1 triangles"),
+    (_one_segment(_edgebreaker_blob([E], seeds=0, n_closed=3), mode=MODE_EDGEBREAKER),
+     "0 components for 1 triangles"),
+    # one seed and two C symbols need five permutation entries
+    (_one_segment(_edgebreaker_blob([C, C], seeds=1, n_closed=4),
+                  mode=MODE_EDGEBREAKER),
+     "permutation longer than the vertex count"),
+    (_one_segment(struct.pack("<IB", 1, 1) + write_uvarint(2)
+                  + 2 * write_uvarint(1000) + write_uvarint(0)),
+     "frequency table sums to 2000"),
+    # one triangle, one seed: a CLERS stream of no symbols, with a payload
+    (_one_segment(struct.pack("<II", 1, 3) + write_uvarint(1) + _HALVES
+                  + write_uvarint(2) + b"\0\0", mode=MODE_EDGEBREAKER),
+     "nonempty payload for a block without one"),
+    # one triangle: a plane of 3 symbols on one lane needs its 4-byte state
+    (_one_segment(struct.pack("<IB", 1, 1) + _HALVES + write_uvarint(2) + b"\0\0"),
+     "entropy payload has invalid length"),
 ], ids=["zero_frames", "unknown_mode", "first_segment_mode_2", "raw_too_short",
         "raw_negative_index", "empty_plane_payload", "oversized_varint",
-        "clers_exhausted", "split_offset_too_small", "unknown_clers_symbol"])
+        "clers_exhausted", "split_offset_too_small", "unknown_clers_symbol",
+        "seeds_over_m", "no_seed", "permutation_over_n_closed", "table_sum",
+        "empty_clers_payload", "short_payload"])
 def test_hostile_bytes_refused(data, match):
     tracemalloc.start()
     try:
@@ -416,21 +445,17 @@ def test_inconsistent_segment_attributes_rejected(rng):
         encode_container([with_colors, plain], QuantizationParams())
 
 
-def test_huge_plane_count_refused(rng):
-    seg = moving_segment(rng, n_frames=1, subdiv=1, with_attrs=False)
-    blob = encode_segment(seg, QuantizationParams())
-    positions = _connectivity_end(blob)
-    # frame 0's first position plane declares 2**40 symbols with a
-    # one-symbol alphabet, which needs no payload
-    block = (
-        write_uvarint(1 << 40) + write_uvarint(1)
-        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
-    )
-    crafted = blob[:positions] + block
+def test_huge_plane_count_refused():
+    # a plane holds the header's vertex count x 3 symbols: 2**32 - 1
+    # vertices put frame 0's first position plane on 12,582,911 lanes,
+    # whose final states its four-byte payload cannot hold
+    head = _HEADER.pack(1, 0xFFFFFFFF, 10, 11, 10, *(0.0,) * 6, MODE_RAW)
+    conn = encode_connectivity(np.zeros((0, 3), dtype=np.int64), MODE_RAW)
+    crafted = head + conn + _HALVES + write_uvarint(4) + bytes(4)
     tracemalloc.start()
     try:
-        with pytest.raises(CorruptStreamError):
-            decode_segment(crafted, segment_flags(seg))
+        with pytest.raises(CorruptStreamError, match="invalid length"):
+            decode_segment(crafted, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -477,12 +502,12 @@ def raw_torus_segment():
 
 @pytest.mark.parametrize("make,digest", [
     (multi_lane_segment,
-     "bc3757cd9fbd4f19698045af30e6556074976f50979913b2678eb99fb1c24b1e"),
+     "342d016906a661e2c623f8c1628d3ceed00f3079753e8d6fa32f29c2fc903067"),
     # 642 vertices, 60 frames: about 120 single-lane blocks in one batch
     (lambda: synth_segment(60, 3),
-     "865c03959eb8225c96a0b6c10dda5083074330cf5a8ce4b92655669d58b86d4b"),
+     "a4f303747f3bde73d66be906d99aae2dcbc980112e621e66da45620370d3061a"),
     (raw_torus_segment,
-     "e98996014337dba0ba71f88e68d36f6edc18494fedc461555fee324779ba04cf"),
+     "6730f368ad23ac4a3fc77d433211d79fe1514abc8a5b0138e46913df4fdc4814"),
 ], ids=["icosphere5_3_frames", "smooth_60_frames", "raw_torus"])
 def test_container_bytes_pinned(make, digest):
     # these containers' entropy blocks predate coding a segment's blocks in
@@ -492,20 +517,16 @@ def test_container_bytes_pinned(make, digest):
 
 
 def test_late_huge_plane_refused_before_decoding():
-    # a segment's block headers are all checked before any payload is
-    # decoded: a color plane declaring 2**40 symbols is refused without
+    # a segment's blocks are all checked before any payload is decoded: a
+    # color plane declaring a 2**40-byte payload is refused without
     # decoding the 150 position frames in front of it (2.3 MB as int64)
     seg = synth_segment(150, 3)
     blob = encode_segment(seg, QuantizationParams())
     last, _ = _blocks(blob)[-1]
-    block = (
-        write_uvarint(1 << 40) + write_uvarint(1)
-        + write_uvarint(PROB_TOTAL) + write_uvarint(0)
-    )
-    crafted = blob[:last] + block
+    crafted = blob[:last] + _HALVES + write_uvarint(1 << 40)
     tracemalloc.start()
     try:
-        with pytest.raises(CorruptStreamError, match="at most"):
+        with pytest.raises(CorruptStreamError, match="overruns"):
             decode_segment(crafted, segment_flags(seg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -658,11 +679,11 @@ def test_connectivity_by_reference_carries_no_blob(rng):
     first, second = predicted_pair(rng)
     data = encode_container([first, second], QuantizationParams())
     at = _second_segment(data, segment_flags(first))
-    offset, blocks = at + _HEADER.size, 0
-    while offset < len(data):
-        _, offset = read_block(data, offset)
-        blocks += 1
-    assert blocks == 3 * 2 + 2 + 2
+    n = first.key.vertex_count
+    offset = at + _HEADER.size
+    for count in [3 * n] * (3 * 2) + [2 * n] * 2 + [3 * n] * 2:
+        _, offset = read_block(data, offset, count)
+    assert offset == len(data)
     # four bytes where a blob would be are read as a stream block
     crafted = data[:at + _HEADER.size] + b"\0" * 4 + data[at + _HEADER.size:]
     with pytest.raises(ContainerError):
