@@ -60,7 +60,8 @@ def _check_pattern(pattern: str) -> None:
 def resolve_inputs(inputs: list[str], manifest: str | None = None) -> list[Path]:
     """Input frames from an explicit list, a printf pattern, or a manifest.
     A single input that names an existing file is that file, even if it
-    holds a '%'."""
+    holds a '%'. A pattern is filled from 0 up to the first missing file,
+    and refused if two frame numbers fill to one file."""
     if manifest:
         if inputs:
             raise MeshParseError("give either input paths or --manifest, not both")
@@ -69,14 +70,17 @@ def resolve_inputs(inputs: list[str], manifest: str | None = None) -> list[Path]
         paths = [Path(l) for l in stripped if l and not l.startswith("#")]
     elif len(inputs) == 1 and "%" in inputs[0] and not Path(inputs[0]).is_file():
         _check_pattern(inputs[0])
-        paths = []
-        i = 0
+        listed: dict[Path, int] = {}  # path -> its frame number
         while True:
-            p = Path(_fill(inputs[0], i))
+            p = Path(_fill(inputs[0], len(listed)))
             if not p.exists():
                 break
-            paths.append(p)
-            i += 1
+            if p in listed:
+                raise MeshParseError(
+                    f"{inputs[0]!r} names {str(p)!r} for frames "
+                    f"{listed[p]} and {len(listed)}")
+            listed[p] = len(listed)
+        paths = list(listed)
     else:
         paths = [Path(p) for p in inputs]
     if not paths:

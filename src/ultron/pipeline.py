@@ -1,12 +1,19 @@
 """Per-frame keyframe loop: track, register, assess, segment.
 
-Frame 0 keys the first segment. Each later frame is matched against the
-segment's last two accepted frames (the latest, moved on by its last
-step), the key (at the latest) is registered onto the frame, and the
-deformation quality is assessed against the original. Passing frames join
-the segment as new vertex positions on the key's connectivity; failing
-frames (or solver divergence) start a new segment keyed by the original
-frame, which has no step yet.
+Frame 0 keys the first segment. A later frame whose triangle array equals
+the key's is first assessed as itself: the key's connectivity at the
+frame's own positions (E_d 0; E_c compares the key's colors with the
+frame's). If that passes, the frame is coded as itself, without tracking
+or registration: it joins the segment when the unmoved latest accepted
+frame also passes for it, and otherwise keys a new segment. Its stats row
+reads 0 registration iterations.
+
+Every other frame is matched against the segment's last two accepted
+frames (the latest, moved on by its last step), the key (at the latest) is
+registered onto the frame, and the deformation quality is assessed against
+the original. Passing frames join the segment as new vertex positions on
+the key's connectivity; failing frames (or solver divergence) start a new
+segment keyed by the original frame, which has no step yet.
 """
 
 from __future__ import annotations
@@ -265,16 +272,27 @@ def run_pipeline(
             continue
         _check_attribute_consistency(current.key, frame, idx)
 
-        previous = current.frames[-2] if len(current.frames) > 1 else None
-        matches = match_frames(current.frames[-1], frame, max_residual,
-                               previous=previous)
-        deformed, _field, report = register(
-            current.key.with_vertices(current.frames[-1]), frame, matches,
-            registration_cfg,
-        )
-        quality = assess_quality(deformed, frame, thresholds)
+        latest = current.key.with_vertices(current.frames[-1])
+        on_key_array = np.array_equal(frame.triangles, current.key.triangles)
+        if on_key_array:
+            deformed = current.key.with_vertices(frame.vertices)
+            quality = assess_quality(deformed, frame, thresholds)
+        if on_key_array and quality.passed:
+            # The key's connectivity at the frame's own positions is the
+            # frame: code it as itself, in this segment only if the unmoved
+            # latest frame already passes for it.
+            accepted = assess_quality(latest, frame, thresholds).passed
+            iterations = 0
+        else:
+            previous = current.frames[-2] if len(current.frames) > 1 else None
+            matches = match_frames(current.frames[-1], frame, max_residual,
+                                   previous=previous)
+            deformed, _field, report = register(latest, frame, matches,
+                                                registration_cfg)
+            quality = assess_quality(deformed, frame, thresholds)
+            accepted = quality.passed and not report.diverged
+            iterations = report.iterations_used
 
-        accepted = quality.passed and not report.diverged
         if accepted:
             current.accept(deformed)
         else:
@@ -282,7 +300,7 @@ def run_pipeline(
             current = _OpenSegment(frame, idx, store_normals)
         stats.records.append(FrameRecord(
             idx, len(segments), not accepted,
-            quality.E_d_rms, quality.E_c_rms, report.iterations_used,
+            quality.E_d_rms, quality.E_c_rms, iterations,
         ))
 
     if current is None:

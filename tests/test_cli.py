@@ -14,7 +14,7 @@ from ultron.codec import (
     decode_container,
     encode_container,
 )
-from ultron.mesh import load_mesh, save_mesh
+from ultron.mesh import Mesh, load_mesh, save_mesh
 from ultron.pipeline import QualityThresholds, run_pipeline
 from ultron.registration import RegistrationConfig
 from ultron.synth import SynthConfig, make_slab, synth_frames
@@ -290,6 +290,18 @@ def test_input_pattern_ignoring_the_frame_number_is_a_parse_error(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["frame_.obj"]
 
 
+def test_input_pattern_repeating_a_file_is_a_parse_error(tmp_path, capsys):
+    # %.0e fills 10 through 14 to f_1e+01.obj: that one file would be
+    # listed as five frames
+    for name in [f"f_{i}e+00.obj" for i in range(10)] + ["f_1e+01.obj"]:
+        save_mesh(make_slab(4, 3), tmp_path / name)
+    assert run_cli("encode", tmp_path / "f_%.0e.obj",
+                   "--output", tmp_path / "x.ultn") == 3
+    err = capsys.readouterr().err
+    assert "f_1e+01.obj" in err and "for frames 10 and 11" in err
+    assert not (tmp_path / "x.ultn").exists()
+
+
 def test_output_pattern_ignoring_the_frame_number_is_refused_before_decoding(
         tmp_path, capsys):
     ultn = tmp_path / "in.ultn"
@@ -501,8 +513,12 @@ def test_an_infinite_tolerance_turns_its_gate_off(tmp_path):
 
 
 def test_an_overflowing_gamma_is_a_solver_error(tmp_path, capsys):
+    # frame 1's triangle rows are rolled, so it leaves the key's triangle
+    # array and must be registered
     for i, mesh in enumerate(synth_frames(SynthConfig(shape="sphere", frames=2,
                                                       resolution=1))):
+        mesh = Mesh(vertices=mesh.vertices,
+                    triangles=np.roll(mesh.triangles, i, axis=0))
         save_mesh(mesh, tmp_path / f"frame_{i:04d}.obj")
     out = tmp_path / "x.ultn"
     assert run_cli("encode", tmp_path / "frame_%04d.obj", "--output", out,

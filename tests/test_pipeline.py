@@ -7,7 +7,8 @@ import pytest
 import ultron.mesh.closest
 import ultron.pipeline
 from ultron.codec import decode_container, encode_container
-from ultron.mesh import Mesh
+from ultron.codec.quantization import QuantizationParams, half_step, widen_to_f32
+from ultron.mesh import Aabb, Mesh
 from ultron.pipeline import (
     QualityThresholds,
     Segment,
@@ -22,6 +23,15 @@ from ultron.tracking import CorrespondenceSet, match_frames
 
 
 FAST_REG = RegistrationConfig(outer_iterations=10)
+
+
+def _retessellated(frames):
+    """frames with frame i's triangle rows rolled by i: the same surfaces,
+    but no two consecutive frames share a triangle array, so every later
+    frame takes the registration path."""
+    return [Mesh(vertices=f.vertices, triangles=np.roll(f.triangles, i, axis=0),
+                 normals=f.normals, uvs=f.uvs, colors=f.colors)
+            for i, f in enumerate(frames)]
 
 
 class TestAssessQuality:
@@ -206,7 +216,7 @@ class TestRunPipeline:
         shift = 0.01 * sphere_162.bounds().diagonal
         moved = sphere_162.with_vertices(sphere_162.vertices + shift)
         segments, stats = run_pipeline(
-            [sphere_162, moved], registration_cfg=FAST_REG
+            _retessellated([sphere_162, moved]), registration_cfg=FAST_REG
         )
         assert stats.keyframes == [0]
         assert len(builds) == 2
@@ -214,9 +224,9 @@ class TestRunPipeline:
     def test_tracked_matches_reach_registration(self, monkeypatch):
         # on a twisting sphere the tracker's matches are what keep frames
         # in their segments: without them nearly every frame is a keyframe
-        frames = synth_frames(SynthConfig(shape="sphere", frames=12,
-                                          motion="twist", amplitude=1.0,
-                                          resolution=3, colors=True, seed=5))
+        frames = _retessellated(synth_frames(SynthConfig(
+            shape="sphere", frames=12, motion="twist", amplitude=1.0,
+            resolution=3, colors=True, seed=5)))
         _, tracked = run_pipeline(frames)
         monkeypatch.setattr(ultron.pipeline, "match_frames",
                             lambda *_, **__: CorrespondenceSet([], [], []))
@@ -225,8 +235,8 @@ class TestRunPipeline:
         assert len(untracked.keyframes) >= 8
 
     def test_tracker_gets_the_last_two_accepted_frames(self, monkeypatch):
-        # a translate on one tessellation gives the same bytes with or
-        # without the step, so only the tracker's arguments can show it
+        # on a translating sphere, registered at every frame, the
+        # tracker's arguments show whether it gets the step
         calls = []
 
         def recording(positions, target, max_residual=None, *, previous=None):
@@ -236,9 +246,9 @@ class TestRunPipeline:
                                 previous=previous)
 
         monkeypatch.setattr(ultron.pipeline, "match_frames", recording)
-        frames = synth_frames(SynthConfig(shape="sphere", frames=12,
-                                          motion="translate", amplitude=0.12,
-                                          resolution=3, colors=True, seed=5))
+        frames = _retessellated(synth_frames(SynthConfig(
+            shape="sphere", frames=12, motion="translate", amplitude=0.12,
+            resolution=3, colors=True, seed=5)))
         segments, _ = run_pipeline(frames)
         assert len(segments) == 1
         accepted = segments[0].frames
@@ -249,6 +259,63 @@ class TestRunPipeline:
                 assert previous is None
             else:
                 assert np.array_equal(previous, accepted[k - 2])
+
+    def _counted(self, monkeypatch):
+        calls = {"register": 0, "match_frames": 0}
+        for name in calls:
+            original = getattr(ultron.pipeline, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ultron.pipeline, name, counting)
+        return calls
+
+    def test_one_tessellation_is_coded_as_itself(self, monkeypatch):
+        # every frame of a twisting sphere shares frame 0's triangle array:
+        # none is matched or registered, and each decodes to its own
+        # positions within half a lattice step
+        frames = synth_frames(SynthConfig(shape="sphere", frames=12,
+                                          motion="twist", amplitude=1.0,
+                                          resolution=3, colors=True, seed=5))
+        calls = self._counted(monkeypatch)
+        segments, _ = run_pipeline(frames)
+        assert calls == {"register": 0, "match_frames": 0}
+        back, _ = decode_container(encode_container(segments))
+        qp = QuantizationParams().qp
+        assert [s.frame_ids for s in back] == [s.frame_ids for s in segments]
+        for seg, dec in zip(segments, back):
+            grid = widen_to_f32(Aabb.of_points(seg.frames.reshape(-1, 3)))
+            slack = half_step(grid, qp) + 1e-12 * np.maximum(grid.extent, 1.0)
+            for j, frame_id in enumerate(seg.frame_ids):
+                err = np.abs(dec.frames[j] - frames[frame_id].vertices)
+                assert np.all(err <= slack)
+
+    def test_resampled_frame_on_the_same_array_is_registered(self, monkeypatch):
+        # synth's remesh keeps the triangle array but moves the vertices to
+        # other surface points: the identity's color gate fails, so the
+        # frame still reaches registration
+        frames = synth_frames(SynthConfig(
+            shape="sphere", frames=2, amplitude=0.0, resolution=3,
+            remesh_every=1, colors=True, seed=5,
+        ))
+        assert np.array_equal(frames[0].triangles, frames[1].triangles)
+        calls = self._counted(monkeypatch)
+        _, stats = run_pipeline(frames)
+        assert calls == {"register": 1, "match_frames": 1}
+        assert stats.records[1].registration_iterations > 0
+
+    def test_identity_rows_read_zero_iterations(self):
+        frames = synth_frames(SynthConfig(shape="sphere", frames=6,
+                                          motion="twist", amplitude=1.0,
+                                          resolution=2, colors=True, seed=5))
+        _, stats = run_pipeline(frames)
+        rows = [line.split(",") for line in stats.to_csv().splitlines()[2:]]
+        assert len(rows) == 5
+        for row in rows:
+            assert row[3] == "0.0" and float(row[4]) < 1e-12
+            assert row[5] == "0"
 
     def test_stats_csv_shape(self, sphere_162):
         _, stats = run_pipeline([sphere_162] * 3, registration_cfg=FAST_REG)
@@ -313,9 +380,9 @@ class TestSegmentInvariants:
 PINNED_ENCODES = [
     (SynthConfig(frames=12, motion="bend", amplitude=0.4, resolution=3,
                  remesh_every=5, colors=True, seed=5),
-     "56f06f09651e3eaa6e9a0ca150dcfb5613399749657b7646a09f89322c7336ad",
-     "5b340b7043fdd0fc9230308b9833cf97546ed34477de78a848e5c5402eb01b64",
-     "34c69ea2d68b7b6af08bb3e83496c40a9f6917e2532e52c542836f756143ca9a"),
+     "125d6526ea91fab85f4a5fbe9d3a6f49f4878284110a2b566f284942b52de9d4",
+     "c9272100896f99de05aec9ba07a512a9fd9562ccb15df5fdc705ac668db3b288",
+     "9cd654071a8f7ee43f62c4d2e8ca69955bee3781e7ca699885653436090e26ef"),
     (SynthConfig(frames=12, motion="translate", amplitude=0.12, resolution=3,
                  remesh_every=1, colors=True, seed=5),
      "612c8e55cba378d3342fc74cc0b51c0a475937e49a63ad5e506b4defe5edb320",
@@ -335,8 +402,9 @@ def test_keyframe_loop_bytes_pinned(cfg, container, csv, decoded):
 @pytest.mark.parametrize("cfg,container,csv,decoded", PINNED_ENCODES,
                          ids=["bend", "capture"])
 def test_decoded_arrays_pinned(cfg, container, csv, decoded):
-    # these digests predate coding a segment against the one before it:
-    # prediction changes the bytes, never what they decode to
+    # prediction from the segment before changes the bytes, never what
+    # they decode to; the keyframes, and so the decoded arrays, change
+    # only with the keyframe loop
     segments, _ = run_pipeline(synth_frames(cfg))
     back, _ = decode_container(encode_container(segments))
     digest = hashlib.sha256()
