@@ -1,12 +1,12 @@
 """Per-frame keyframe loop: track, register, assess, segment.
 
-Frame 0 keys the first segment. A later frame whose triangle array equals
-the key's is first assessed as itself: the key's connectivity at the
-frame's own positions (E_d 0; E_c compares the key's colors with the
-frame's). If that passes, the frame is coded as itself, without tracking
-or registration: it joins the segment when the unmoved latest accepted
-frame also passes for it, and otherwise keys a new segment. Its stats row
-reads 0 registration iterations.
+Frame 0 keys the first segment. A later frame with the key's vertex count
+and triangle array is first assessed as itself, the key's connectivity at
+its own positions: E_d is 0 by construction and E_c compares the key's
+colors with the frame's per vertex, with no closest-point query. If that
+passes, the frame is coded as itself, without tracking or registration: it
+joins the segment when the unmoved latest accepted frame also passes for
+it, and otherwise keys a new segment. Its stats row reads 0 iterations.
 
 Every other frame is matched against the segment's last two accepted
 frames (the latest, moved on by its last step), the key (at the latest) is
@@ -101,25 +101,11 @@ class Segment:
 
     def frame_mesh(self, i: int, *, recompute_normals: bool = False) -> Mesh:
         """Materialize frame i as a mesh on the key's connectivity."""
-        normals = None
-        if self.normal_frames is not None:
-            normals = self.normal_frames[i]
-        mesh = Mesh(
-            vertices=self.frames[i],
-            triangles=self.key.triangles,
-            normals=normals,
-            uvs=self.key.uvs,
-            colors=self.key.colors,
-        )
+        normals = None if self.normal_frames is None else self.normal_frames[i]
         if normals is None and recompute_normals:
-            mesh = Mesh(
-                vertices=self.frames[i],
-                triangles=self.key.triangles,
-                normals=vertex_normals(mesh),
-                uvs=self.key.uvs,
-                colors=self.key.colors,
-            )
-        return mesh
+            normals = vertex_normals(self.key.with_vertices(self.frames[i]))
+        return Mesh(vertices=self.frames[i], triangles=self.key.triangles,
+                    normals=normals, uvs=self.key.uvs, colors=self.key.colors)
 
 
 def _surface_colors(mesh: Mesh, points, tris) -> np.ndarray:
@@ -154,8 +140,19 @@ def surface_errors(deformed: Mesh, original: Mesh):
     rms = max(float(np.sqrt(np.mean(d * d))) for d in (d_do, d_od))
     if deformed.colors is None or original.colors is None:
         return rms, None
-    diff = deformed.colors - _surface_colors(original, pts, tris)
-    return rms, float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
+    return rms, _rgb_rms(deformed.colors, _surface_colors(original, pts, tris))
+
+
+def _rgb_rms(colors, reference) -> float:
+    """RMS over vertices of the RGB distance between two (n, 3) arrays."""
+    diff = colors - reference
+    return float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
+
+
+def _judged(e_d: float, e_c: float | None, thresholds: QualityThresholds):
+    """The gate's verdict on a frame's E_d and E_c."""
+    return QualityReport(e_d, e_c, e_d <= thresholds.geometry_tol
+                         and (e_c is None or e_c <= thresholds.color_tol))
 
 
 def assess_quality(
@@ -172,12 +169,21 @@ def assess_quality(
     if diag <= 0:
         raise InvalidMeshError("original mesh has a degenerate bounding box")
     rms, e_c = surface_errors(deformed, original)
-    e_d = rms / diag
+    return _judged(rms / diag, e_c, thresholds)
 
-    passed = e_d <= thresholds.geometry_tol and (
-        e_c is None or e_c <= thresholds.color_tol
-    )
-    return QualityReport(E_d_rms=e_d, E_c_rms=e_c, passed=passed)
+
+def _identity_quality(key: Mesh, frame: Mesh, thresholds: QualityThresholds):
+    """assess_quality of the key's connectivity at frame's own positions
+    against frame, or None when frame is not on the key's vertex count and
+    triangle array. Each vertex is its own closest point, so E_d is 0 and
+    E_c compares colors per vertex; the surface formula differs only where
+    a vertex's winning triangle has zero area or is a lower-id triangle
+    through the vertex at a T-junction."""
+    if (frame.vertex_count != key.vertex_count
+            or not np.array_equal(frame.triangles, key.triangles)):
+        return None
+    e_c = None if key.colors is None else _rgb_rms(key.colors, frame.colors)
+    return _judged(0.0, e_c, thresholds)
 
 
 @dataclass(frozen=True)
@@ -215,25 +221,19 @@ class PipelineStats:
 
 
 class _OpenSegment:
-    def __init__(self, key: Mesh, frame_id: int, store_normals: bool):
+    def __init__(self, key: Mesh, frame_id: int):
         self.key = key
         self.frames = [key.vertices]  # accepted positions, one per frame
         self.first_id = frame_id
-        self.normals = [vertex_normals(key) if key.normals is None else key.normals] \
-            if store_normals else None
 
-    def accept(self, deformed: Mesh):
-        self.frames.append(deformed.vertices)
-        if self.normals is not None:
-            self.normals.append(vertex_normals(deformed))
-
-    def close(self) -> Segment:
-        return Segment(
-            key=self.key,
-            frames=np.stack(self.frames),
-            frame_ids=range(self.first_id, self.first_id + len(self.frames)),
-            normal_frames=np.stack(self.normals) if self.normals is not None else None,
-        )
+    def close(self, store_normals: bool) -> Segment:
+        normals = None
+        if store_normals:  # frame 0 keeps the key's own normals if it has them
+            meshes = [self.key] + [self.key.with_vertices(v) for v in self.frames[1:]]
+            normals = [vertex_normals(m) if m.normals is None else m.normals
+                       for m in meshes]
+        ids = range(self.first_id, self.first_id + len(self.frames))
+        return Segment(self.key, self.frames, ids, normals)
 
 
 def _check_attribute_consistency(key: Mesh, frame: Mesh, index: int):
@@ -267,22 +267,19 @@ def run_pipeline(
         if frame.triangle_count == 0:
             raise InvalidMeshError(f"frame {idx} has no triangles")
         if current is None:
-            current = _OpenSegment(frame, idx, store_normals)
+            current = _OpenSegment(frame, idx)
             stats.records.append(FrameRecord(idx, len(segments), True, None, None, 0))
             continue
         _check_attribute_consistency(current.key, frame, idx)
 
         latest = current.key.with_vertices(current.frames[-1])
-        on_key_array = np.array_equal(frame.triangles, current.key.triangles)
-        if on_key_array:
-            deformed = current.key.with_vertices(frame.vertices)
-            quality = assess_quality(deformed, frame, thresholds)
-        if on_key_array and quality.passed:
+        quality = _identity_quality(current.key, frame, thresholds)
+        if quality is not None and quality.passed:
             # The key's connectivity at the frame's own positions is the
             # frame: code it as itself, in this segment only if the unmoved
             # latest frame already passes for it.
             accepted = assess_quality(latest, frame, thresholds).passed
-            iterations = 0
+            positions, iterations = frame.vertices, 0
         else:
             previous = current.frames[-2] if len(current.frames) > 1 else None
             matches = match_frames(current.frames[-1], frame, max_residual,
@@ -291,13 +288,13 @@ def run_pipeline(
                                                 registration_cfg)
             quality = assess_quality(deformed, frame, thresholds)
             accepted = quality.passed and not report.diverged
-            iterations = report.iterations_used
+            positions, iterations = deformed.vertices, report.iterations_used
 
         if accepted:
-            current.accept(deformed)
+            current.frames.append(positions)
         else:
-            segments.append(current.close())
-            current = _OpenSegment(frame, idx, store_normals)
+            segments.append(current.close(store_normals))
+            current = _OpenSegment(frame, idx)
         stats.records.append(FrameRecord(
             idx, len(segments), not accepted,
             quality.E_d_rms, quality.E_c_rms, iterations,
@@ -305,5 +302,5 @@ def run_pipeline(
 
     if current is None:
         raise InvalidMeshError("pipeline needs at least one frame")
-    segments.append(current.close())
+    segments.append(current.close(store_normals))
     return segments, stats

@@ -3,22 +3,31 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ultron.mesh.closest
 import ultron.pipeline
 from ultron.codec import decode_container, encode_container
 from ultron.codec.quantization import QuantizationParams, half_step, widen_to_f32
-from ultron.mesh import Aabb, Mesh
+from ultron.mesh import Aabb, Mesh, vertex_normals
 from ultron.pipeline import (
     QualityThresholds,
     Segment,
+    _identity_quality,
     _surface_colors,
     assess_quality,
     run_pipeline,
     surface_errors,
 )
 from ultron.registration import RegistrationConfig
-from ultron.synth import SynthConfig, make_icosphere, make_slab, synth_frames
+from ultron.synth import (
+    SynthConfig,
+    make_cylinder,
+    make_icosphere,
+    make_slab,
+    synth_frames,
+)
 from ultron.tracking import CorrespondenceSet, match_frames
 
 
@@ -113,6 +122,40 @@ class TestAssessQuality:
     def test_color_absent_when_either_side_lacks_colors(self, sphere_162):
         report = assess_quality(sphere_162, sphere_162, QualityThresholds())
         assert report.E_c_rms is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(["icosphere", "cylinder", "slab"]),
+           seed=st.integers(0, 2**32 - 1),
+           colored=st.booleans(),
+           color_noise=st.floats(1e-3, 1e-1),
+           tol_scale=st.sampled_from([0.99, 1.0, 1.01]))
+    def test_identity_quality_equals_the_surface_computation(
+        self, shape, seed, colored, color_noise, tol_scale
+    ):
+        # a frame on the key's triangle array, its positions perturbed far
+        # less than an edge so that no triangle degenerates or folds: the
+        # direct identity gate reads what the surface queries read
+        base = {"icosphere": make_icosphere(2), "cylinder": make_cylinder(12, 6),
+                "slab": make_slab(8, 5)}[shape]
+        rng = np.random.default_rng(seed)
+        moved = base.vertices + rng.normal(scale=1e-3, size=base.vertices.shape)
+        key_colors = frame_colors = None
+        if colored:
+            key_colors = rng.random((base.vertex_count, 3))
+            frame_colors = key_colors + rng.uniform(-color_noise, color_noise,
+                                                    size=key_colors.shape)
+        key = Mesh(vertices=base.vertices, triangles=base.triangles,
+                   colors=key_colors)
+        frame = Mesh(vertices=moved, triangles=base.triangles, colors=frame_colors)
+        e_c = assess_quality(key.with_vertices(moved), frame,
+                             QualityThresholds()).E_c_rms
+        thresholds = QualityThresholds(
+            color_tol=0.02 if e_c is None else tol_scale * e_c)
+        reference = assess_quality(key.with_vertices(moved), frame, thresholds)
+        direct = _identity_quality(key, frame, thresholds)
+        assert direct.E_d_rms == reference.E_d_rms == 0.0
+        assert direct.E_c_rms == reference.E_c_rms
+        assert direct.passed == reference.passed
 
 
 class TestRunPipeline:
@@ -292,6 +335,58 @@ class TestRunPipeline:
                 err = np.abs(dec.frames[j] - frames[frame_id].vertices)
                 assert np.all(err <= slack)
 
+    def test_identity_frame_queries_only_the_unmoved_latest(self, monkeypatch):
+        # a frame on the key's triangle array is gated without a query of
+        # its own: the one assess_quality against the unmoved latest frame
+        # makes two, through the frame's index and the latest frame's
+        builds, queries = [], []
+
+        class Counting(ultron.mesh.closest.TriangleBvh):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        def counting(*args, _original=ultron.pipeline.closest_points):
+            queries.append(1)
+            return _original(*args)
+
+        frames = synth_frames(SynthConfig(shape="sphere", frames=6,
+                                          motion="twist", amplitude=1.0,
+                                          resolution=2, colors=True, seed=5))
+        monkeypatch.setattr(ultron.mesh.closest, "TriangleBvh", Counting)
+        monkeypatch.setattr(ultron.pipeline, "closest_points", counting)
+        calls = self._counted(monkeypatch)
+        run_pipeline(frames)
+        assert calls == {"register": 0, "match_frames": 0}
+        assert len(queries) == 2 * (len(frames) - 1)
+        assert len(builds) == 2 * (len(frames) - 1)
+
+    def test_triangle_array_with_another_vertex_count_is_registered(self):
+        # the key's triangle array on one vertex more or less is not the
+        # key's own deformation: the frame reaches registration and is
+        # keyed, and the sequence encodes and decodes
+        base = make_icosphere(1)
+        rgb = (base.vertices + 1.0) / 2.0
+
+        def with_extra(mesh, attr, value):
+            attrs = {"uvs": mesh.uvs, "colors": mesh.colors}
+            attrs[attr] = np.vstack([attrs[attr], value])
+            return Mesh(vertices=np.vstack([mesh.vertices, [0.0, 0.0, 1.2]]),
+                        triangles=mesh.triangles, **attrs)
+
+        colored = Mesh(vertices=base.vertices, triangles=base.triangles, colors=rgb)
+        textured = Mesh(vertices=base.vertices, triangles=base.triangles,
+                        uvs=rgb[:, :2])
+        for frames in ([colored, with_extra(colored, "colors", [0.5, 0.5, 0.5])],
+                       [textured, with_extra(textured, "uvs", [0.5, 0.5])],
+                       [with_extra(colored, "colors", [0.5, 0.5, 0.5]), colored]):
+            segments, stats = run_pipeline(frames)
+            assert stats.keyframes == [0, 1]
+            assert stats.records[1].registration_iterations > 0
+            back, _ = decode_container(encode_container(segments))
+            assert [s.frames.shape for s in back] == [
+                (1, f.vertex_count, 3) for f in frames]
+
     def test_resampled_frame_on_the_same_array_is_registered(self, monkeypatch):
         # synth's remesh keeps the triangle array but moves the vertices to
         # other surface points: the identity's color gate fails, so the
@@ -349,6 +444,22 @@ class TestRunPipeline:
         assert segments[0].normal_frames.shape == (3, 162, 3)
         norms = np.linalg.norm(segments[0].normal_frames[1], axis=1)
         assert np.allclose(norms, 1.0)
+
+    def test_stored_normals_are_the_inputs_then_recomputed(self):
+        # frame 0 stores the key's input normals; every later frame the
+        # normals of its own positions on the key's connectivity
+        frames = [Mesh(vertices=f.vertices, triangles=f.triangles,
+                       normals=f.vertices / np.linalg.norm(f.vertices, axis=1,
+                                                           keepdims=True))
+                  for f in synth_frames(SynthConfig(shape="sphere", frames=6,
+                                                    amplitude=0.05, resolution=2))]
+        segments, _ = run_pipeline(frames, store_normals=True)
+        assert len(segments) == 1
+        normal_frames = segments[0].normal_frames
+        assert np.array_equal(normal_frames[0], frames[0].normals)
+        assert not np.array_equal(normal_frames[0], vertex_normals(frames[0]))
+        for k in range(1, len(frames)):
+            assert np.array_equal(normal_frames[k], vertex_normals(frames[k]))
 
 
 class TestSegmentInvariants:
