@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import IndexOutOfRangeError, MeshParseError, UnsupportedElementError
 from .model import Mesh
-from .obj_io import _format_rows
+from .obj_io import _fan_triangulate, _format_rows
 
 logger = logging.getLogger(__name__)
 
@@ -166,16 +166,6 @@ def parse_ply(data: bytes, *, expect_format: str | None = None) -> Mesh:
         )
     return Mesh(vertices=vertices, triangles=triangles, normals=cols("nx", "ny", "nz"),
                 uvs=cols("u", "v"), colors=colors)
-
-
-def _fan_triangulate(sizes, flat):
-    """Polygon (a, b, c, d, ...) gives (a, b, c), (a, c, d), ..."""
-    if np.all(sizes == 3):
-        return flat.reshape(-1, 3)
-    per = sizes - 2
-    first = np.repeat(np.cumsum(sizes) - sizes, per)
-    step = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per) + 1
-    return flat[np.stack([first, first + step, first + step + 1], axis=1)]
 
 
 class _AsciiBody:

@@ -5,8 +5,13 @@ and triangle array is first assessed as itself, the key's connectivity at
 its own positions: E_d is 0 by construction and E_c compares the key's
 colors with the frame's per vertex, with no closest-point query. If that
 passes, the frame is coded as itself, without tracking or registration: it
-joins the segment when the unmoved latest accepted frame also passes for
-it, and otherwise keys a new segment. Its stats row reads 0 iterations.
+joins the segment when the unmoved latest accepted frame also covers it,
+and otherwise keys a new segment. Its stats row reads 0 iterations. The
+cover test is the gate's verdict on the latest frame against the frame,
+taken term by term (the directed distance from the latest frame, E_c at
+those closest points, the reverse distance) and stopped at the first term
+that fails. While the segment holds only its key, the latest frame is the
+key itself, so the index built when the key was gated serves again.
 
 Every other frame is matched against the segment's last two accepted
 frames (the latest, moved on by its last step), the key (at the latest) is
@@ -137,10 +142,19 @@ def surface_errors(deformed: Mesh, original: Mesh):
     vertex indices are never paired."""
     pts, d_do, tris = closest_points(original, deformed.vertices)
     _, d_od, _ = closest_points(deformed, original.vertices)
-    rms = max(float(np.sqrt(np.mean(d * d))) for d in (d_do, d_od))
+    return max(_rms(d_do), _rms(d_od)), _color_rms(deformed, original, pts, tris)
+
+
+def _rms(distances) -> float:
+    """RMS of point-to-surface distances."""
+    return float(np.sqrt(np.mean(distances * distances)))
+
+
+def _color_rms(deformed: Mesh, original: Mesh, points, tris):
+    """surface_errors' color term, at deformed's closest points on original."""
     if deformed.colors is None or original.colors is None:
-        return rms, None
-    return rms, _rgb_rms(deformed.colors, _surface_colors(original, pts, tris))
+        return None
+    return _rgb_rms(deformed.colors, _surface_colors(original, points, tris))
 
 
 def _rgb_rms(colors, reference) -> float:
@@ -155,6 +169,17 @@ def _judged(e_d: float, e_c: float | None, thresholds: QualityThresholds):
                          and (e_c is None or e_c <= thresholds.color_tol))
 
 
+def _diagonal(deformed: Mesh, original: Mesh) -> float:
+    """The original's bounding-box diagonal, which normalizes E_d; meshes
+    the gate cannot judge are refused."""
+    if deformed.triangle_count == 0 or original.triangle_count == 0:
+        raise InvalidMeshError("meshes must be nonempty")
+    diag = original.bounds().diagonal
+    if diag <= 0:
+        raise InvalidMeshError("original mesh has a degenerate bounding box")
+    return diag
+
+
 def assess_quality(
     deformed: Mesh,
     original: Mesh,
@@ -163,13 +188,27 @@ def assess_quality(
     """Geometric (and, when colors exist, color) fidelity of a deformed
     frame relative to the original (surface_errors), normalized for the
     pass decision."""
-    if deformed.triangle_count == 0 or original.triangle_count == 0:
-        raise InvalidMeshError("meshes must be nonempty")
-    diag = original.bounds().diagonal
-    if diag <= 0:
-        raise InvalidMeshError("original mesh has a degenerate bounding box")
+    diag = _diagonal(deformed, original)
     rms, e_c = surface_errors(deformed, original)
     return _judged(rms / diag, e_c, thresholds)
+
+
+def _covers(latest: Mesh, frame: Mesh, thresholds: QualityThresholds) -> bool:
+    """assess_quality(latest, frame, thresholds).passed, term by term: the
+    directed distance from latest to frame, E_c at those closest points,
+    then the reverse distance, stopping at the first term that fails. The
+    gate bounds the max of the two distances over the diagonal, and that
+    quotient rounds to the max of the two quotients, so the verdict is the
+    AND of the three terms, bit for bit."""
+    diag = _diagonal(latest, frame)
+    pts, d, tris = closest_points(frame, latest.vertices)
+    if not _rms(d) / diag <= thresholds.geometry_tol:
+        return False
+    e_c = _color_rms(latest, frame, pts, tris)
+    if not (e_c is None or e_c <= thresholds.color_tol):
+        return False
+    _, d, _ = closest_points(latest, frame.vertices)
+    return _rms(d) / diag <= thresholds.geometry_tol
 
 
 def _identity_quality(key: Mesh, frame: Mesh, thresholds: QualityThresholds):
@@ -272,13 +311,16 @@ def run_pipeline(
             continue
         _check_attribute_consistency(current.key, frame, idx)
 
-        latest = current.key.with_vertices(current.frames[-1])
+        # the latest accepted frame; while the segment holds only its key,
+        # the key itself, so the index built when it was gated serves again
+        latest = (current.key if len(current.frames) == 1
+                  else current.key.with_vertices(current.frames[-1]))
         quality = _identity_quality(current.key, frame, thresholds)
         if quality is not None and quality.passed:
             # The key's connectivity at the frame's own positions is the
             # frame: code it as itself, in this segment only if the unmoved
-            # latest frame already passes for it.
-            accepted = assess_quality(latest, frame, thresholds).passed
+            # latest frame already covers it.
+            accepted = _covers(latest, frame, thresholds)
             positions, iterations = frame.vertices, 0
         else:
             previous = current.frames[-2] if len(current.frames) > 1 else None

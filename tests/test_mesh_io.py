@@ -1,4 +1,5 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ultron.errors import (
     UnsupportedElementError,
 )
 from ultron.mesh import FORMATS, Mesh, load_mesh, parse_mesh, serialize_mesh
+from ultron.mesh.obj_io import parse_obj
 
 
 def test_minimal_obj():
@@ -94,9 +96,10 @@ def test_obj_vertex_normal_corners():
     (b"f -1 -2 -3\n", UnsupportedElementError,
      "relative \\(negative\\) OBJ indices are not supported", 4),
     (b"f 0 1 2\n", MeshParseError, "OBJ indices are 1-based; 0 is invalid", 4),
+    (b"f 1 2 3\nf 1 /2 3\n", MeshParseError, "bad face corner '/2'", 5),
     (b"vt 0 0\nvt 1 0\nf 1/1 2/1 3/1\nf 1/2 3/1 2/1\n", UnsupportedElementError,
      "vertex 1 referenced with conflicting uv indices", 7),
-], ids=["negative", "zero", "conflicting_vt"])
+], ids=["negative", "zero", "corner_without_vertex", "conflicting_vt"])
 def test_obj_face_index_refusals(faces, error, match, line):
     with pytest.raises(error, match=match) as err:
         parse_mesh(_TRIANGLE + faces, "obj")
@@ -402,3 +405,242 @@ def test_mutated_files_raise_only_parse_errors(case):
         parse_mesh(data, fmt)
     except (MeshParseError, InvalidMeshError):
         pass
+
+
+def reference_parse_obj(data: bytes) -> Mesh:
+    """A line-by-line OBJ reader: each record's numbers and each face
+    corner go through float() and int() one at a time, and the first check
+    that fails raises. parse_obj must give the same mesh and fan warning, or
+    the same error, line and message."""
+    text = data.decode("utf-8", errors="replace")
+    positions, vertex_colors, texcoords, raw_normals = [], [], [], []
+    faces = []  # (lineno, ((v, vt, vn), (v, vt, vn), (v, vt, vn)))
+    fan_count = 0
+
+    def floats(parts, count, lineno, record):
+        if len(parts) < count:
+            raise MeshParseError(
+                f"'{record}' record needs {count} values, got {len(parts)}", line=lineno
+            )
+        try:
+            return [float(p) for p in parts[:count]]
+        except ValueError as exc:
+            raise MeshParseError(f"bad number in '{record}' record: {exc}", line=lineno)
+
+    def corner(token, lineno):
+        fields = token.split("/")
+        if len(fields) > 3 or fields[0] == "":
+            raise MeshParseError(f"bad face corner {token!r}", line=lineno)
+        out = []
+        for f in fields:
+            if f == "":
+                out.append(None)
+                continue
+            try:
+                idx = int(f)
+            except ValueError:
+                raise MeshParseError(f"bad face corner {token!r}", line=lineno)
+            if idx < 0:
+                raise UnsupportedElementError(
+                    "relative (negative) OBJ indices are not supported", line=lineno
+                )
+            if idx == 0:
+                raise MeshParseError("OBJ indices are 1-based; 0 is invalid", line=lineno)
+            out.append(idx - 1)
+        return tuple(out + [None] * (3 - len(out)))
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        key, args = parts[0], parts[1:]
+        if key == "v":
+            if len(args) not in (3, 6):
+                raise MeshParseError(
+                    f"'v' record needs 3 or 6 values, got {len(args)}", line=lineno
+                )
+            positions.append(floats(args, 3, lineno, "v"))
+            if len(args) == 6:
+                vertex_colors.append(floats(args[3:], 3, lineno, "v"))
+            elif vertex_colors:
+                raise MeshParseError(
+                    "mixed presence of per-vertex colors on 'v' records", line=lineno
+                )
+        elif key == "vt":
+            texcoords.append(floats(args, 2, lineno, "vt"))
+        elif key == "vn":
+            raw_normals.append(floats(args, 3, lineno, "vn"))
+        elif key == "f":
+            if len(args) < 3:
+                raise MeshParseError("face with fewer than 3 corners", line=lineno)
+            corners = [corner(tok, lineno) for tok in args]
+            fan_count += len(corners) > 3
+            for i in range(1, len(corners) - 1):
+                faces.append((lineno, (corners[0], corners[i], corners[i + 1])))
+        elif key in ("l", "p", "curv", "curv2", "surf"):
+            raise UnsupportedElementError(
+                f"'{key}' records (non-triangle geometry) are not supported",
+                line=lineno,
+            )
+
+    if vertex_colors and len(vertex_colors) != len(positions):
+        raise MeshParseError("some 'v' records carry colors and some do not")
+    if fan_count:
+        logging.getLogger("ultron.mesh.obj_io").warning(
+            "fan-triangulated %d polygonal faces", fan_count)
+
+    nv = len(positions)
+    triangles = np.zeros((len(faces), 3), dtype=np.int32)
+    attributes = (("uv", "vt", texcoords), ("normal", "vn", raw_normals))
+    rows_of = [np.full(nv, -1, dtype=np.int64) for _ in attributes]
+    for row, (lineno, tri) in enumerate(faces):
+        for col, (v, *refs) in enumerate(tri):
+            if v >= nv:
+                raise IndexOutOfRangeError(
+                    f"vertex index {v + 1} exceeds vertex count {nv}", line=lineno
+                )
+            triangles[row, col] = v
+            for (what, record, table), of_vertex, ref in zip(attributes, rows_of, refs):
+                if ref is None:
+                    continue
+                if ref >= len(table):
+                    raise IndexOutOfRangeError(
+                        f"{what} index {ref + 1} exceeds {record} count {len(table)}",
+                        line=lineno,
+                    )
+                if of_vertex[v] == -1:
+                    of_vertex[v] = ref
+                elif of_vertex[v] != ref:
+                    raise UnsupportedElementError(
+                        f"vertex {v + 1} referenced with conflicting {what} indices; "
+                        "only per-vertex attributes are representable",
+                        line=lineno,
+                    )
+
+    def per_vertex(table, of_vertex):
+        assigned = of_vertex >= 0
+        if table and len(table) == nv and np.all(
+            of_vertex[assigned] == np.flatnonzero(assigned)
+        ):
+            return np.asarray(table, dtype=np.float64)
+        if not assigned.any():
+            return None
+        out = np.zeros((nv, len(table[0])), dtype=np.float64)
+        out[assigned] = np.asarray(table, dtype=np.float64)[of_vertex[assigned]]
+        return out
+
+    uvs, normals = (per_vertex(table, of_vertex)
+                    for (_, _, table), of_vertex in zip(attributes, rows_of))
+    return Mesh(
+        vertices=np.asarray(positions, dtype=np.float64).reshape(nv, 3),
+        triangles=triangles,
+        normals=normals,
+        uvs=uvs,
+        colors=np.asarray(vertex_colors, dtype=np.float64) if vertex_colors else None,
+    )
+
+
+# odd spellings float() and int() accept or refuse, and numbers past the
+# ranges of a double and of int64
+_ODD_NUMBERS = ("nan", "-inf", "1e999", "1_0", "99999999999999999999", "1__0",
+                "x", "+2", "\u0663", "0x1")
+_ODD_INDICES = ("0", "-1", "-99999999999999999999", "99999999999999999999", "1_0",
+                "x", "", "\u0663", "1", "2", "7")
+
+
+@st.composite
+def obj_files(draw):
+    """A small OBJ file of colored or plain vertices, vt and vn records and
+    triangles and polygons, with CRLF or CR line ends, tabs and comments.
+    Unless the file is clean, odd numbers and indices, other record sizes,
+    corner forms and byte edits turn up about once in `odd` draws."""
+    odd = draw(st.sampled_from([None, 80, 25, 8]))
+
+    def rare(options, common):
+        if odd is None or draw(st.integers(0, odd - 1)):
+            return common
+        return draw(st.sampled_from(options))
+
+    def number():
+        return rare(_ODD_NUMBERS, repr(draw(st.floats(-4, 4))))
+
+    n = draw(st.integers(min_value=3, max_value=6))
+    colors = draw(st.sampled_from(["none", "all", "mixed"]))
+    records = []
+    for _ in range(n):
+        width = 6 if colors == "all" or (colors == "mixed" and draw(st.booleans())) else 3
+        records.append(["v"] + [number() for _ in range(rare(range(8), width))])
+    n_vt, n_vn = (draw(st.integers(min_value=0, max_value=n + 1)) for _ in "tn")
+    records += [["vt"] + [number() for _ in range(rare(range(4), 2))]
+                for _ in range(n_vt)]
+    records += [["vn"] + [number() for _ in range(rare(range(5), 3))]
+                for _ in range(n_vn)]
+    style = draw(st.sampled_from(["{v}", "{v}/{t}", "{v}//{n}", "{v}/{t}/{n}"]))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        size = min(n, draw(st.sampled_from([3, 3, 4, 5])))
+        corners = []
+        for v in draw(st.permutations(range(1, n + 1)))[:rare([1, 2], size)]:
+            # a vertex names the vt and vn of its own number, wrapped
+            t, m = ((v - 1) % k + 1 if k else 1 for k in (n_vt, n_vn))
+            corner = rare(["{v}", "/{v}", "{v}/", "{v}/{t}/{n}/{v}", "{v}/{t}//"], style)
+            corners.append(corner.format(
+                v=rare(_ODD_INDICES, str(v)), t=rare(_ODD_INDICES, str(t)),
+                n=rare(_ODD_INDICES, str(m))))
+        records.append(["f"] + corners)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        records.insert(draw(st.integers(0, len(records))), draw(st.sampled_from(
+            [["#", "note"], ["#v", "1"], ["o", "x"], ["g"], [], ["s", "1"], ["V", "1"]])))
+    if odd is not None and draw(st.integers(0, 9)) == 0:
+        records.insert(draw(st.integers(0, len(records))), ["l", "1", "2"])
+    if draw(st.integers(0, 4)) == 0:
+        records = draw(st.permutations(records))
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = bytearray(end.join(sep.join(r) for r in records).encode())
+    for _ in range(rare([1, 2], 0)):
+        if data:
+            at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+            data[at:at + draw(st.integers(0, 3))] = draw(
+                st.sampled_from([b"", b"/", b"-", b"0", b"\n", b" ", b"e", b"\xff"]))
+    return bytes(data)
+
+
+def _outcome(parse, data):
+    """parse(data)'s mesh or error, and the warnings it logs."""
+    logged = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("ultron.mesh.obj_io")
+    logger.addHandler(handler)
+    try:
+        return parse(data), logged
+    except (MeshParseError, InvalidMeshError) as exc:
+        return exc, logged
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=obj_files())
+def test_obj_reader_agrees_with_line_by_line_reference(data):
+    got, got_logged = _outcome(parse_obj, data)
+    want, want_logged = _outcome(reference_parse_obj, data)
+    assert got_logged == want_logged
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert (got.args, getattr(got, "line", None)) == (
+            want.args, getattr(want, "line", None))
+        return
+    for attr in ("vertices", "triangles", "uvs", "normals", "colors"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert (a is None) == (b is None), attr
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), attr
+
+
+def test_obj_face_index_above_int64_is_out_of_range():
+    data = _TRIANGLE + b"f 1 2 3\nf 1 2 99999999999999999999\n"
+    with pytest.raises(IndexOutOfRangeError, match="99999999999999999999") as err:
+        parse_mesh(data, "obj")
+    assert err.value.line == 5
+

@@ -14,6 +14,7 @@ from ultron.mesh import Aabb, Mesh, vertex_normals
 from ultron.pipeline import (
     QualityThresholds,
     Segment,
+    _covers,
     _identity_quality,
     _surface_colors,
     assess_quality,
@@ -156,6 +157,42 @@ class TestAssessQuality:
         assert direct.E_d_rms == reference.E_d_rms == 0.0
         assert direct.E_c_rms == reference.E_c_rms
         assert direct.passed == reference.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(["icosphere", "cylinder", "slab"]),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+           colored=st.booleans(),
+           geometry_pick=st.integers(0, 6),
+           color_pick=st.integers(0, 4))
+    def test_cover_test_is_the_gate_verdict(
+        self, shape, seed, scale, colored, geometry_pick, color_pick
+    ):
+        # two positions of one triangle array, judged at tolerances of 0,
+        # inf, E_d, the first directed term alone and E_c, and at the
+        # doubles just either side of each
+        base = {"icosphere": make_icosphere(2), "cylinder": make_cylinder(12, 6),
+                "slab": make_slab(8, 5)}[shape]
+        rng = np.random.default_rng(seed)
+        colors = rng.random((base.vertex_count, 3)) if colored else None
+        latest, frame = (
+            Mesh(vertices=base.vertices + rng.normal(scale=scale, size=base.vertices.shape),
+                 triangles=base.triangles, colors=colors)
+            for _ in range(2))
+        report = assess_quality(latest, frame, QualityThresholds())
+        diag = frame.bounds().diagonal
+        _, d, _ = ultron.pipeline.closest_points(frame, latest.vertices)
+        forward = float(np.sqrt(np.mean(d * d))) / diag
+
+        def around(value):
+            return [value, np.nextafter(value, 0.0), np.nextafter(value, np.inf)]
+
+        geometry = [0.0, np.inf, *around(report.E_d_rms), *around(forward)]
+        color = [0.0, np.inf, *around(report.E_c_rms or 0.0)]
+        thresholds = QualityThresholds(geometry_tol=geometry[geometry_pick],
+                                       color_tol=color[color_pick])
+        assert _covers(latest, frame, thresholds) == assess_quality(
+            latest, frame, thresholds).passed
 
 
 class TestRunPipeline:
@@ -335,10 +372,9 @@ class TestRunPipeline:
                 err = np.abs(dec.frames[j] - frames[frame_id].vertices)
                 assert np.all(err <= slack)
 
-    def test_identity_frame_queries_only_the_unmoved_latest(self, monkeypatch):
-        # a frame on the key's triangle array is gated without a query of
-        # its own: the one assess_quality against the unmoved latest frame
-        # makes two, through the frame's index and the latest frame's
+    def _queries(self, monkeypatch):
+        """Lists that grow by one per index build and per closest-point
+        query the pipeline makes."""
         builds, queries = [], []
 
         class Counting(ultron.mesh.closest.TriangleBvh):
@@ -350,16 +386,58 @@ class TestRunPipeline:
             queries.append(1)
             return _original(*args)
 
+        monkeypatch.setattr(ultron.mesh.closest, "TriangleBvh", Counting)
+        monkeypatch.setattr(ultron.pipeline, "closest_points", counting)
+        return builds, queries
+
+    def test_identity_frame_queries_only_the_unmoved_latest(self, monkeypatch):
+        # a frame on the key's triangle array is gated without a query of
+        # its own, and the cover test against the unmoved latest frame stops
+        # at its first failing term: each twisted frame fails the directed
+        # distance from the latest frame, one query through the frame's own
+        # index, and keys a segment whose key is the next latest frame
         frames = synth_frames(SynthConfig(shape="sphere", frames=6,
                                           motion="twist", amplitude=1.0,
                                           resolution=2, colors=True, seed=5))
-        monkeypatch.setattr(ultron.mesh.closest, "TriangleBvh", Counting)
-        monkeypatch.setattr(ultron.pipeline, "closest_points", counting)
+        builds, queries = self._queries(monkeypatch)
         calls = self._counted(monkeypatch)
         run_pipeline(frames)
         assert calls == {"register": 0, "match_frames": 0}
-        assert len(queries) == 2 * (len(frames) - 1)
-        assert len(builds) == 2 * (len(frames) - 1)
+        assert len(queries) == len(frames) - 1
+        assert len(builds) == len(frames) - 1
+
+    def test_cover_test_stops_at_failing_colors(self, monkeypatch):
+        # same colors per vertex pass the identity gate, but the twist moves
+        # the key's vertices to other surface points of the frame, where
+        # its colors differ: with any distance allowed, E_c fails and the
+        # reverse distance is never queried
+        key, twisted = synth_frames(SynthConfig(shape="sphere", frames=2,
+                                                motion="twist", amplitude=1.0,
+                                                resolution=2, colors=True, seed=5))
+        frame = Mesh(vertices=twisted.vertices, triangles=key.triangles,
+                     colors=key.colors)
+        builds, queries = self._queries(monkeypatch)
+        _, stats = run_pipeline([key, frame], QualityThresholds(
+            geometry_tol=np.inf, color_tol=0.0))
+        assert stats.keyframes == [0, 1]
+        assert stats.records[1].E_c_rms == 0.0
+        assert len(queries) == len(builds) == 1
+
+    def test_covered_frame_queries_the_key_through_its_own_index(self, monkeypatch):
+        # the second twisted frame keys a segment; a copy of it passes
+        # every term, and its reverse query goes through the index the key
+        # built when it was gated, so only the copy's own index is new
+        frames = synth_frames(SynthConfig(shape="sphere", frames=2,
+                                          motion="twist", amplitude=1.0,
+                                          resolution=2, colors=True, seed=5))
+        copy = Mesh(vertices=frames[1].vertices, triangles=frames[1].triangles,
+                    colors=frames[1].colors)
+        builds, queries = self._queries(monkeypatch)
+        segments, stats = run_pipeline([*frames, copy])
+        assert stats.keyframes == [0, 1]
+        assert segments[1].frame_ids == (1, 2)
+        assert len(queries) == 1 + 2
+        assert len(builds) == 1 + 1
 
     def test_triangle_array_with_another_vertex_count_is_registered(self):
         # the key's triangle array on one vertex more or less is not the
