@@ -121,6 +121,8 @@ class Mesh:
                 raise InvalidMeshError(
                     f"{name} length {len(arr)} != vertex count {n}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise InvalidMeshError(f"{name} contain non-finite values")
             object.__setattr__(self, name, arr)
 
     @property

@@ -37,11 +37,12 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _first_refused(tokens, parse):
-    """Index of the first token parse refuses, and its ValueError."""
+    """Index of the first token parse refuses, and its ValueError or
+    OverflowError."""
     for i, token in enumerate(tokens):
         try:
             parse(token)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             return i, exc
     raise AssertionError("no token refused")
 

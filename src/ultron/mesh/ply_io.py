@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import IndexOutOfRangeError, MeshParseError, UnsupportedElementError
 from .model import Mesh
-from .obj_io import _fan_triangulate, _format_rows
+from .obj_io import _fan_triangulate, _first_refused, _format_rows
 
 logger = logging.getLogger(__name__)
 
@@ -188,12 +188,7 @@ class _AsciiBody:
 
     def _first_refused(self, start, parse):
         """Index of the first token from start on that parse refuses."""
-        for i in range(start, len(self.tokens)):
-            try:
-                parse(self.tokens[i])
-            except (ValueError, OverflowError):
-                return i
-        return start
+        return start + _first_refused(self.tokens[start:], parse)[0]
 
     def rows(self, count, props, wanted):
         """count rows of len(props) numbers, as one float64 column each."""

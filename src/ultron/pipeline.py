@@ -10,8 +10,8 @@ and otherwise keys a new segment. Its stats row reads 0 iterations. The
 cover test is the gate's verdict on the latest frame against the frame,
 taken term by term (the directed distance from the latest frame, E_c at
 those closest points, the reverse distance) and stopped at the first term
-that fails. While the segment holds only its key, the latest frame is the
-key itself, so the index built when the key was gated serves again.
+that fails. Each accepted frame is held as a mesh, and a frame joined as
+itself keeps its own index.
 
 Every other frame is matched against the segment's last two accepted
 frames (the latest, moved on by its last step), the key (at the latest) is
@@ -24,7 +24,7 @@ segment keyed by the original frame, which has no step yet.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -262,17 +262,16 @@ class PipelineStats:
 class _OpenSegment:
     def __init__(self, key: Mesh, frame_id: int):
         self.key = key
-        self.frames = [key.vertices]  # accepted positions, one per frame
+        self.frames = [key]  # accepted frames on the key's connectivity
         self.first_id = frame_id
 
     def close(self, store_normals: bool) -> Segment:
         normals = None
         if store_normals:  # frame 0 keeps the key's own normals if it has them
-            meshes = [self.key] + [self.key.with_vertices(v) for v in self.frames[1:]]
             normals = [vertex_normals(m) if m.normals is None else m.normals
-                       for m in meshes]
+                       for m in self.frames]
         ids = range(self.first_id, self.first_id + len(self.frames))
-        return Segment(self.key, self.frames, ids, normals)
+        return Segment(self.key, [m.vertices for m in self.frames], ids, normals)
 
 
 def _check_attribute_consistency(key: Mesh, frame: Mesh, index: int):
@@ -311,30 +310,31 @@ def run_pipeline(
             continue
         _check_attribute_consistency(current.key, frame, idx)
 
-        # the latest accepted frame; while the segment holds only its key,
-        # the key itself, so the index built when it was gated serves again
-        latest = (current.key if len(current.frames) == 1
-                  else current.key.with_vertices(current.frames[-1]))
+        latest = current.frames[-1]
         quality = _identity_quality(current.key, frame, thresholds)
         if quality is not None and quality.passed:
             # The key's connectivity at the frame's own positions is the
             # frame: code it as itself, in this segment only if the unmoved
             # latest frame already covers it.
             accepted = _covers(latest, frame, thresholds)
-            positions, iterations = frame.vertices, 0
+            iterations = 0
+            if accepted:  # same geometry, so the frame's index serves it
+                current.frames.append(replace(frame, normals=None,
+                                              uvs=current.key.uvs,
+                                              colors=current.key.colors))
         else:
-            previous = current.frames[-2] if len(current.frames) > 1 else None
-            matches = match_frames(current.frames[-1], frame, max_residual,
+            previous = current.frames[-2].vertices if len(current.frames) > 1 else None
+            matches = match_frames(latest.vertices, frame, max_residual,
                                    previous=previous)
             deformed, _field, report = register(latest, frame, matches,
                                                 registration_cfg)
             quality = assess_quality(deformed, frame, thresholds)
             accepted = quality.passed and not report.diverged
-            positions, iterations = deformed.vertices, report.iterations_used
+            iterations = report.iterations_used
+            if accepted:
+                current.frames.append(deformed)
 
-        if accepted:
-            current.frames.append(positions)
-        else:
+        if not accepted:
             segments.append(current.close(store_normals))
             current = _OpenSegment(frame, idx)
         stats.records.append(FrameRecord(

@@ -212,6 +212,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "bad.obj" in capsys.readouterr().err
 
 
+def test_non_finite_color_exit_code(tmp_path, capsys):
+    bad = tmp_path / "nan.obj"
+    bad.write_text("v 0 0 0 nan 0.5 0.5\nv 1 0 0 0.1 0.2 0.3\n"
+                   "v 0 1 0 0.1 0.2 0.3\nf 1 2 3\n")
+    assert run_cli("encode", bad, "--output", tmp_path / "x.ultn") == 3
+    assert "colors contain non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "x.ultn").exists()
+
+
 def test_container_error_exit_code_and_cleanup(tmp_path):
     bogus = tmp_path / "bogus.ultn"
     bogus.write_bytes(b"NOT A CONTAINER AT ALL")

@@ -185,6 +185,31 @@ def test_load_mesh_reads_declared_format(tmp_path, name, data):
     assert np.array_equal(mesh.triangles, TRIANGLE.triangles)
 
 
+def _binary_ply_with_normals(normals):
+    """A binary PLY triangle of double x/y/z/nx/ny/nz vertices."""
+    header = (b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+              + b"".join(b"property double %s\n" % p
+                         for p in (b"x", b"y", b"z", b"nx", b"ny", b"nz"))
+              + b"element face 1\nproperty list uchar int vertex_indices\n"
+              b"end_header\n")
+    rows = np.hstack([TRIANGLE.vertices, normals]).astype("<f8")
+    return header + rows.tobytes() + np.array([3], "u1").tobytes() \
+        + np.array([0, 1, 2], "<i4").tobytes()
+
+
+@pytest.mark.parametrize("data,fmt,attr", [
+    (b"v 0 0 0 nan 0.5 0.5\nv 1 0 0 0.1 0.2 0.3\nv 0 1 0 0.1 0.2 0.3\nf 1 2 3\n",
+     "obj", "colors"),
+    (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nvt nan 0\nvt 1 0\nf 1/1 2/2 3/2\n",
+     "obj", "uvs"),
+    (_binary_ply_with_normals([[np.inf, 0, 0], [0, 0, 1], [0, 0, 1]]),
+     "ply-binary", "normals"),
+], ids=["obj-color", "obj-uv", "ply-normal"])
+def test_non_finite_attributes_refused(data, fmt, attr):
+    with pytest.raises(InvalidMeshError, match=f"{attr} contain non-finite values"):
+        parse_mesh(data, fmt)
+
+
 def ply_with_faces(fmt, vertices, faces):
     """A PLY file of x/y/z vertices and arbitrary index lists."""
     encoding = "ascii" if fmt == "ply-ascii" else "binary_little_endian"

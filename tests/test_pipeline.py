@@ -439,6 +439,22 @@ class TestRunPipeline:
         assert len(queries) == 1 + 2
         assert len(builds) == 1 + 1
 
+    def test_joined_frame_keeps_its_own_index(self, monkeypatch):
+        # a sphere gliding on one triangle array: every frame joins the
+        # key's segment as itself, and each cover test queries both ways;
+        # the latest frame is the mesh that joined, whose index its own
+        # cover test built, so each joined frame builds one index and the
+        # key one more
+        cfg = SynthConfig(frames=12, motion="translate", amplitude=0.022,
+                          resolution=3, colors=True, seed=5)
+        builds, queries = self._queries(monkeypatch)
+        calls = self._counted(monkeypatch)
+        segments, _ = run_pipeline(synth_frames(cfg))
+        assert calls == {"register": 0, "match_frames": 0}
+        assert [s.frame_ids for s in segments] == [tuple(range(12))]
+        assert len(queries) == 2 * 11
+        assert len(builds) == 1 + 11
+
     def test_triangle_array_with_another_vertex_count_is_registered(self):
         # the key's triangle array on one vertex more or less is not the
         # key's own deformation: the frame reaches registration and is
@@ -563,7 +579,7 @@ class TestSegmentInvariants:
 
 
 # SHA-256 of the container and of the stats CSV that the keyframe loop
-# gives two of the CI sequences, and of the decoded frames, key colors and
+# gives three of the CI sequences, and of the decoded frames, key colors and
 # triangle arrays; a change to the first two changes what `ultron encode`
 # writes for them, a change to the third what `ultron decode` gives back
 PINNED_ENCODES = [
@@ -577,11 +593,16 @@ PINNED_ENCODES = [
      "612c8e55cba378d3342fc74cc0b51c0a475937e49a63ad5e506b4defe5edb320",
      "5ad39259cf3ede7908311443b791fff5677f2f71ae2fcb3e7b3ce888e5dccb6c",
      "398208a9c0cdfc573ac0544860dcd2d848c6b889280b21cbd721accafec390f7"),
+    (SynthConfig(frames=12, motion="translate", amplitude=0.022, resolution=3,
+                 colors=True, seed=5),
+     "ca41c2a1e434f599b09d7aa58c59df705845696b7ebef9626ac151bb8224b8e6",
+     "4b1928ffd1bd1cdd2fde8ecc06802bbd6257b1279735780c291ec57693e07ec5",
+     "fa9a85f2d4db7fd79ba6dbdf0c7c20a356b935f2db9a8e0e86ed2453215411d9"),
 ]
 
 
 @pytest.mark.parametrize("cfg,container,csv,decoded", PINNED_ENCODES,
-                         ids=["bend", "capture"])
+                         ids=["bend", "capture", "glide"])
 def test_keyframe_loop_bytes_pinned(cfg, container, csv, decoded):
     segments, stats = run_pipeline(synth_frames(cfg))
     assert hashlib.sha256(encode_container(segments)).hexdigest() == container
@@ -589,7 +610,7 @@ def test_keyframe_loop_bytes_pinned(cfg, container, csv, decoded):
 
 
 @pytest.mark.parametrize("cfg,container,csv,decoded", PINNED_ENCODES,
-                         ids=["bend", "capture"])
+                         ids=["bend", "capture", "glide"])
 def test_decoded_arrays_pinned(cfg, container, csv, decoded):
     # prediction from the segment before changes the bytes, never what
     # they decode to; the keyframes, and so the decoded arrays, change
