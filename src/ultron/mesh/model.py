@@ -82,6 +82,8 @@ class Mesh:
     normals: np.ndarray | None = None
     uvs: np.ndarray | None = None
     colors: np.ndarray | None = None
+    # entries derived from vertices and triangles alone (closest.py's index),
+    # so copies with the same geometry may share it
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -147,6 +149,15 @@ class Mesh:
             uvs=self.uvs,
             colors=self.colors,
         )
+
+    def with_attributes(self, *, normals=None, uvs=None, colors=None) -> "Mesh":
+        """Same geometry, other per-vertex attributes.
+
+        The copy shares this mesh's cache, so an index built for either
+        serves both.
+        """
+        return Mesh(self.vertices, self.triangles, normals, uvs, colors,
+                    self._cache)
 
     def edges(self) -> np.ndarray:
         """Unique undirected edges as a sorted (e, 2) int array."""

@@ -10,8 +10,8 @@ and otherwise keys a new segment. Its stats row reads 0 iterations. The
 cover test is the gate's verdict on the latest frame against the frame,
 taken term by term (the directed distance from the latest frame, E_c at
 those closest points, the reverse distance) and stopped at the first term
-that fails. Each accepted frame is held as a mesh, and a frame joined as
-itself keeps its own index.
+that fails. The latest accepted frame is held as a mesh, earlier ones as
+positions, and a frame joined as itself keeps its own index.
 
 Every other frame is matched against the segment's last two accepted
 frames (the latest, moved on by its last step), the key (at the latest) is
@@ -24,7 +24,8 @@ segment keyed by the original frame, which has no step yet.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -262,16 +263,23 @@ class PipelineStats:
 class _OpenSegment:
     def __init__(self, key: Mesh, frame_id: int):
         self.key = key
-        self.frames = [key]  # accepted frames on the key's connectivity
+        self.latest = key  # the latest accepted frame, on the key's connectivity
+        self.frames = [key.vertices]  # accepted positions, one per frame
         self.first_id = frame_id
+
+    def accept(self, mesh: Mesh):
+        self.latest = mesh
+        self.frames.append(mesh.vertices)
 
     def close(self, store_normals: bool) -> Segment:
         normals = None
         if store_normals:  # frame 0 keeps the key's own normals if it has them
+            # built one at a time, each freed once its normals are taken
+            meshes = chain([self.key], map(self.key.with_vertices, self.frames[1:]))
             normals = [vertex_normals(m) if m.normals is None else m.normals
-                       for m in self.frames]
+                       for m in meshes]
         ids = range(self.first_id, self.first_id + len(self.frames))
-        return Segment(self.key, [m.vertices for m in self.frames], ids, normals)
+        return Segment(self.key, self.frames, ids, normals)
 
 
 def _check_attribute_consistency(key: Mesh, frame: Mesh, index: int):
@@ -310,7 +318,7 @@ def run_pipeline(
             continue
         _check_attribute_consistency(current.key, frame, idx)
 
-        latest = current.frames[-1]
+        latest = current.latest
         quality = _identity_quality(current.key, frame, thresholds)
         if quality is not None and quality.passed:
             # The key's connectivity at the frame's own positions is the
@@ -318,13 +326,12 @@ def run_pipeline(
             # latest frame already covers it.
             accepted = _covers(latest, frame, thresholds)
             iterations = 0
-            if accepted:  # same geometry, so the frame's index serves it
-                current.frames.append(replace(frame, normals=None,
-                                              uvs=current.key.uvs,
-                                              colors=current.key.colors))
+            if accepted:  # the frame's geometry, so its index serves again
+                current.accept(frame.with_attributes(uvs=current.key.uvs,
+                                                     colors=current.key.colors))
         else:
-            previous = current.frames[-2].vertices if len(current.frames) > 1 else None
-            matches = match_frames(latest.vertices, frame, max_residual,
+            previous = current.frames[-2] if len(current.frames) > 1 else None
+            matches = match_frames(current.frames[-1], frame, max_residual,
                                    previous=previous)
             deformed, _field, report = register(latest, frame, matches,
                                                 registration_cfg)
@@ -332,7 +339,7 @@ def run_pipeline(
             accepted = quality.passed and not report.diverged
             iterations = report.iterations_used
             if accepted:
-                current.frames.append(deformed)
+                current.accept(deformed)
 
         if not accepted:
             segments.append(current.close(store_normals))

@@ -34,6 +34,30 @@ def test_vertex_query_ties_go_to_lowest_fan_triangle(rng):
         assert not dists.any()
 
 
+def test_copy_with_other_attributes_shares_the_index(monkeypatch):
+    """with_attributes keeps the geometry, so the index built for the mesh
+    answers the copy's queries, and the copy has its own attributes."""
+    import ultron.mesh.closest
+
+    builds = []
+
+    class Counting(ultron.mesh.closest.TriangleBvh):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ultron.mesh.closest, "TriangleBvh", Counting)
+    mesh = make_icosphere(2)
+    queries = mesh.vertices * 1.01
+    expected = closest_points(mesh, queries)
+    colors = np.full((mesh.vertex_count, 3), 0.5)
+    copy = mesh.with_attributes(colors=colors)
+    got = closest_points(copy, queries)
+    assert len(builds) == 1
+    assert all(np.array_equal(e, g) for e, g in zip(expected, got))
+    assert np.array_equal(copy.colors, colors) and mesh.colors is None
+
+
 def test_orthogonal_projection_onto_triangle():
     mesh = Mesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0]], triangles=[[0, 1, 2]])
     points, dists, tris = closest_points(mesh, [[0.25, 0.25, 1.0], [0.5, 0.125, -2.0]])
